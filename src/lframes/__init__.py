@@ -60,6 +60,7 @@ from .permutation import (
     lframes_to_permutation,
     mds_permutation,
     permutation_graph,
+    two_line_permutation,
     two_line_vertex_order,
 )
 from .reductions import (

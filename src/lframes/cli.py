@@ -2,8 +2,9 @@
 
 Subcommands: generate, solve, verify, render. Reports go to stdout one key
 per line and are byte-stable for a fixed seed; measured wall time goes to
-stderr. Exit codes: 0 success, 1 usage error, 2 parse or validation error,
-3 verification failure.
+stderr. Exit codes: 0 success, 1 usage error, 2 parse or validation error
+or an input/output file that cannot be read or written, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .instance_io import (
     parse_instance,
 )
 from .local_search import LocalSearchConfig, approx_two_sided, local_search_mds
-from .permutation import lframes_to_permutation, mds_permutation, two_line_vertex_order
+from .permutation import mds_permutation, two_line_permutation
 from .reductions import (
     circle_certificate,
     eds_to_epg,
@@ -112,32 +113,55 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise LFramesError(f"cannot read {path}: {e.strerror or e}") from None
 
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as e:
+        raise LFramesError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _solve(inst: GeomInstance, algo: str, k: int, cap: int = 32):
-    """Run one solver; returns instance-index members."""
+    """Run one solver; returns instance-index members and the graph it built.
+
+    The graph is None for the solvers that build no graph of the whole
+    instance (permutation, two-sided).
+    """
     if algo == "permutation":
-        order1 = two_line_vertex_order(inst)
-        ds = mds_permutation(lframes_to_permutation(inst))
-        return tuple(sorted(order1[t] for t in ds.members))
+        order1, p = two_line_permutation(inst)
+        ds = mds_permutation(p)
+        return tuple(sorted(order1[t] for t in ds.members)), None
+    if algo == "two-sided":
+        return approx_two_sided(inst, k).members, None
     g = build_intersection_graph(inst)
     if algo == "exact":
-        return exact_mds(g, cap=cap).members
+        return exact_mds(g, cap=cap).members, g
     if algo == "greedy":
-        return greedy_mds(g).members
+        return greedy_mds(g).members, g
     if algo == "local-search":
-        return local_search_mds(g, LocalSearchConfig(k=k)).members
-    if algo == "two-sided":
-        return approx_two_sided(inst, k).members
+        return local_search_mds(g, LocalSearchConfig(k=k)).members, g
     raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def _exchange(inst: GeomInstance, k: int):
+    """Local search against exact on one graph, and the exchange drawing
+    between their symmetric differences; returns (g, local-search members,
+    exchange graph, drawing)."""
+    g = build_intersection_graph(inst)
+    b_all = local_search_mds(g, LocalSearchConfig(k=k)).members
+    r_all = exact_mds(g).members
+    b_only = sorted(set(b_all) - set(r_all))
+    r_only = sorted(set(r_all) - set(b_all))
+    h = build_exchange_graph(inst, b_only, r_only)
+    return g, b_all, h, draw_arcs(h, inst)
 
 
 def _cmd_generate(args) -> int:
@@ -154,12 +178,13 @@ def _cmd_solve(args) -> int:
         except ValueError as e:
             raise LFramesError(str(e)) from None
     t0 = time.perf_counter()
-    members = _solve(inst, args.algo, args.k, args.cap)
+    members, g = _solve(inst, args.algo, args.k, args.cap)
     wall = time.perf_counter() - t0
 
     ratio = None
     if args.oracle:
-        g = build_intersection_graph(inst)
+        if g is None:
+            g = build_intersection_graph(inst)
         if g.n <= args.oracle_cap:
             opt = exact_mds_size(g, cap=args.oracle_cap)
             ratio = 1.0 if opt == 0 else len(members) / opt
@@ -205,14 +230,9 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.kind == "exchange":
         inst = gen_anchored_one_sided(args.seed, args.n)
-        g = build_intersection_graph(inst)
-        b_all = local_search_mds(g, LocalSearchConfig(k=args.k)).members
-        r_all = exact_mds(g).members
-        b_only = sorted(set(b_all) - set(r_all))
-        r_only = sorted(set(r_all) - set(b_all))
-        h = build_exchange_graph(inst, b_only, r_only)
-        crossings = count_crossings(draw_arcs(h, inst))
-        m, total = len(h.arcs), len(b_only) + len(r_only)
+        g, _, h, drawing = _exchange(inst, args.k)
+        crossings = count_crossings(drawing)
+        m, total = len(h.arcs), len(h.B) + len(h.R)
         planar_ok = total < 3 or m <= 2 * total - 4
         exchange_ok = check_local_exchange(h, g)
         ok = crossings == 0 and planar_ok and exchange_ok
@@ -246,15 +266,9 @@ def _cmd_render(args) -> int:
     solution = None
     arcs = None
     if args.algo is not None:
-        solution = _solve(inst, args.algo, args.k)
+        solution = _solve(inst, args.algo, args.k)[0]
     if args.exchange:
-        g = build_intersection_graph(inst)
-        b_all = local_search_mds(g, LocalSearchConfig(k=args.k)).members
-        r_all = exact_mds(g).members
-        b_only = sorted(set(b_all) - set(r_all))
-        r_only = sorted(set(r_all) - set(b_all))
-        h = build_exchange_graph(inst, b_only, r_only)
-        arcs = draw_arcs(h, inst)
+        _, b_all, _, arcs = _exchange(inst, args.k)
         if solution is None:
             solution = b_all
     _write_text(args.out, render_svg(inst, solution, arcs))

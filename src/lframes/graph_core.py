@@ -1,18 +1,46 @@
 """Intersection graphs, domination checks, greedy and exact solvers.
 
 Vertices are integers 0..n-1 in instance order; labels carry the object
-ids. Closed neighborhoods are cached as bitmasks, which keeps the
-branch-and-bound solver usable up to a few dozen vertices.
+ids. ``build_intersection_graph`` reports only the contacts that exist,
+with the sort-and-sweep passes of the axis-parallel case of Bentley and
+Ottmann, in O((n + m) log n) time for n objects and m contacts:
+
+* collinear arms (frames, both models): arms sorted by (line, low end);
+  an arm meets exactly the later arms of its line whose low end is at most
+  its high end (strictly below it in the edge model), a contiguous run
+  found by binary search;
+* horizontal-vertical contacts (standard model): a sweep over x keeps the
+  live horizontal arms sorted by y, and each vertical arm reports the
+  slice inside its y range;
+* rectangles: a sweep over x; a starting rectangle reports the live ones
+  whose bottom lies in (y_lo, y_hi] by a range slice, and those whose y
+  span contains its y_lo by a stabbing query on a segment tree.
+
+Coordinates are replaced by their ranks first, which keeps every
+comparison and admits integers of any size. Pairs found twice are merged
+when the graph is stored.
+
+The graph is stored as CSR arrays: the sorted neighbors of v are
+``indices[indptr[v]:indptr[v + 1]]``. Neighbor tuples (``adjacency``) and
+closed neighborhoods as bitmasks (``closed_masks``, ``full_mask``) are
+derived on first use and cached. Greedy and the domination check work on
+the arrays; the branch-and-bound solver, local search, the exchange graph
+and the reductions read the derived forms.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from .epg import epg_intersect
+import numpy as np
+
 from .errors import TooLarge
-from .geometry import GeomInstance, lframe_intersect, rect_intersect
+from .geometry import GeomInstance
 
 
 @dataclass(frozen=True)
@@ -30,37 +58,61 @@ class DominatingSet:
 
 
 class IntersectionGraph:
-    """Static undirected graph with per-vertex sorted neighbor lists."""
+    """Static undirected graph held as CSR arrays.
+
+    ``edges`` is an iterable of vertex pairs or an integer array of shape
+    (m, 2); repeated pairs and either orientation are accepted.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Optional[Sequence[str]] = None):
         self.n = n
         self.labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
         if len(self.labels) != n:
             raise ValueError("labels length must equal n")
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self-loops are not stored")
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adjacency = tuple(tuple(sorted(s)) for s in adj)
-        # closed neighborhoods as bitmasks
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+        if (u == v).any():
+            raise ValueError("self-loops are not stored")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        # both orientations as source * n + target, sorted
+        both = np.sort(np.concatenate((keys, keys % n * n + keys // n)))
+        self.indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
+        self.indices = both % n
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuple per vertex."""
+        flat, ptr = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[ptr[v]:ptr[v + 1]]) for v in range(self.n))
+
+    @cached_property
+    def closed_masks(self) -> tuple[int, ...]:
+        """Closed neighborhood of each vertex as a bitmask."""
         masks = []
-        for v in range(n):
+        for v, nbrs in enumerate(self.adjacency):
             m = 1 << v
-            for u in adj[v]:
+            for u in nbrs:
                 m |= 1 << u
             masks.append(m)
-        self.closed_masks = tuple(masks)
-        self.full_mask = (1 << n) - 1
+        return tuple(masks)
+
+    @cached_property
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
 
     def edge_set(self) -> frozenset:
-        return frozenset(
-            (u, v) for u in range(self.n) for v in self.adjacency[u] if u < v
-        )
+        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        keep = src < self.indices
+        return frozenset(zip(src[keep].tolist(), self.indices[keep].tolist()))
 
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency[v] + (v,)))
+        nbrs = self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
+        return tuple(sorted(nbrs + [v]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntersectionGraph):
@@ -68,33 +120,179 @@ class IntersectionGraph:
         return (
             self.n == other.n
             and self.labels == other.labels
-            and self.adjacency == other.adjacency
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __hash__(self):
-        return hash((self.n, self.labels, self.adjacency))
+        return hash((self.n, self.labels, self.indices.tobytes()))
 
     def __repr__(self):
-        return f"IntersectionGraph(n={self.n}, m={len(self.edge_set())})"
+        return f"IntersectionGraph(n={self.n}, m={len(self.indices) // 2})"
+
+
+def _ranks(values: list) -> np.ndarray:
+    """Dense order-preserving ranks of integer coordinates."""
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except OverflowError:  # beyond 64 bits: sort the Python ints themselves
+        arr = np.array(values, dtype=object)
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    ranks = np.empty(len(arr), dtype=np.int64)
+    ranks[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+    return ranks
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of range(s, s + c) over the pairs (s, c)."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+
+class _Hits:
+    """Contacts found by a sweep: found items, and per query its id and count."""
+
+    def __init__(self):
+        self.found, self.who, self.count = array("q"), array("q"), array("q")
+
+    def add(self, i: int, items: list) -> None:
+        if items:
+            self.found.extend(items)
+            self.who.append(i)
+            self.count.append(len(items))
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        found = np.frombuffer(self.found, dtype=np.int64)
+        who = np.frombuffer(self.who, dtype=np.int64)
+        return found, np.repeat(who, np.frombuffer(self.count, dtype=np.int64))
+
+
+def _collinear_pairs(line, lo, hi, strict: bool):
+    """Pairs of arms on a common line whose closed spans meet.
+
+    ``strict`` asks for a shared length of at least one (ranks of integers
+    keep strict order) instead of a shared point. In (line, lo) order, arm a
+    meets exactly the later arms b of its line with lo[b] <= hi[a], or
+    lo[b] < hi[a] when strict: one run of positions.
+    """
+    width = int(hi.max()) + 1
+    key = line * width + lo
+    order = np.argsort(key, kind="stable")
+    reach = (line * width + hi - strict)[order]
+    first = np.arange(1, len(order) + 1)
+    counts = np.searchsorted(key[order], reach, side="right") - first
+    return np.repeat(order, counts), order[_runs(first, counts)]
+
+
+def _crossing_pairs(hy, hx0, hx1, vx, vy0, vy1):
+    """(horizontal arm, vertical arm) pairs that share a point, own corners excluded.
+
+    Sweep over x. At equal x, arms start before vertical arms query and
+    queries come before arms end, because the segments are closed. Live
+    arms are kept as sorted keys y * n + id.
+    """
+    n = len(hy)
+    order = np.argsort(np.concatenate((hx0, vx, hx1)), kind="stable")
+    hkey = (hy * n + np.arange(n)).tolist()
+    qlo, qhi = (vy0 * n).tolist(), ((vy1 + 1) * n).tolist()
+    live: list[int] = []
+    hits = _Hits()
+    for e in order.tolist():
+        kind, i = divmod(e, n)
+        if kind == 0:
+            k = hkey[i]
+            live.insert(bisect_left(live, k), k)
+        elif kind == 1:
+            hits.add(i, live[bisect_left(live, qlo[i]):bisect_left(live, qhi[i])])
+        else:
+            del live[bisect_left(live, hkey[i])]
+    keys, v = hits.pairs()
+    h = keys % n
+    keep = h != v
+    return h[keep], v[keep]
+
+
+def _frame_pairs(frames, strict: bool) -> list:
+    n = len(frames)
+    xr = _ranks([f.corner.x for f in frames] + [f.corner.x + f.hspan for f in frames])
+    yr = _ranks([f.corner.y for f in frames] + [f.corner.y + f.vspan for f in frames])
+    hy, hx0, hx1 = yr[:n], np.minimum(xr[:n], xr[n:]), np.maximum(xr[:n], xr[n:])
+    vx, vy0, vy1 = xr[:n], np.minimum(yr[:n], yr[n:]), np.maximum(yr[:n], yr[n:])
+    pairs = [_collinear_pairs(hy, hx0, hx1, strict), _collinear_pairs(vx, vy0, vy1, strict)]
+    if not strict:
+        pairs.append(_crossing_pairs(hy, hx0, hx1, vx, vy0, vy1))
+    return pairs
+
+
+def _rect_pairs(rects) -> list:
+    """Pairs of closed rectangles that share a point.
+
+    Sweep over x, starts before ends at equal x. A starting rectangle b
+    meets the live rectangles a with lo_a.y in (lo_b.y, hi_b.y] (a slice
+    of the live bottoms, kept as sorted keys y * n + id) and those with
+    lo_a.y <= lo_b.y <= hi_a.y (a stabbing query on a segment tree over
+    the y ranks, O(log n + output); entries of ended rectangles are
+    dropped when a query passes them).
+    """
+    n = len(rects)
+    xr = _ranks([r.lo.x for r in rects] + [r.hi.x for r in rects])
+    yr = _ranks([r.lo.y for r in rects] + [r.hi.y for r in rects])
+    y0, y1 = yr[:n].tolist(), yr[n:].tolist()
+    size = 1 << int(yr.max()).bit_length()
+    tree: dict[int, list] = {}
+    alive = bytearray(n)
+    live: list[int] = []
+    sliced, stabbed = _Hits(), _Hits()
+    for e in np.argsort(xr, kind="stable").tolist():
+        if e >= n:
+            i = e - n
+            alive[i] = 0
+            del live[bisect_left(live, y0[i] * n + i)]
+            continue
+        i = e
+        sliced.add(i, live[bisect_left(live, (y0[i] + 1) * n):bisect_left(live, (y1[i] + 1) * n)])
+        found = []
+        p = y0[i] + size
+        while p:
+            node = tree.get(p)
+            if node:
+                kept = [j for j in node if alive[j]]
+                if len(kept) < len(node):
+                    tree[p] = kept
+                found += kept
+            p >>= 1
+        stabbed.add(i, found)
+        alive[i] = 1
+        k = y0[i] * n + i
+        live.insert(bisect_left(live, k), k)
+        lo, hi = y0[i] + size, y1[i] + size + 1
+        while lo < hi:
+            if lo & 1:
+                tree.setdefault(lo, []).append(i)
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                tree.setdefault(hi, []).append(i)
+            lo >>= 1
+            hi >>= 1
+    keys, b = sliced.pairs()
+    return [(keys % n, b), stabbed.pairs()]
 
 
 def build_intersection_graph(inst: GeomInstance) -> IntersectionGraph:
-    """Pairwise-predicate graph of the instance under its model."""
+    """Intersection graph of the instance under its model, by sweeping."""
     objs = inst.objects
-    if inst.model == "edge":
-        pred = epg_intersect
-    elif inst.frames or not inst.rects:
-        pred = lframe_intersect
+    labels = [o.id for o in objs]
+    if not objs:
+        return IntersectionGraph(0, [], labels)
+    if inst.frames:
+        pairs = _frame_pairs(inst.frames, strict=inst.model == "edge")
     else:
-        pred = rect_intersect
-    n = len(objs)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if pred(objs[i], objs[j])
-    ]
-    return IntersectionGraph(n, edges, [o.id for o in objs])
+        pairs = _rect_pairs(inst.rects)
+    edges = np.column_stack([np.concatenate(side) for side in zip(*pairs)])
+    return IntersectionGraph(len(objs), edges, labels)
 
 
 def members_mask(g: IntersectionGraph, members: Iterable[int]) -> int:
@@ -106,25 +304,44 @@ def members_mask(g: IntersectionGraph, members: Iterable[int]) -> int:
 
 def is_dominating(g: IntersectionGraph, members: Iterable[int]) -> bool:
     """True iff the closed neighborhoods of ``members`` cover every vertex."""
-    return members_mask(g, members) == g.full_mask
+    covered = np.zeros(g.n, dtype=bool)
+    for v in members:
+        covered[v] = True
+        covered[g.indices[g.indptr[v]:g.indptr[v + 1]]] = True
+    return bool(covered.all())
 
 
 def greedy_mds(g: IntersectionGraph) -> DominatingSet:
     """Repeatedly take the vertex covering the most undominated vertices.
 
     Ties go to the smallest vertex id, so the result is deterministic.
+    Each vertex's gain is kept exact: covering w lowers the gain of every
+    vertex in N[w]. The queue holds (-gain, v) entries that may be stale;
+    gains only fall, so the first popped entry whose gain is current is
+    the rule's choice, and a stale one is pushed back with its gain.
     """
+    indptr, indices = g.indptr, g.indices
+    degree = np.diff(indptr)
+    gain = degree + 1
+    queue = list(zip((-gain).tolist(), range(g.n)))
+    heapify(queue)
+    covered = np.zeros(g.n, dtype=bool)
+    left = g.n
     chosen = []
-    covered = 0
-    while covered != g.full_mask:
-        best_v = -1
-        best_gain = -1
-        for v in range(g.n):
-            gain = (g.closed_masks[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        chosen.append(best_v)
-        covered |= g.closed_masks[best_v]
+    while left:
+        c, v = heappop(queue)
+        if -c != gain[v]:
+            heappush(queue, (-int(gain[v]), v))
+            continue
+        chosen.append(v)
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        new = nbrs[~covered[nbrs]]
+        if not covered[v]:
+            new = np.append(new, v)
+        covered[new] = True
+        left -= len(new)
+        gain[new] -= 1
+        np.subtract.at(gain, indices[_runs(indptr[new], degree[new])], 1)
     return DominatingSet(tuple(chosen))
 
 

@@ -99,17 +99,23 @@ def two_line_vertex_order(inst: GeomInstance) -> tuple:
     return tuple(sorted(range(len(inst.frames)), key=lambda i: -inst.frames[i].corner.y))
 
 
-def lframes_to_permutation(inst: GeomInstance) -> Permutation:
-    """Read a two-line instance off as a permutation.
+def two_line_permutation(inst: GeomInstance) -> tuple[tuple, Permutation]:
+    """The line-one vertex order and the permutation read off in that order.
 
     Line one is the vertical line read top to bottom, line two the
     horizontal line read left to right; crossings swap order exactly when
-    the frames intersect.
+    the frames intersect. Position t of the permutation is frame
+    ``order[t]``.
     """
     order1 = two_line_vertex_order(inst)
     by_x = sorted(range(len(inst.frames)), key=lambda i: inst.frames[i].corner.x)
     rank2 = {v: pos + 1 for pos, v in enumerate(by_x)}
-    return Permutation(tuple(rank2[v] for v in order1))
+    return order1, Permutation(tuple(rank2[v] for v in order1))
+
+
+def lframes_to_permutation(inst: GeomInstance) -> Permutation:
+    """Read a two-line instance off as a permutation (see two_line_permutation)."""
+    return two_line_permutation(inst)[1]
 
 
 class _Staircase:

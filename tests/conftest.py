@@ -9,7 +9,8 @@ import itertools
 
 import pytest
 
-from lframes.geometry import Diagonal, GeomInstance, LFrame, Point
+from lframes.epg import epg_intersect
+from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, lframe_intersect, rect_intersect
 
 
 def closed_masks(n, edges):
@@ -40,6 +41,42 @@ def brute_is_dominating(n, edges, members):
     for v in members:
         cov |= masks[v]
     return cov == (1 << n) - 1
+
+
+def reference_greedy(n, edges):
+    """The bitmask greedy: take the vertex covering the most undominated
+    vertices, ties to the smallest id, until all are dominated."""
+    masks = closed_masks(n, edges)
+    full = (1 << n) - 1
+    chosen = []
+    covered = 0
+    while covered != full:
+        best_v, best_gain = -1, -1
+        for v in range(n):
+            gain = (masks[v] & ~covered).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        chosen.append(best_v)
+        covered |= masks[best_v]
+    return tuple(sorted(chosen))
+
+
+def pairwise_edges(inst):
+    """Edge set of a geometric instance by testing every pair with the
+    public predicate of its model."""
+    objs = inst.objects
+    if inst.model == "edge":
+        pred = epg_intersect
+    elif inst.frames:
+        pred = lframe_intersect
+    else:
+        pred = rect_intersect
+    return {
+        (i, j)
+        for i in range(len(objs))
+        for j in range(i + 1, len(objs))
+        if pred(objs[i], objs[j])
+    }
 
 
 def brute_vertex_cover_size(n, edges):

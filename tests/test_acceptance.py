@@ -297,8 +297,8 @@ def test_criterion_09_permutation_solver():
         assert covered == set(range(n)), seed
         assert ds.size == brute_mds_size(n, edges), seed
 
-    # scaling: a million-element permutation in under a second (after the
-    # jit warmup the first call pays for)
+    # scaling: a million-element permutation in under a second (after a
+    # small warm-up call, so that first-call costs stay outside the timing)
     warm = np.random.default_rng(1).permutation(np.arange(1, 1001))
     mds_permutation(Permutation(tuple(int(x) for x in warm)))
     big = np.random.default_rng(0).permutation(np.arange(1, 10**6 + 1))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import lframes.cli as cli
+import lframes.permutation as permutation
 from lframes.instance_io import parse_report
 
 
@@ -96,6 +97,32 @@ def test_solve_with_oracle(tmp_path, capsys):
     assert parse_report(out)["oracle_ratio"] == "1.000000"
 
 
+def test_solve_builds_each_graph_once(tmp_path, monkeypatch, capsys):
+    anchored = tmp_path / "a.txt"
+    run_cli(["generate", "--family", "anchored-two-sided", "--seed", "1", "--n", "6",
+             "--out", str(anchored)], capsys)
+    two_line = tmp_path / "t.txt"
+    run_cli(["generate", "--family", "two-line", "--seed", "1", "--n", "6",
+             "--out", str(two_line)], capsys)
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "build_intersection_graph", counting(cli.build_intersection_graph))
+    monkeypatch.setattr(permutation, "two_line_vertex_order",
+                        counting(permutation.two_line_vertex_order))
+    for path, algo in ((anchored, "greedy"), (anchored, "two-sided"), (two_line, "permutation")):
+        calls.clear()
+        code, _, _ = run_cli(["solve", "--in", str(path), "--algo", algo, "--oracle"], capsys)
+        assert code == 0, algo
+        assert calls.count("build_intersection_graph") == 1, algo
+        assert calls.count("two_line_vertex_order") == (algo == "permutation"), algo
+
+
 def test_solve_reads_stdin(monkeypatch, capsys):
     text = "version 1\nf1 0 0 3 3\nf2 1 -1 2 3\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -168,6 +195,34 @@ def test_parse_error_is_exit_2(monkeypatch, capsys):
 def test_validation_error_is_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("version 1\nf1 0 0 0 3\n"))
     assert cli.main(["solve"]) == 2
+
+
+def test_missing_input_file_is_exit_2(tmp_path):
+    missing = tmp_path / "missing.txt"
+    for args in (["solve", "--in", str(missing)], ["render", "--in", str(missing)]):
+        res = run_proc(args)
+        assert res.returncode == 2, args
+        assert res.stderr.startswith("error: cannot read"), res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_unwritable_output_is_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["generate", "--family", "two-line", "--seed", "1", "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: cannot write")
+
+
+def test_exact_over_cap_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    run_cli(["generate", "--family", "anchored-one-sided", "--seed", "0", "--n", "9",
+             "--out", str(path)], capsys)
+    code, out, err = run_cli(["solve", "--in", str(path), "--algo", "exact", "--cap", "8"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 9 vertices exceeds cap 8")
 
 
 def test_wrong_family_for_algorithm_is_exit_2(tmp_path, capsys):
