@@ -26,7 +26,7 @@ from .geometry import (
     rect_to_lframe,
     rotate_cw,
 )
-from .epg import GridPath, epg_intersect
+from .epg import epg_intersect
 from .graph_core import (
     DominatingSet,
     IntersectionGraph,

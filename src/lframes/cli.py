@@ -201,7 +201,6 @@ def _cmd_solve(args) -> int:
         k=args.k if args.algo in ("local-search", "two-sided") else None,
         seed=args.seed,
         oracle_ratio=ratio,
-        wall_time_s=wall,
     )
     sys.stdout.write(format_report(report))
     print(f"wall_time_s {wall:.3f}", file=sys.stderr)
@@ -284,10 +283,7 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except LFramesError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (LFramesError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

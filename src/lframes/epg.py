@@ -3,13 +3,10 @@
 Frames are read as paths on the integer grid; two frames are adjacent iff
 they share at least one unit grid edge. Crossing at a single point does not
 count. The predicate works on interval overlaps of the four segment pairs
-and never materializes edge sets; GridPath.edges() exists as the slow
-reference for tests.
+and never materializes edge sets.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .geometry import LFrame
 
@@ -26,21 +23,3 @@ def epg_intersect(a: LFrame, b: LFrame) -> bool:
     if ah[0] == bh[0] and _collinear_edge_overlap(ah[1], ah[2], bh[1], bh[2]):
         return True
     return av[0] == bv[0] and _collinear_edge_overlap(av[1], av[2], bv[1], bv[2])
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """A frame together with its materialized unit-edge set."""
-
-    frame: LFrame
-
-    def edges(self) -> frozenset:
-        """All unit grid edges covered by the frame, as ordered point pairs."""
-        out = set()
-        hy, hx0, hx1 = self.frame.hseg()
-        for x in range(hx0, hx1):
-            out.add(((x, hy), (x + 1, hy)))
-        vx, vy0, vy1 = self.frame.vseg()
-        for y in range(vy0, vy1):
-            out.add(((vx, y), (vx, y + 1)))
-        return frozenset(out)

@@ -69,9 +69,9 @@ def choose_edge_for_witness(
     distance break lexicographically on (b, r).
     """
     frames = inst.frames
-    mask = g.closed_masks[u]
-    bs = [b for b in B if (mask >> b) & 1]
-    rs = [r for r in R if (mask >> r) & 1]
+    cover = {u, *g.adjacency[u]}
+    bs = [b for b in B if b in cover]
+    rs = [r for r in R if r in cover]
     if not bs or not rs:
         raise ValueError(f"vertex {u} lacks covering frames on one side")
     best = None
@@ -99,11 +99,9 @@ def build_exchange_graph(
         raise NotDisjoint(f"common vertices: {sorted(bset & rset)}")
     g = build_intersection_graph(inst)
     pairs: dict[tuple[int, int], list[int]] = {}
-    for u in range(g.n):
-        mask = g.closed_masks[u]
-        if not any((mask >> b) & 1 for b in bset):
-            continue
-        if not any((mask >> r) & 1 for r in rset):
+    for u, nbrs in enumerate(g.adjacency):
+        cover = {u, *nbrs}
+        if bset.isdisjoint(cover) or rset.isdisjoint(cover):
             continue
         pair = choose_edge_for_witness(u, bset, rset, g, inst)
         pairs.setdefault(pair, []).append(u)
@@ -194,13 +192,11 @@ def count_crossings(drawing: ArcDrawing) -> int:
 
 def check_local_exchange(h: ExchangeGraph, g: IntersectionGraph) -> bool:
     """Every vertex covered by both sets has an arc inside its neighborhood."""
-    for u in range(g.n):
-        mask = g.closed_masks[u]
-        has_b = any((mask >> b) & 1 for b in h.B)
-        has_r = any((mask >> r) & 1 for r in h.R)
-        if not (has_b and has_r):
+    for u, nbrs in enumerate(g.adjacency):
+        cover = {u, *nbrs}
+        if h.B.isdisjoint(cover) or h.R.isdisjoint(cover):
             continue
-        if not any((mask >> a.b) & 1 and (mask >> a.r) & 1 for a in h.arcs):
+        if not any(a.b in cover and a.r in cover for a in h.arcs):
             return False
     return True
 

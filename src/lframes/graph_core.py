@@ -21,11 +21,11 @@ comparison and admits integers of any size. Pairs found twice are merged
 when the graph is stored.
 
 The graph is stored as CSR arrays: the sorted neighbors of v are
-``indices[indptr[v]:indptr[v + 1]]``. Neighbor tuples (``adjacency``) and
-closed neighborhoods as bitmasks (``closed_masks``, ``full_mask``) are
-derived on first use and cached. Greedy and the domination check work on
-the arrays; the branch-and-bound solver, local search, the exchange graph
-and the reductions read the derived forms.
+``indices[indptr[v]:indptr[v + 1]]``. Greedy and the domination check work
+on the arrays; local search, the exchange graph and the reductions read the
+neighbor tuples (``adjacency``), derived on first use and cached. Only the
+exact solver turns neighborhoods into bitmasks, privately and per call,
+because it is meant for small graphs.
 """
 
 from __future__ import annotations
@@ -89,21 +89,6 @@ class IntersectionGraph:
         """Sorted neighbor tuple per vertex."""
         flat, ptr = self.indices.tolist(), self.indptr.tolist()
         return tuple(tuple(flat[ptr[v]:ptr[v + 1]]) for v in range(self.n))
-
-    @cached_property
-    def closed_masks(self) -> tuple[int, ...]:
-        """Closed neighborhood of each vertex as a bitmask."""
-        masks = []
-        for v, nbrs in enumerate(self.adjacency):
-            m = 1 << v
-            for u in nbrs:
-                m |= 1 << u
-            masks.append(m)
-        return tuple(masks)
-
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def edge_set(self) -> frozenset:
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -295,13 +280,6 @@ def build_intersection_graph(inst: GeomInstance) -> IntersectionGraph:
     return IntersectionGraph(len(objs), edges, labels)
 
 
-def members_mask(g: IntersectionGraph, members: Iterable[int]) -> int:
-    m = 0
-    for v in members:
-        m |= g.closed_masks[v]
-    return m
-
-
 def is_dominating(g: IntersectionGraph, members: Iterable[int]) -> bool:
     """True iff the closed neighborhoods of ``members`` cover every vertex."""
     covered = np.zeros(g.n, dtype=bool)
@@ -371,8 +349,6 @@ def _min_ds(
     # who may dominate each vertex
     dom = [masks[u] & usable_mask for u in range(n)]
 
-    best: list = [ub_size, None]
-
     def lower_bound(undom: int) -> int:
         # undominated vertices with pairwise disjoint dominator sets each
         # need a dominator of their own
@@ -390,18 +366,7 @@ def _min_ds(
                 used |= d
         return cnt
 
-    def rec(covered: int, chosen: list) -> bool:
-        """Returns True when the search should stop entirely."""
-        if covered == full:
-            if len(chosen) < best[0]:
-                best[0] = len(chosen)
-                best[1] = tuple(chosen)
-                if target is not None and best[0] <= target:
-                    return True
-            return False
-        undom = full & ~covered
-        if len(chosen) + lower_bound(undom) >= best[0]:
-            return False
+    def branches(undom: int) -> list[int]:
         # branch on the undominated vertex with the fewest dominators,
         # trying high-coverage dominators first
         bu, bc = -1, n + 2
@@ -421,15 +386,57 @@ def _min_ds(
             rest &= rest - 1
             cands.append(v)
         cands.sort(key=lambda v: (-(masks[v] & undom).bit_count(), v))
-        for v in cands:
-            chosen.append(v)
-            if rec(covered | masks[v], chosen):
-                return True
-            chosen.pop()
-        return False
+        return cands
 
-    rec(base_cover, list(forced_in))
-    return best[1]
+    base = len(forced_in)
+    best_size, best = ub_size, None
+    chosen = list(forced_in)
+    covered = base_cover
+    # depth-first with an explicit stack, so the depth of a solution is not
+    # bounded by the recursion limit: open_nodes[d] holds the covered mask
+    # of the node at depth d on the current path and its untried branches
+    open_nodes: list = []
+    while True:
+        if covered == full:
+            if len(chosen) < best_size:
+                best_size, best = len(chosen), tuple(chosen)
+                if target is not None and best_size <= target:
+                    return best
+        else:
+            undom = full & ~covered
+            if len(chosen) + lower_bound(undom) < best_size:
+                open_nodes.append((covered, iter(branches(undom))))
+        while open_nodes:
+            node_cover, cands = open_nodes[-1]
+            v = next(cands, None)
+            if v is not None:
+                break
+            open_nodes.pop()
+        else:
+            return best
+        del chosen[base + len(open_nodes) - 1:]
+        chosen.append(v)
+        covered = node_cover | masks[v]
+
+
+def _optimum(g: IntersectionGraph, cap: int):
+    """Closed-neighborhood bitmasks of g, the full mask and one optimal
+    member tuple, from branch and bound seeded with the greedy bound.
+
+    Raises TooLarge when g has more than ``cap`` vertices.
+    """
+    if g.n > cap:
+        raise TooLarge(f"{g.n} vertices exceeds cap {cap}")
+    masks = []
+    for v, nbrs in enumerate(g.adjacency):
+        m = 1 << v
+        for u in nbrs:
+            m |= 1 << u
+        masks.append(m)
+    full = (1 << g.n) - 1
+    ub = greedy_mds(g)
+    opt = _min_ds(masks, full, (), 0, ub.size)
+    return masks, full, ub.members if opt is None else opt
 
 
 def exact_mds_size(g: IntersectionGraph, cap: int = 32) -> int:
@@ -437,13 +444,7 @@ def exact_mds_size(g: IntersectionGraph, cap: int = 32) -> int:
 
     Raises TooLarge when g has more than ``cap`` vertices.
     """
-    if g.n > cap:
-        raise TooLarge(f"{g.n} vertices exceeds cap {cap}")
-    if g.n == 0:
-        return 0
-    ub = greedy_mds(g)
-    opt = _min_ds(g.closed_masks, g.full_mask, (), 0, ub.size)
-    return ub.size if opt is None else len(opt)
+    return len(_optimum(g, cap)[2])
 
 
 def exact_mds(g: IntersectionGraph, cap: int = 32) -> DominatingSet:
@@ -454,16 +455,7 @@ def exact_mds(g: IntersectionGraph, cap: int = 32) -> DominatingSet:
     vertex exactly when some optimal solution extends the committed prefix.
     Raises TooLarge when g has more than ``cap`` vertices.
     """
-    if g.n > cap:
-        raise TooLarge(f"{g.n} vertices exceeds cap {cap}")
-    if g.n == 0:
-        return DominatingSet(())
-    masks = g.closed_masks
-    full = g.full_mask
-    ub = greedy_mds(g)
-    opt = _min_ds(masks, full, (), 0, ub.size)
-    if opt is None:
-        opt = ub.members
+    masks, full, opt = _optimum(g, cap)
     m = len(opt)
 
     chosen: list[int] = []

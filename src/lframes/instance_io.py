@@ -157,12 +157,7 @@ def instance_summary(inst: GeomInstance) -> str:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Result of one solver or verifier run.
-
-    ``wall_time_s`` is measured and therefore never part of the stable text
-    form; format_report leaves it out unless asked so repeated runs with the
-    same seed stay byte-identical.
-    """
+    """Result of one solver run; its text form is byte-stable."""
 
     algorithm: str
     instance: str
@@ -172,8 +167,6 @@ class RunReport:
     k: Optional[int] = None
     seed: Optional[int] = None
     oracle_ratio: Optional[float] = None
-    ok: Optional[bool] = None
-    wall_time_s: Optional[float] = None
 
     def fields(self) -> dict[str, str]:
         out = {
@@ -190,8 +183,6 @@ class RunReport:
             out["seed"] = str(self.seed)
         if self.oracle_ratio is not None:
             out["oracle_ratio"] = f"{self.oracle_ratio:.6f}"
-        if self.ok is not None:
-            out["ok"] = "true" if self.ok else "false"
         return out
 
 
@@ -200,11 +191,8 @@ def format_fields(fields: dict[str, str]) -> str:
     return "\n".join(f"{k} {v}" for k, v in sorted(fields.items())) + "\n"
 
 
-def format_report(report: RunReport, include_wall_time: bool = False) -> str:
-    fields = report.fields()
-    if include_wall_time and report.wall_time_s is not None:
-        fields["wall_time_s"] = f"{report.wall_time_s:.3f}"
-    return format_fields(fields)
+def format_report(report: RunReport) -> str:
+    return format_fields(report.fields())
 
 
 def parse_report(text: str) -> dict[str, str]:

@@ -3,72 +3,69 @@
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .errors import NotAnchored, NotOneSided
 from .geometry import GeomInstance, is_anchored
-from .graph_core import (
-    DominatingSet,
-    IntersectionGraph,
-    build_intersection_graph,
-    greedy_mds,
-    is_dominating,
-    members_mask,
-)
+from .graph_core import DominatingSet, IntersectionGraph, build_intersection_graph, greedy_mds
 
 K_WARN_LIMIT = 3
 
 
 @dataclass(frozen=True)
 class LocalSearchConfig:
-    """Swap radius k, initial solution choice, optional iteration cap."""
+    """Swap radius k."""
 
     k: int = 2
-    initial: str = "greedy"  # or "full"
-    max_iterations: Optional[int] = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.initial not in ("greedy", "full"):
-            raise ValueError(f"unknown initial solution {self.initial!r}")
 
 
-def _find_improvement(g: IntersectionGraph, solution: list[int], k: int):
+def _closed_neighborhoods(g: IntersectionGraph) -> list[frozenset]:
+    return [frozenset((v, *nbrs)) for v, nbrs in enumerate(g.adjacency)]
+
+
+def _find_improvement(closed: list[frozenset], solution: list[int], k: int):
     """First (removal, replacement) swap that shrinks the solution.
 
     Removal subsets are enumerated by increasing size then lexicographically;
     replacements likewise, drawn from outside vertices adjacent to something
-    the removal uncovers. Returns None at a k-local optimum.
+    the removal uncovers. ``closed`` holds the closed neighborhood of each
+    vertex. A removal uncovers the vertices of its closed neighborhoods
+    whose solution dominators all lie in it, by a count per vertex, and
+    keeps uncovered any vertex the solution does not dominate.
+    Returns None at a k-local optimum.
     """
     sol_sorted = sorted(solution)
     sol_set = set(solution)
+    count = [0] * len(closed)
+    for s in sol_sorted:
+        for u in closed[s]:
+            count[u] += 1
+    undominated = {u for u, c in enumerate(count) if c == 0}
     for r in range(1, min(k, len(sol_sorted)) + 1):
         for removal in combinations(sol_sorted, r):
-            kept = sol_set.difference(removal)
-            kept_mask = members_mask(g, kept)
-            uncovered = g.full_mask & ~kept_mask
-            if uncovered == 0:
+            lost = Counter()
+            for x in removal:
+                lost.update(closed[x])
+            uncovered = undominated.union(u for u, c in lost.items() if c == count[u])
+            if not uncovered:
                 return removal, ()
-            candidates = [
-                v
-                for v in range(g.n)
-                if v not in sol_set and g.closed_masks[v] & uncovered
-            ]
+            candidates = sorted({v for u in uncovered for v in closed[u] if v not in sol_set})
             for m in range(1, r):
                 for repl in combinations(candidates, m):
-                    add = 0
-                    for v in repl:
-                        add |= g.closed_masks[v]
-                    if kept_mask | add == g.full_mask:
+                    if not uncovered.difference(*(closed[v] for v in repl)):
                         return removal, repl
     return None
 
 
 def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchConfig()) -> DominatingSet:
-    """Shrink a feasible solution by k-swaps until locally optimal.
+    """Shrink the greedy solution by k-swaps until locally optimal.
 
     A swap removes a subset of at most k vertices and adds strictly fewer
     outside vertices while keeping the set dominating, so every accepted
@@ -79,24 +76,17 @@ def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchC
         warnings.warn(
             f"k={cfg.k}: swap enumeration is exponential in k", stacklevel=2
         )
-    if cfg.initial == "greedy":
-        solution = list(greedy_mds(g).members)
-    else:
-        solution = list(range(g.n))
-    iterations = 0
-    while cfg.max_iterations is None or iterations < cfg.max_iterations:
-        found = _find_improvement(g, solution, cfg.k)
-        if found is None:
-            break
+    closed = _closed_neighborhoods(g)
+    solution = list(greedy_mds(g).members)
+    while (found := _find_improvement(closed, solution, cfg.k)) is not None:
         removal, repl = found
         solution = sorted(set(solution).difference(removal).union(repl))
-        iterations += 1
     return DominatingSet(tuple(solution))
 
 
 def is_k_locally_optimal(g: IntersectionGraph, members, k: int) -> bool:
     """Re-run the swap enumeration once and report whether nothing improves."""
-    return _find_improvement(g, list(members), k) is None
+    return _find_improvement(_closed_neighborhoods(g), list(members), k) is None
 
 
 def anchoring_side(inst: GeomInstance) -> Optional[str]:

@@ -6,6 +6,7 @@ agreement between the two is meaningful.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
@@ -59,6 +60,96 @@ def reference_greedy(n, edges):
         chosen.append(best_v)
         covered |= masks[best_v]
     return tuple(sorted(chosen))
+
+
+def reference_find_improvement(masks, solution, k):
+    """The bitmask k-swap step: first (removal, replacement) that shrinks
+    ``solution``, removals and replacements in increasing size then
+    lexicographic order, replacements drawn from outside vertices whose
+    closed neighborhood meets what the removal uncovers; None when none."""
+    full = (1 << len(masks)) - 1
+    sol_sorted = sorted(solution)
+    sol_set = set(solution)
+    for r in range(1, min(k, len(sol_sorted)) + 1):
+        for removal in itertools.combinations(sol_sorted, r):
+            kept_mask = 0
+            for v in sol_set.difference(removal):
+                kept_mask |= masks[v]
+            uncovered = full & ~kept_mask
+            if uncovered == 0:
+                return removal, ()
+            candidates = [
+                v for v in range(len(masks)) if v not in sol_set and masks[v] & uncovered
+            ]
+            for m in range(1, r):
+                for repl in itertools.combinations(candidates, m):
+                    add = 0
+                    for v in repl:
+                        add |= masks[v]
+                    if kept_mask | add == full:
+                        return removal, repl
+    return None
+
+
+def reference_local_search(n, edges, k):
+    """k-swap local search from the bitmask greedy, first improvement."""
+    masks = closed_masks(n, edges)
+    solution = list(reference_greedy(n, edges))
+    while (found := reference_find_improvement(masks, solution, k)) is not None:
+        removal, repl = found
+        solution = sorted(set(solution).difference(removal).union(repl))
+    return tuple(solution)
+
+
+def reference_exchange_pairs(inst, edges, B, R):
+    """Bitmask exchange arcs: for every vertex u whose closed neighborhood
+    meets both B and R, the (b, r) pair inside it with the closest corners
+    (ties to the smallest (b, r)); maps each pair to its sorted witnesses."""
+    frames = inst.frames
+    masks = closed_masks(len(frames), edges)
+    pairs = {}
+    for u, mask in enumerate(masks):
+        bs = [b for b in sorted(B) if (mask >> b) & 1]
+        rs = [r for r in sorted(R) if (mask >> r) & 1]
+        if not bs or not rs:
+            continue
+        _, b, r = min(
+            ((frames[b].corner.x - frames[r].corner.x) ** 2
+             + (frames[b].corner.y - frames[r].corner.y) ** 2, b, r)
+            for b in bs for r in rs
+        )
+        pairs.setdefault((b, r), []).append(u)
+    return pairs
+
+
+def reference_local_exchange(n, edges, B, R, arcs):
+    """Every vertex whose closed neighborhood meets both B and R holds
+    both ends of some (b, r) arc in it, read off bitmasks."""
+    for mask in closed_masks(n, edges):
+        if not any((mask >> b) & 1 for b in B) or not any((mask >> r) & 1 for r in R):
+            continue
+        if not any((mask >> b) & 1 and (mask >> r) & 1 for b, r in arcs):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class GridPath:
+    """A frame together with its materialized unit-edge set, the slow
+    reference for the edge-model predicate."""
+
+    frame: LFrame
+
+    def edges(self) -> frozenset:
+        """All unit grid edges covered by the frame, as ordered point pairs."""
+        out = set()
+        hy, hx0, hx1 = self.frame.hseg()
+        for x in range(hx0, hx1):
+            out.add(((x, hy), (x + 1, hy)))
+        vx, vy0, vy1 = self.frame.vseg()
+        for y in range(vy0, vy1):
+            out.add(((vx, y), (vx, y + 1)))
+        return frozenset(out)
 
 
 def pairwise_edges(inst):

@@ -2,7 +2,8 @@
 
 import random
 
-from lframes.epg import GridPath, epg_intersect
+from conftest import GridPath
+from lframes.epg import epg_intersect
 from lframes.geometry import LFrame, Point, lframe_intersect
 
 

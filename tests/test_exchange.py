@@ -3,8 +3,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import HUB6_FRAMES
+from conftest import HUB6_FRAMES, reference_exchange_pairs, reference_local_exchange
 from lframes.errors import DegeneratePosition, NotDisjoint
 from lframes.exchange import (
     ArcDrawing,
@@ -198,3 +200,23 @@ def test_hub6_fixture_is_consistent():
     g = build_intersection_graph(GeomInstance(frames=HUB6_FRAMES, diagonal=Diagonal(20)))
     assert g.edge_set() == {(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 5)}
     assert is_dominating(g, [0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 2), min_size=1, max_size=30),
+    st.integers(0, 2**40 - 1),
+)
+def test_arcs_and_verdicts_match_bitmask_reference(seed, sides, drop):
+    # sides[v]: 1 puts v in B, 2 in R; bit i of drop removes arc i
+    inst = gen_anchored_one_sided(seed, len(sides))
+    g = build_intersection_graph(inst)
+    edges = g.edge_set()
+    b = [v for v, s in enumerate(sides) if s == 1]
+    r = [v for v, s in enumerate(sides) if s == 2]
+    h = build_exchange_graph(inst, b, r)
+    assert {(a.b, a.r): list(a.witnesses) for a in h.arcs} == reference_exchange_pairs(inst, edges, b, r)
+    for arcs in (h.arcs, tuple(a for i, a in enumerate(h.arcs) if not (drop >> i) & 1)):
+        want = reference_local_exchange(g.n, edges, b, r, [(a.b, a.r) for a in arcs])
+        assert check_local_exchange(dataclasses.replace(h, arcs=arcs), g) == want

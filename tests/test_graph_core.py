@@ -1,7 +1,9 @@
 """Intersection graphs plus the exact and greedy dominating-set solvers."""
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -15,7 +17,6 @@ from lframes.graph_core import (
     exact_mds_size,
     greedy_mds,
     is_dominating,
-    members_mask,
 )
 
 
@@ -56,6 +57,20 @@ def test_exact_edgeless_needs_everything():
 def test_exact_empty_graph():
     g = IntersectionGraph(0, [])
     assert exact_mds(g).members == ()
+
+
+def test_exact_depth_is_not_bounded_by_recursion_limit():
+    # every one of the 150 disjoint frames is in the only optimum, so a
+    # search that recursed once per chosen vertex would need 150 frames
+    frames = tuple(LFrame(f"f{i}", Point(3 * i, 0), 1, 1) for i in range(150))
+    g = build_intersection_graph(GeomInstance(frames=frames))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        ds = exact_mds(g, cap=150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ds.members == tuple(range(150))
 
 
 def test_greedy_stair5(stair5):
@@ -142,10 +157,5 @@ def test_graph_helpers():
     g = IntersectionGraph(3, [(0, 1)])
     assert g.closed_neighborhood(0) == (0, 1)
     assert g.closed_neighborhood(2) == (2,)
-    assert g.closed_masks == (3, 3, 4)
-    assert g.full_mask == 7
-    assert members_mask(g, [2]) == 4
-    assert members_mask(g, [0, 2]) == 7
-    assert members_mask(g, []) == 0
     assert g == IntersectionGraph(3, [(1, 0)])
     assert g != IntersectionGraph(3, [(1, 2)])

@@ -128,8 +128,6 @@ def test_report_format_is_sorted_and_stable():
         k=None,
         seed=7,
         oracle_ratio=None,
-        ok=None,
-        wall_time_s=0.1234,
     )
     assert format_report(r) == (
         "algorithm exact\ninstance frames=2 model=standard\n"
@@ -147,19 +145,14 @@ def test_report_optional_fields():
         k=2,
         seed=None,
         oracle_ratio=1.0,
-        ok=True,
-        wall_time_s=0.5,
     )
     text = format_report(r)
     assert "members -" in text
     assert "oracle_ratio 1.000000" in text
-    assert "ok true" in text
-    assert "wall_time_s" not in text
-    assert format_report(r, include_wall_time=True).endswith("wall_time_s 0.500\n")
 
 
 def test_report_parses_back():
-    r = RunReport("exact", "x", 3, 2, ("f1", "f3"), None, None, None, None, 0.0)
+    r = RunReport("exact", "x", 3, 2, ("f1", "f3"), None, None, None)
     fields = parse_report(format_report(r))
     assert fields == {
         "algorithm": "exact",

@@ -3,8 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_mds_size
+from conftest import (
+    brute_mds_size,
+    closed_masks,
+    reference_find_improvement,
+    reference_local_search,
+)
 from lframes.errors import NotAnchored, NotOneSided
 from lframes.generators import gen_anchored_one_sided, gen_anchored_two_sided
 from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, is_anchored
@@ -37,11 +44,6 @@ def anchored_below(fid, x, d, h, v):
 STAR = IntersectionGraph(4, [(0, 1), (0, 2), (0, 3)])
 
 
-def test_star_from_full_vertex_set():
-    ds = local_search_mds(STAR, LocalSearchConfig(k=3, initial="full"))
-    assert ds.members == (0,)
-
-
 def test_already_optimal_is_unchanged(stair5):
     g = build_intersection_graph(stair5)
     start = greedy_mds(g).members
@@ -60,18 +62,9 @@ def test_full_star_set_is_not_locally_optimal():
     assert not is_k_locally_optimal(STAR, range(4), 1)
 
 
-def test_iteration_cap_stops_early():
-    ds = local_search_mds(STAR, LocalSearchConfig(k=3, initial="full", max_iterations=1))
-    assert ds.size == 3
-    ds0 = local_search_mds(STAR, LocalSearchConfig(k=3, initial="full", max_iterations=0))
-    assert ds0.members == (0, 1, 2, 3)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         LocalSearchConfig(k=0)
-    with pytest.raises(ValueError):
-        LocalSearchConfig(initial="empty")
 
 
 def test_large_k_warns():
@@ -94,6 +87,45 @@ def test_never_worse_than_greedy_and_always_dominating():
         assert is_dominating(g, ds.members)
         assert ds.size <= greedy_mds(g).size
         assert local_search_mds(g, LocalSearchConfig(k=1)).size >= ds.size
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+graphs = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)
+        if n else st.just([]),
+    )
+)
+
+
+@PROPERTY
+@given(graphs, st.integers(1, 3))
+def test_members_match_bitmask_search_on_graphs(case, k):
+    n, pairs = case
+    edges = [(u, v) for u, v in pairs if u != v]
+    g = IntersectionGraph(n, edges)
+    assert local_search_mds(g, LocalSearchConfig(k=k)).members == reference_local_search(n, edges, k)
+
+
+@PROPERTY
+@given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 3))
+def test_members_match_bitmask_search_on_one_sided(seed, n, k):
+    g = build_intersection_graph(gen_anchored_one_sided(seed, n))
+    edges = g.edge_set()
+    assert local_search_mds(g, LocalSearchConfig(k=k)).members == reference_local_search(n, edges, k)
+
+
+@PROPERTY
+@given(graphs, st.integers(0, 2**12 - 1), st.integers(1, 3))
+def test_local_optimality_matches_bitmask_step(case, subset, k):
+    # any member set, dominating or not
+    n, pairs = case
+    edges = [(u, v) for u, v in pairs if u != v]
+    members = [v for v in range(n) if (subset >> v) & 1]
+    want = reference_find_improvement(closed_masks(n, edges), members, k) is None
+    assert is_k_locally_optimal(IntersectionGraph(n, edges), members, k) == want
 
 
 def test_anchoring_side():
