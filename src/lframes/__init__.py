@@ -59,7 +59,6 @@ from .permutation import (
     Permutation,
     lframes_to_permutation,
     mds_permutation,
-    permutation_graph,
     two_line_permutation,
     two_line_vertex_order,
 )
@@ -82,14 +81,7 @@ from .reductions import (
     verify_equivalence,
 )
 from .generators import FAMILIES, generate
-from .instance_io import (
-    RunReport,
-    emit_instance,
-    format_report,
-    instance_summary,
-    parse_instance,
-    parse_report,
-)
+from .instance_io import emit_instance, instance_summary, parse_instance
 from .svg import render_svg
 
 __version__ = "0.1.0"

@@ -22,34 +22,13 @@ from .exchange import (
     count_crossings,
     draw_arcs,
 )
-from .generators import (
-    FAMILIES,
-    gen_anchored_one_sided,
-    gen_bipartite,
-    gen_chord_diagram,
-    gen_graph,
-    generate,
-)
+from .generators import FAMILIES, gen_anchored_one_sided, generate, reduction_certificate
 from .geometry import GeomInstance
 from .graph_core import build_intersection_graph, exact_mds, exact_mds_size, greedy_mds
-from .instance_io import (
-    RunReport,
-    emit_instance,
-    format_fields,
-    format_report,
-    instance_summary,
-    parse_instance,
-)
+from .instance_io import emit_instance, format_fields, instance_summary, parse_instance
 from .local_search import LocalSearchConfig, approx_two_sided, local_search_mds
 from .permutation import mds_permutation, two_line_permutation
-from .reductions import (
-    circle_certificate,
-    eds_to_epg,
-    monotone3sat_to_lframes,
-    sat_corpus,
-    vc_to_epg,
-    verify_equivalence,
-)
+from .reductions import verify_equivalence
 from .svg import render_svg
 
 _ALGOS = ("exact", "greedy", "local-search", "two-sided", "permutation")
@@ -192,37 +171,22 @@ def _cmd_solve(args) -> int:
             print(f"oracle skipped: n={g.n} exceeds cap {args.oracle_cap}",
                   file=sys.stderr)
 
-    report = RunReport(
-        algorithm=args.algo,
-        instance=instance_summary(inst),
-        n=inst.n,
-        size=len(members),
-        members=tuple(inst.objects[i].id for i in members),
-        k=args.k if args.algo in ("local-search", "two-sided") else None,
-        seed=args.seed,
-        oracle_ratio=ratio,
-    )
-    sys.stdout.write(format_report(report))
+    fields = {
+        "algorithm": args.algo,
+        "instance": instance_summary(inst),
+        "n": str(inst.n),
+        "size": str(len(members)),
+        "members": " ".join(inst.objects[i].id for i in members) or "-",
+    }
+    if args.algo in ("local-search", "two-sided"):
+        fields["k"] = str(args.k)
+    if args.seed is not None:
+        fields["seed"] = str(args.seed)
+    if ratio is not None:
+        fields["oracle_ratio"] = f"{ratio:.6f}"
+    sys.stdout.write(format_fields(fields))
     print(f"wall_time_s {wall:.3f}", file=sys.stderr)
     return 0
-
-
-def _equivalence_certificate(kind: str, seed: int, n: int):
-    if kind in ("circle-diagonal", "circle-vertical"):
-        cd = gen_chord_diagram(seed, n)
-        return circle_certificate(cd, kind.split("-")[1])
-    if kind == "sat":
-        corpus = sat_corpus()
-        _, cert = monotone3sat_to_lframes(corpus[seed % len(corpus)])
-        return cert
-    if kind == "vc":
-        nv, edges = gen_graph(seed, n)
-        _, cert = vc_to_epg(nv, edges)
-        return cert
-    n_a = max(1, n // 2)
-    edges = gen_bipartite(seed, n_a, max(1, n - n_a))
-    _, cert = eds_to_epg(n_a, max(1, n - n_a), edges)
-    return cert
 
 
 def _cmd_verify(args) -> int:
@@ -244,8 +208,7 @@ def _cmd_verify(args) -> int:
             "ok": "true" if ok else "false",
         }
     else:
-        cert = _equivalence_certificate(args.kind, args.seed, args.n)
-        rep = verify_equivalence(cert)
+        rep = verify_equivalence(reduction_certificate(args.kind, args.seed, args.n))
         ok = rep.ok
         fields = {
             "kind": args.kind,

@@ -3,7 +3,8 @@
 Every generator takes an explicit integer seed (64-bit values welcome) and
 drives a private ``random.Random`` instance, so outputs are reproducible
 across platforms and interpreter versions. Nothing here reads global RNG
-state.
+state. ``reduction_certificate`` is the one seeded path from a reduction
+kind to its certificate; the five reduction families emit its instance.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Callable
 from .geometry import Diagonal, GeomInstance, LFrame, Point, Rect
 from .reductions import (
     ChordDiagram,
-    circle_to_diagonal,
-    circle_to_vertical,
+    ReductionCertificate,
+    circle_certificate,
     eds_to_epg,
     monotone3sat_to_lframes,
     sat_corpus,
@@ -47,6 +48,20 @@ def gen_anchored_one_sided(seed: int, n: int, side: str = "above") -> GeomInstan
     return GeomInstance(frames=tuple(frames), diagonal=Diagonal(d))
 
 
+def _two_sided_anchors(rng: random.Random, n: int, d: int) -> list[tuple[bool, int]]:
+    """Side (True for above) and anchor abscissa of each of n objects,
+    drawn as gen_anchored_two_sided describes."""
+    sides = [rng.random() < 0.5 for _ in range(n)]
+    xs_above = _anchor_xs(rng, sum(sides), d)
+    xs_below = _anchor_xs(rng, n - sum(sides), d)
+    if xs_above and xs_below and rng.random() < 0.4:
+        x = rng.choice(xs_above)
+        if x not in xs_below:
+            xs_below[rng.randrange(len(xs_below))] = x
+    above, below = iter(xs_above), iter(xs_below)
+    return [(up, next(above) if up else next(below)) for up in sides]
+
+
 def gen_anchored_two_sided(seed: int, n: int) -> GeomInstance:
     """Diagonal-anchored frames on both sides.
 
@@ -57,18 +72,9 @@ def gen_anchored_two_sided(seed: int, n: int) -> GeomInstance:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     d = max(2 * n, 12)
-    sides = [rng.random() < 0.5 for _ in range(n)]
-    xs_above = _anchor_xs(rng, sum(sides), d)
-    xs_below = _anchor_xs(rng, n - sum(sides), d)
-    if xs_above and xs_below and rng.random() < 0.4:
-        x = rng.choice(xs_above)
-        if x not in xs_below:
-            xs_below[rng.randrange(len(xs_below))] = x
-    above, below = iter(xs_above), iter(xs_below)
     frames = []
-    for i in range(n):
-        sgn = 1 if sides[i] else -1
-        x = next(above) if sides[i] else next(below)
+    for i, (up, x) in enumerate(_two_sided_anchors(rng, n, d)):
+        sgn = 1 if up else -1
         h = sgn * rng.randint(1, _ARM_MAX)
         v = sgn * rng.randint(1, _ARM_MAX)
         frames.append(LFrame(f"f{i + 1}", Point(x, d - x), h, v))
@@ -86,26 +92,14 @@ def gen_anchored_rects(seed: int, n: int) -> GeomInstance:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     d = max(2 * n, 12)
-    sides = [rng.random() < 0.5 for _ in range(n)]
-    xs_above = _anchor_xs(rng, sum(sides), d)
-    xs_below = _anchor_xs(rng, n - sum(sides), d)
-    if xs_above and xs_below and rng.random() < 0.4:
-        x = rng.choice(xs_above)
-        if x not in xs_below:
-            xs_below[rng.randrange(len(xs_below))] = x
-    above, below = iter(xs_above), iter(xs_below)
     rects = []
-    for i in range(n):
+    for i, (up, x) in enumerate(_two_sided_anchors(rng, n, d)):
         w = rng.randint(1, _ARM_MAX)
         h = rng.randint(1, _ARM_MAX)
-        if sides[i]:
-            x = next(above)
-            lo = Point(x, d - x)
-            hi = Point(x + w, d - x + h)
+        if up:
+            lo, hi = Point(x, d - x), Point(x + w, d - x + h)
         else:
-            x = next(below)
-            hi = Point(x, d - x)
-            lo = Point(x - w, d - x - h)
+            lo, hi = Point(x - w, d - x - h), Point(x, d - x)
         rects.append(Rect(f"r{i + 1}", lo, hi))
     return GeomInstance(rects=tuple(rects), diagonal=Diagonal(d))
 
@@ -120,23 +114,6 @@ def gen_chord_diagram(seed: int, n: int) -> ChordDiagram:
     return ChordDiagram(n, tuple(order))
 
 
-def gen_circle(seed: int, n: int, variant: str = "diagonal") -> GeomInstance:
-    """Random chord diagram pushed through a circle-graph reduction."""
-    cd = gen_chord_diagram(seed, n)
-    if variant == "diagonal":
-        return circle_to_diagonal(cd)
-    if variant == "vertical":
-        return circle_to_vertical(cd)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def gen_sat(seed: int, n: int = 0) -> GeomInstance:
-    """One of the committed monotone drawings; the seed cycles the corpus."""
-    corpus = sat_corpus()
-    inst, _ = monotone3sat_to_lframes(corpus[seed % len(corpus)])
-    return inst
-
-
 def gen_graph(seed: int, n: int, p: float = 0.5) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Random simple graph on vertices 1..n, each edge kept with probability p."""
     if n < 1:
@@ -146,12 +123,6 @@ def gen_graph(seed: int, n: int, p: float = 0.5) -> tuple[int, tuple[tuple[int, 
     return n, edges
 
 
-def gen_vc_epg(seed: int, n: int) -> GeomInstance:
-    nv, edges = gen_graph(seed, n)
-    inst, _ = vc_to_epg(nv, edges)
-    return inst
-
-
 def gen_bipartite(
     seed: int, n_a: int, n_b: int, max_edges: int = 8
 ) -> tuple[tuple[int, int], ...]:
@@ -159,17 +130,10 @@ def gen_bipartite(
     if n_a < 1 or n_b < 1:
         raise ValueError("both sides must be nonempty")
     rng = random.Random(seed)
-    pairs = [(i, j) for i in range(1, n_a + 1) for j in range(1, n_b + 1)]
-    k = rng.randint(1, min(max_edges, len(pairs)))
-    return tuple(sorted(rng.sample(pairs, k)))
-
-
-def gen_eds_epg(seed: int, n: int) -> GeomInstance:
-    n_a = max(1, n // 2)
-    n_b = max(1, n - n_a)
-    edges = gen_bipartite(seed, n_a, n_b)
-    inst, _ = eds_to_epg(n_a, n_b, edges)
-    return inst
+    # pair index p stands for (p // n_b + 1, p % n_b + 1), in row-major order
+    k = rng.randint(1, min(max_edges, n_a * n_b))
+    picks = rng.sample(range(n_a * n_b), k)
+    return tuple(sorted((p // n_b + 1, p % n_b + 1) for p in picks))
 
 
 def gen_two_line(seed: int, n: int) -> GeomInstance:
@@ -193,15 +157,41 @@ def gen_two_line(seed: int, n: int) -> GeomInstance:
     return GeomInstance(frames=tuple(frames), vline=0, hline=0)
 
 
+def reduction_certificate(kind: str, seed: int, n: int) -> ReductionCertificate:
+    """A seeded source instance pushed through the reduction of ``kind``.
+
+    circle-diagonal and circle-vertical reduce a random diagram of n chords;
+    sat takes a committed drawing, the seed cycling the corpus and n unused;
+    vc reduces a random graph on n vertices; eds a random bipartite graph
+    with n // 2 vertices on one side and the rest on the other.
+    """
+    if kind in ("circle-diagonal", "circle-vertical"):
+        return circle_certificate(gen_chord_diagram(seed, n), kind.split("-")[1])
+    if kind == "sat":
+        corpus = sat_corpus()
+        return monotone3sat_to_lframes(corpus[seed % len(corpus)])[1]
+    if kind == "vc":
+        return vc_to_epg(*gen_graph(seed, n))[1]
+    if kind == "eds":
+        n_a = max(1, n // 2)
+        n_b = max(1, n - n_a)
+        return eds_to_epg(n_a, n_b, gen_bipartite(seed, n_a, n_b))[1]
+    raise ValueError(f"unknown reduction kind {kind!r}")
+
+
+def _reduced(kind: str) -> Callable[[int, int], GeomInstance]:
+    return lambda seed, n: reduction_certificate(kind, seed, n).instance
+
+
 # family name -> generator with the uniform (seed, n) signature
 FAMILIES: dict[str, Callable[[int, int], GeomInstance]] = {
     "anchored-one-sided": gen_anchored_one_sided,
     "anchored-two-sided": gen_anchored_two_sided,
-    "circle-diagonal": lambda seed, n: gen_circle(seed, n, "diagonal"),
-    "circle-vertical": lambda seed, n: gen_circle(seed, n, "vertical"),
-    "sat": gen_sat,
-    "vc-epg": gen_vc_epg,
-    "eds-epg": gen_eds_epg,
+    "circle-diagonal": _reduced("circle-diagonal"),
+    "circle-vertical": _reduced("circle-vertical"),
+    "sat": _reduced("sat"),
+    "vc-epg": _reduced("vc"),
+    "eds-epg": _reduced("eds"),
     "two-line": gen_two_line,
 }
 

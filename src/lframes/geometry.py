@@ -6,7 +6,7 @@ floating point anywhere; distance comparisons use squared distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import NotAnchored
@@ -80,11 +80,6 @@ class Diagonal:
 
     def contains(self, p: Point) -> bool:
         return p.x + p.y == self.d
-
-    def side(self, p: Point) -> int:
-        """+1 if p is strictly above the line, -1 below, 0 on it."""
-        s = p.x + p.y - self.d
-        return (s > 0) - (s < 0)
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,6 @@ class IntersectionGraph:
         keep = src < self.indices
         return frozenset(zip(src[keep].tolist(), self.indices[keep].tolist()))
 
-    def closed_neighborhood(self, v: int) -> tuple[int, ...]:
-        nbrs = self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
-        return tuple(sorted(nbrs + [v]))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntersectionGraph):
             return NotImplemented
@@ -453,6 +449,8 @@ def exact_mds(g: IntersectionGraph, cap: int = 32) -> DominatingSet:
     Phase one finds the optimal size by branch and bound seeded with the
     greedy upper bound. Phase two commits vertices in id order, keeping a
     vertex exactly when some optimal solution extends the committed prefix.
+    ``witness`` is such a solution that also avoids the excluded vertices,
+    so a vertex in it is committed without a search.
     Raises TooLarge when g has more than ``cap`` vertices.
     """
     masks, full, opt = _optimum(g, cap)
@@ -460,13 +458,17 @@ def exact_mds(g: IntersectionGraph, cap: int = 32) -> DominatingSet:
 
     chosen: list[int] = []
     excluded = 0
+    witness = set(opt)
     for v in range(g.n):
         if len(chosen) == m:
             break
-        trial = chosen + [v]
-        sol = _min_ds(masks, full, trial, excluded, m + 1, target=m)
+        if v in witness:
+            chosen.append(v)
+            continue
+        sol = _min_ds(masks, full, chosen + [v], excluded, m + 1, target=m)
         if sol is not None and len(sol) <= m:
             chosen.append(v)
+            witness = set(sol)
         else:
             excluded |= 1 << v
     return DominatingSet(tuple(chosen))

@@ -1,4 +1,4 @@
-"""Plain-text instance files and run reports.
+"""Plain-text instance files and the key-value report lines of the CLI.
 
 The instance format is line oriented: whitespace-separated fields, ``#``
 starts a comment, blank lines are ignored. A header declares the format
@@ -13,11 +13,13 @@ for frames or ``id lo-x lo-y hi-x hi-y`` for rectangles:
     f1 0 12 3 3
 
 ``parse_instance(emit_instance(inst))`` reproduces ``inst`` exactly.
+
+Reports are one ``key value`` line per field, keys sorted
+(``format_fields``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, ValidationError
@@ -155,53 +157,6 @@ def instance_summary(inst: GeomInstance) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Result of one solver run; its text form is byte-stable."""
-
-    algorithm: str
-    instance: str
-    n: int
-    size: Optional[int] = None
-    members: tuple[str, ...] = ()
-    k: Optional[int] = None
-    seed: Optional[int] = None
-    oracle_ratio: Optional[float] = None
-
-    def fields(self) -> dict[str, str]:
-        out = {
-            "algorithm": self.algorithm,
-            "instance": self.instance,
-            "n": str(self.n),
-        }
-        if self.size is not None:
-            out["size"] = str(self.size)
-            out["members"] = " ".join(self.members) if self.members else "-"
-        if self.k is not None:
-            out["k"] = str(self.k)
-        if self.seed is not None:
-            out["seed"] = str(self.seed)
-        if self.oracle_ratio is not None:
-            out["oracle_ratio"] = f"{self.oracle_ratio:.6f}"
-        return out
-
-
 def format_fields(fields: dict[str, str]) -> str:
     """One ``key value`` line per entry, keys sorted."""
     return "\n".join(f"{k} {v}" for k, v in sorted(fields.items())) + "\n"
-
-
-def format_report(report: RunReport) -> str:
-    return format_fields(report.fields())
-
-
-def parse_report(text: str) -> dict[str, str]:
-    """Inverse of format_report at the key-value level."""
-    out: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition(" ")
-        out[key] = value
-    return out

@@ -26,7 +26,7 @@ class LocalSearchConfig:
             raise ValueError("k must be >= 1")
 
 
-def _closed_neighborhoods(g: IntersectionGraph) -> list[frozenset]:
+def _closed_sets(g: IntersectionGraph) -> list[frozenset]:
     return [frozenset((v, *nbrs)) for v, nbrs in enumerate(g.adjacency)]
 
 
@@ -76,7 +76,7 @@ def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchC
         warnings.warn(
             f"k={cfg.k}: swap enumeration is exponential in k", stacklevel=2
         )
-    closed = _closed_neighborhoods(g)
+    closed = _closed_sets(g)
     solution = list(greedy_mds(g).members)
     while (found := _find_improvement(closed, solution, cfg.k)) is not None:
         removal, repl = found
@@ -86,7 +86,7 @@ def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchC
 
 def is_k_locally_optimal(g: IntersectionGraph, members, k: int) -> bool:
     """Re-run the swap enumeration once and report whether nothing improves."""
-    return _find_improvement(_closed_neighborhoods(g), list(members), k) is None
+    return _find_improvement(_closed_sets(g), list(members), k) is None
 
 
 def anchoring_side(inst: GeomInstance) -> Optional[str]:

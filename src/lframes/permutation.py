@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateOrder, NotTwoLineCrossing
 from .geometry import GeomInstance
-from .graph_core import DominatingSet, IntersectionGraph
+from .graph_core import DominatingSet
 
 
 @dataclass(frozen=True)
@@ -50,20 +49,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.pi)
-
-
-def permutation_graph(
-    p: Permutation, labels: Optional[Sequence[str]] = None
-) -> IntersectionGraph:
-    """Inversion graph of p: i < j adjacent iff pi[i] > pi[j]. Quadratic;
-    meant for cross-checks at desk scale."""
-    n = p.n
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if p.pi[i] > p.pi[j]
-    ]
-    if labels is None:
-        labels = tuple(str(i + 1) for i in range(n))
-    return IntersectionGraph(n, edges, tuple(labels))
 
 
 def two_line_vertex_order(inst: GeomInstance) -> tuple:

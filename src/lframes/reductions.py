@@ -182,10 +182,6 @@ class ClauseSpec:
         object.__setattr__(self, "literals", tuple(p[0] for p in pairs))
         object.__setattr__(self, "legs", tuple(p[1] for p in pairs))
 
-    @property
-    def side(self) -> str:
-        return "above" if self.positive else "below"
-
 
 @dataclass(frozen=True)
 class Monotone3SATDrawing:
@@ -283,6 +279,13 @@ def satisfiable(d: Monotone3SATDrawing) -> bool:
     return False
 
 
+def _contacts(inst: GeomInstance) -> dict[str, set[str]]:
+    """Frame id -> ids of the frames it touches under the instance's model."""
+    g = build_intersection_graph(inst)
+    ids = [f.id for f in inst.frames]
+    return {ids[v]: {ids[u] for u in nbrs} for v, nbrs in enumerate(g.adjacency)}
+
+
 def _check_sat_embedding(d: Monotone3SATDrawing, frames: tuple[LFrame, ...]) -> None:
     """Reject embeddings where a frame contact disagrees with the formula."""
     for f in frames:
@@ -290,33 +293,26 @@ def _check_sat_embedding(d: Monotone3SATDrawing, frames: tuple[LFrame, ...]) -> 
         hy = f.hseg()[0]
         _, vy0, vy1 = f.vseg()
         assert hy == 0 or vy0 <= 0 <= vy1, f"{f.id} misses the axis"
-    g = build_intersection_graph(GeomInstance(frames=frames))
-    idx = {f.id: i for i, f in enumerate(frames)}
-    es = g.edge_set()
-
-    def touch(u: str, v: str) -> bool:
-        i, j = idx[u], idx[v]
-        return (min(i, j), max(i, j)) in es
-
+    touches = _contacts(GeomInstance(frames=frames))
     for i in range(1, d.n_vars + 1):
         for j, c in enumerate(d.clauses, start=1):
             member = i in c.literals
-            if touch(f"x{i}t", f"c{j}") != (c.positive and member):
+            if (f"c{j}" in touches[f"x{i}t"]) != (c.positive and member):
                 raise InvalidDrawing(
                     f"contact between variable {i} (true side) and clause {j} "
                     f"does not match membership"
                 )
-            if touch(f"x{i}f", f"c{j}") != (not c.positive and member):
+            if (f"c{j}" in touches[f"x{i}f"]) != (not c.positive and member):
                 raise InvalidDrawing(
                     f"contact between variable {i} (false side) and clause {j} "
                     f"does not match membership"
                 )
-        want = {idx[f"x{i}t"], idx[f"x{i}f"]}
-        got = set(g.adjacency[idx[f"a{i}"]])
+        want = {f"x{i}t", f"x{i}f"}
+        got = touches[f"a{i}"]
         if got != want:
-            names = sorted(frames[v].id for v in got - want)
+            names = sorted(got - want)
             raise InvalidDrawing(f"anchor frame a{i} touches extra frames {names}")
-        assert touch(f"x{i}t", f"x{i}f"), f"variable {i} halves do not meet"
+        assert f"x{i}f" in touches[f"x{i}t"], f"variable {i} halves do not meet"
 
 
 def monotone3sat_to_lframes(
@@ -496,21 +492,23 @@ def _norm_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, in
 def _check_vc_neighborhoods(
     n: int, edges: tuple[tuple[int, int], ...], inst: GeomInstance
 ) -> None:
-    g = build_intersection_graph(inst)
-    idx = {f.id: v for v, f in enumerate(inst.frames)}
+    # edge paths by endpoint, and by their higher endpoint
+    incident: dict[int, set[str]] = {i: set() for i in range(1, n + 1)}
+    by_high: dict[int, set[str]] = {i: set() for i in range(1, n + 1)}
+    for i, j in edges:
+        incident[i].add(f"e{i}_{j}")
+        incident[j].add(f"e{i}_{j}")
+        by_high[j].add(f"e{i}_{j}")
     expected: dict[str, set[str]] = {}
     for i in range(1, n + 1):
-        expected[f"v{i}"] = {f"p{i}"} | {
-            f"e{a}_{b}" for a, b in edges if i in (a, b)
-        }
+        expected[f"v{i}"] = {f"p{i}"} | incident[i]
         expected[f"p{i}"] = {f"v{i}", f"q{i}"}
         expected[f"q{i}"] = {f"p{i}"}
     for i, j in edges:
-        expected[f"e{i}_{j}"] = {f"v{i}", f"v{j}"} | {
-            f"e{t}_{u}" for t, u in edges if u == j and t != i
-        }
+        expected[f"e{i}_{j}"] = {f"v{i}", f"v{j}"} | (by_high[j] - {f"e{i}_{j}"})
+    touches = _contacts(inst)
     for fid, want in expected.items():
-        got = {inst.frames[u].id for u in g.adjacency[idx[fid]]}
+        got = touches[fid]
         assert got == want, f"{fid}: expected {sorted(want)}, got {sorted(got)}"
 
 
@@ -571,14 +569,15 @@ def _vertex_cover_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
 def _check_eds_neighborhoods(
     edges: tuple[tuple[int, int], ...], inst: GeomInstance
 ) -> None:
-    g = build_intersection_graph(inst)
-    for u, (i, j) in enumerate(edges):
-        want = {
-            v
-            for v, (k, l) in enumerate(edges)
-            if v != u and (k == i or l == j)
-        }
-        assert set(g.adjacency[u]) == want, f"edge ({i},{j}) has wrong contacts"
+    by_a: dict[int, set[str]] = {}
+    by_b: dict[int, set[str]] = {}
+    for i, j in edges:
+        by_a.setdefault(i, set()).add(f"e{i}_{j}")
+        by_b.setdefault(j, set()).add(f"e{i}_{j}")
+    touches = _contacts(inst)
+    for i, j in edges:
+        want = (by_a[i] | by_b[j]) - {f"e{i}_{j}"}
+        assert touches[f"e{i}_{j}"] == want, f"edge ({i},{j}) has wrong contacts"
 
 
 def eds_to_epg(

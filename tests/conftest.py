@@ -6,12 +6,20 @@ agreement between the two is meaningful.
 """
 
 import itertools
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from lframes.epg import epg_intersect
 from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, lframe_intersect, rect_intersect
+from lframes.graph_core import IntersectionGraph
+
+# CLI runs in a subprocess import the package from this checkout, as the
+# in-process tests do through the pytest ``pythonpath`` setting
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def closed_masks(n, edges):
@@ -168,6 +176,28 @@ def pairwise_edges(inst):
         for j in range(i + 1, len(objs))
         if pred(objs[i], objs[j])
     }
+
+
+def permutation_graph(p):
+    """Inversion graph of a Permutation: i < j adjacent iff pi[i] > pi[j],
+    by testing every pair."""
+    n = p.n
+    edges = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if p.pi[i] > p.pi[j]
+    ]
+    return IntersectionGraph(n, edges, tuple(str(i + 1) for i in range(n)))
+
+
+def parse_report(text):
+    """``key value`` report lines as a dict, the inverse of format_fields."""
+    out = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        key, _, value = line.partition(" ")
+        out[key] = value
+    return out
 
 
 def brute_vertex_cover_size(n, edges):

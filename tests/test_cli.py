@@ -8,7 +8,7 @@ import pytest
 
 import lframes.cli as cli
 import lframes.permutation as permutation
-from lframes.instance_io import parse_report
+from conftest import parse_report
 
 
 def run_cli(args, capsys):
@@ -95,6 +95,18 @@ def test_solve_with_oracle(tmp_path, capsys):
     )
     assert code == 0
     assert parse_report(out)["oracle_ratio"] == "1.000000"
+
+
+def test_solve_report_bytes(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("version 1\n"))
+    code, out, _ = run_cli(
+        ["solve", "--algo", "local-search", "--oracle", "--seed", "7"], capsys
+    )
+    assert code == 0
+    assert out == (
+        "algorithm local-search\ninstance frames=0 model=standard\nk 2\n"
+        "members -\nn 0\noracle_ratio 1.000000\nseed 7\nsize 0\n"
+    )
 
 
 def test_solve_builds_each_graph_once(tmp_path, monkeypatch, capsys):
@@ -212,6 +224,47 @@ def test_unwritable_output_is_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error: cannot write")
+
+
+TWO_LINE = "version 1\nvline 0\nhline 0\nf1 -3 2 5 -4\nf2 -2 3 4 -4\n"
+
+
+@pytest.mark.parametrize(
+    "args, text, message",
+    [
+        # SourceTooLarge
+        (["verify", "--kind", "circle-diagonal", "--seed", "1", "--n", "13"], None,
+         "13 chords is beyond exhaustive reach"),
+        # NotAnchored
+        (["solve", "--algo", "two-sided"], TWO_LINE, "instance has no diagonal"),
+        # DegenerateOrder
+        (["solve", "--algo", "permutation"],
+         "version 1\nvline 0\nhline 0\nf1 -3 2 5 -4\nf2 -2 2 4 -4\n",
+         "tied vertical-line crossings at y=2"),
+        # DegeneratePosition: f2 and f3 share their anchor on the diagonal
+        (["render", "--exchange"],
+         "version 1\ndiagonal 12\nf1 7 5 7 1\nf2 4 8 -11 -12\nf3 4 8 6 1\nf4 10 2 1 7\n",
+         "frames 'f2' and 'f3' share corner x"),
+        # ValueError from the exchange drawing
+        (["render", "--exchange"], "version 1\nf1 0 12 3 3\n", "instance has no diagonal"),
+    ],
+)
+def test_error_exit_code_contract(args, text, message, monkeypatch, capsys):
+    if text is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_error_exit_has_no_traceback(tmp_path):
+    path = tmp_path / "two_line.txt"
+    path.write_text(TWO_LINE)
+    res = run_proc(["solve", "--in", str(path), "--algo", "two-sided"])
+    assert res.returncode == 2
+    assert res.stderr == "error: instance has no diagonal\n"
+    assert "Traceback" not in res.stderr
 
 
 def test_exact_over_cap_is_exit_2(tmp_path, capsys):

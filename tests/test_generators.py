@@ -1,5 +1,7 @@
 """Seeded instance families: determinism and structural invariants."""
 
+import random
+
 import pytest
 
 from lframes.generators import (
@@ -12,6 +14,7 @@ from lframes.generators import (
     gen_graph,
     gen_two_line,
     generate,
+    reduction_certificate,
 )
 from lframes.geometry import is_anchored
 from lframes.local_search import anchoring_side
@@ -105,6 +108,31 @@ def test_bipartite_generator_bounds():
         assert len(set(edges)) == len(edges)
         for i, j in edges:
             assert 1 <= i <= 3 and 1 <= j <= 4
+
+
+def test_bipartite_generator_matches_pair_list():
+    # the draw over pair indices picks what a draw over the listed pairs picks
+    for seed in range(40):
+        for n_a, n_b in ((1, 1), (1, 5), (3, 4), (6, 2), (7, 9)):
+            rng = random.Random(seed)
+            pairs = [(i, j) for i in range(1, n_a + 1) for j in range(1, n_b + 1)]
+            k = rng.randint(1, min(8, len(pairs)))
+            assert gen_bipartite(seed, n_a, n_b) == tuple(sorted(rng.sample(pairs, k)))
+
+
+def test_bipartite_generator_lists_no_pairs():
+    edges = gen_bipartite(1, 10**6, 10**6)
+    assert 1 <= len(edges) <= 8
+    assert all(1 <= i <= 10**6 and 1 <= j <= 10**6 for i, j in edges)
+
+
+def test_reduction_families_emit_certificate_instances():
+    for family, kind in (("circle-diagonal", "circle-diagonal"),
+                         ("circle-vertical", "circle-vertical"),
+                         ("sat", "sat"), ("vc-epg", "vc"), ("eds-epg", "eds")):
+        assert generate(family, 3, 5) == reduction_certificate(kind, 3, 5).instance
+    with pytest.raises(ValueError):
+        reduction_certificate("exchange", 3, 5)
 
 
 def test_sat_family_cycles_through_corpus():

@@ -10,6 +10,7 @@ import pytest
 from conftest import STAIR5_EDGES, brute_is_dominating, brute_mds_size
 from lframes.errors import TooLarge
 from lframes.geometry import GeomInstance, LFrame, Point, Rect
+from lframes import graph_core
 from lframes.graph_core import (
     IntersectionGraph,
     build_intersection_graph,
@@ -71,6 +72,23 @@ def test_exact_depth_is_not_bounded_by_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert ds.members == tuple(range(150))
+
+
+def test_exact_commits_witness_members_without_search(monkeypatch):
+    # the phase-one optimum is the only one and holds every frame, so the
+    # lexicographic pass needs no search of its own
+    frames = tuple(LFrame(f"f{i}", Point(3 * i, 0), 1, 1) for i in range(40))
+    g = build_intersection_graph(GeomInstance(frames=frames))
+    calls = []
+    min_ds = graph_core._min_ds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return min_ds(*args, **kwargs)
+
+    monkeypatch.setattr(graph_core, "_min_ds", counting)
+    assert exact_mds(g, cap=40).members == tuple(range(40))
+    assert len(calls) == 1
 
 
 def test_greedy_stair5(stair5):
@@ -155,7 +173,6 @@ def test_rect_instance_graph():
 
 def test_graph_helpers():
     g = IntersectionGraph(3, [(0, 1)])
-    assert g.closed_neighborhood(0) == (0, 1)
-    assert g.closed_neighborhood(2) == (2,)
+    assert g.adjacency == ((1,), (0,), ())
     assert g == IntersectionGraph(3, [(1, 0)])
     assert g != IntersectionGraph(3, [(1, 2)])

@@ -1,19 +1,11 @@
-"""Instance text format and run report round trips."""
+"""Instance text format round trips and the report line format."""
 
 import pytest
 
 from lframes.errors import ParseError, ValidationError
 from lframes.generators import FAMILIES, gen_anchored_rects, generate
 from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, Rect
-from lframes.instance_io import (
-    RunReport,
-    emit_instance,
-    format_fields,
-    format_report,
-    instance_summary,
-    parse_instance,
-    parse_report,
-)
+from lframes.instance_io import emit_instance, format_fields, instance_summary, parse_instance
 
 
 def test_parse_minimal_frame():
@@ -116,51 +108,6 @@ def test_instance_summary():
         frames=(LFrame("a", Point(-5, 3), 6, -4),), model="edge", vline=0, hline=0
     )
     assert instance_summary(two_line) == "frames=1 model=edge vline=0 hline=0"
-
-
-def test_report_format_is_sorted_and_stable():
-    r = RunReport(
-        algorithm="exact",
-        instance="frames=2 model=standard",
-        n=2,
-        size=1,
-        members=("f1",),
-        k=None,
-        seed=7,
-        oracle_ratio=None,
-    )
-    assert format_report(r) == (
-        "algorithm exact\ninstance frames=2 model=standard\n"
-        "members f1\nn 2\nseed 7\nsize 1\n"
-    )
-
-
-def test_report_optional_fields():
-    r = RunReport(
-        algorithm="local-search",
-        instance="x",
-        n=0,
-        size=0,
-        members=(),
-        k=2,
-        seed=None,
-        oracle_ratio=1.0,
-    )
-    text = format_report(r)
-    assert "members -" in text
-    assert "oracle_ratio 1.000000" in text
-
-
-def test_report_parses_back():
-    r = RunReport("exact", "x", 3, 2, ("f1", "f3"), None, None, None)
-    fields = parse_report(format_report(r))
-    assert fields == {
-        "algorithm": "exact",
-        "instance": "x",
-        "members": "f1 f3",
-        "n": "3",
-        "size": "2",
-    }
 
 
 def test_format_fields_sorts_keys():

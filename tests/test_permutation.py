@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import brute_mds_size
+from conftest import brute_mds_size, permutation_graph
 from lframes import permutation as pm
 from lframes.errors import DegenerateOrder, NotTwoLineCrossing
 from lframes.generators import gen_two_line
@@ -16,7 +16,6 @@ from lframes.permutation import (
     Permutation,
     lframes_to_permutation,
     mds_permutation,
-    permutation_graph,
     two_line_vertex_order,
 )
 

@@ -10,12 +10,15 @@ from conftest import (
     brute_vertex_cover_size,
 )
 from lframes.errors import InvalidDrawing, SourceTooLarge
-from lframes.geometry import LFrame, Point, lframe_intersect
+from lframes.geometry import GeomInstance, LFrame, Point, lframe_intersect
 from lframes.graph_core import build_intersection_graph, exact_mds_size
 from lframes.reductions import (
     ChordDiagram,
     ClauseSpec,
     Monotone3SATDrawing,
+    _check_eds_neighborhoods,
+    _check_sat_embedding,
+    _check_vc_neighborhoods,
     chords_interleave,
     circle_certificate,
     circle_graph,
@@ -225,6 +228,38 @@ def test_sat_contact_pattern():
                 member = i in c.literals
                 assert touch(f"x{i}t", f"c{j}") == (c.positive and member)
                 assert touch(f"x{i}f", f"c{j}") == (not c.positive and member)
+
+
+def test_sat_embedding_check_rejects_wrong_contacts():
+    # one variable in one positive clause, laid out as the construction does
+    d = Monotone3SATDrawing(1, (ClauseSpec((1,), True, (1,)),))
+    x1t = LFrame("x1t", Point(5, 3), 3, -3)
+    x1f = LFrame("x1f", Point(5, -3), 3, 3)
+    c1 = LFrame("c1", Point(4, 2), 2, -2)
+    a1 = LFrame("a1", Point(5, 0), 1, 1)
+    _check_sat_embedding(d, (x1t, x1f, c1, a1))
+    cases = (
+        ((x1t, x1f, LFrame("c1", Point(30, 2), 2, -2), a1), "true side"),
+        ((x1t, x1f, c1, LFrame("a1", Point(20, 0), 1, 1)), r"extra frames \[\]"),
+        ((x1t, x1f, c1, LFrame("a1", Point(4, 0), 1, 1)), r"extra frames \['c1'\]"),
+    )
+    for frames, message in cases:
+        with pytest.raises(InvalidDrawing, match=message):
+            _check_sat_embedding(d, frames)
+
+
+def test_gadget_checks_reject_wrong_contacts():
+    inst, cert = vc_to_epg(2, [(1, 2)])
+    frames = tuple(
+        LFrame("q1", Point(-40, 40), 1, 1) if f.id == "q1" else f for f in inst.frames
+    )
+    with pytest.raises(AssertionError, match="p1"):
+        _check_vc_neighborhoods(2, cert.source[1], dataclasses.replace(inst, frames=frames))
+    edges = ((1, 1), (2, 2))
+    frames = (LFrame("e1_1", Point(-1, -1), 1, 1), LFrame("e2_2", Point(-1, -2), 1, 2))
+    _check_eds_neighborhoods(edges, eds_to_epg(2, 2, edges)[0])
+    with pytest.raises(AssertionError, match=r"edge \(1,1\)"):
+        _check_eds_neighborhoods(edges, GeomInstance(frames=frames, model="edge"))
 
 
 def test_vc_path():
