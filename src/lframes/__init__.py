@@ -53,7 +53,6 @@ from .exchange import (
     check_local_exchange,
     count_crossings,
     draw_arcs,
-    swap_is_dominating,
 )
 from .permutation import (
     Permutation,

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, NotDisjoint
 from .geometry import GeomInstance, Point, corner_dist2
-from .graph_core import IntersectionGraph, build_intersection_graph, is_dominating
+from .graph_core import IntersectionGraph, build_intersection_graph
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,6 @@ class ExchangeGraph:
     B: frozenset
     R: frozenset
     arcs: tuple[Arc, ...]
-
-    def neighbors_of(self, b_subset: Iterable[int]) -> frozenset:
-        """Arc endpoints in R adjacent to the given subset of B."""
-        bs = set(b_subset)
-        return frozenset(a.r for a in self.arcs if a.b in bs)
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,11 @@ def build_exchange_graph(
     Each arc is classified top if some witness sees both endpoints from the
     left, else down if some witness sees both from below, else mixed. The
     designated witness is the qualifying one with the smallest corner x,
-    ties by smallest id.
+    ties by smallest id. Raises ValueError on a rectangle instance: arcs
+    join frame corners.
     """
+    if inst.rects:
+        raise ValueError("exchange graphs are defined on frame instances")
     bset, rset = frozenset(B), frozenset(R)
     if bset & rset:
         raise NotDisjoint(f"common vertices: {sorted(bset & rset)}")
@@ -199,20 +197,3 @@ def check_local_exchange(h: ExchangeGraph, g: IntersectionGraph) -> bool:
         if not any(a.b in cover and a.r in cover for a in h.arcs):
             return False
     return True
-
-
-def swap_is_dominating(
-    g: IntersectionGraph,
-    h: ExchangeGraph,
-    base_members: Iterable[int],
-    removed: Iterable[int],
-) -> bool:
-    """Whether (base minus removed) plus the arc neighbors of removed dominates.
-
-    ``base_members`` is the full solution the arcs' B side came from,
-    including any vertices shared with the other solution; ``removed`` must
-    be a subset of h.B.
-    """
-    removed = set(removed)
-    kept = set(base_members) - removed
-    return is_dominating(g, kept | h.neighbors_of(removed))

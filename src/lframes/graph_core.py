@@ -21,11 +21,11 @@ comparison and admits integers of any size. Pairs found twice are merged
 when the graph is stored.
 
 The graph is stored as CSR arrays: the sorted neighbors of v are
-``indices[indptr[v]:indptr[v + 1]]``. Greedy and the domination check work
-on the arrays; local search, the exchange graph and the reductions read the
-neighbor tuples (``adjacency``), derived on first use and cached. Only the
-exact solver turns neighborhoods into bitmasks, privately and per call,
-because it is meant for small graphs.
+``indices[indptr[v]:indptr[v + 1]]``. Greedy, the domination check and the
+reductions' gadget checks work on the arrays; local search and the exchange
+graph read the neighbor tuples (``adjacency``), derived on first use and
+cached. Only the exact solver turns neighborhoods into bitmasks, privately
+and per call, because it is meant for small graphs.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import NotAnchored, NotOneSided
-from .geometry import GeomInstance, is_anchored
+from .geometry import GeomInstance, is_anchored, rect_to_lframe
 from .graph_core import DominatingSet, IntersectionGraph, build_intersection_graph, greedy_mds
 
 K_WARN_LIMIT = 3
@@ -117,12 +117,14 @@ def ptas_one_sided(inst: GeomInstance, k: int) -> DominatingSet:
 def split_two_sided(inst: GeomInstance) -> tuple[GeomInstance, GeomInstance]:
     """Partition an anchored instance into its above-side and below-side parts.
 
-    Raises NotAnchored if some frame is anchored on neither side.
+    Rectangles are replaced by their anchored L-frames (rect_to_lframe),
+    which leaves the intersection graph unchanged. Raises NotAnchored if
+    some frame is anchored on neither side, or some rectangle not at all.
     """
     if inst.diagonal is None:
         raise NotAnchored("instance has no diagonal")
     above, below = [], []
-    for f in inst.frames:
+    for f in inst.frames or [rect_to_lframe(r, inst.diagonal) for r in inst.rects]:
         if is_anchored(f, inst.diagonal, "above"):
             above.append(f)
         elif is_anchored(f, inst.diagonal, "below"):
@@ -143,7 +145,7 @@ def approx_two_sided(inst: GeomInstance, k: int) -> DominatingSet:
     whole instance.
     """
     above, below = split_two_sided(inst)
-    index_of = {f.id: i for i, f in enumerate(inst.frames)}
+    index_of = {o.id: i for i, o in enumerate(inst.objects)}
     members: set[int] = set()
     for part in (above, below):
         if not part.frames:

@@ -58,7 +58,7 @@ def two_line_vertex_order(inst: GeomInstance) -> tuple:
     over the vertical line and downward over the horizontal one, corners
     strictly inside the upper-left region.
     """
-    if inst.frames is None:
+    if inst.rects:
         raise NotTwoLineCrossing("two-line conversion requires a frame instance")
     if inst.vline is None:
         raise NotTwoLineCrossing("instance has no vertical line")

@@ -11,7 +11,7 @@ claimed relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Iterable, Optional
 
@@ -24,17 +24,17 @@ from .graph_core import IntersectionGraph, build_intersection_graph, exact_mds_s
 class ReductionCertificate:
     """Links a source instance to the frame family built from it.
 
-    ``forward`` and ``backward`` are JSON-ready dicts describing how
-    solutions translate between the two sides; ``offset`` is the claimed
-    difference between the reduced optimum and the source optimum (for the
-    sat kind it is the domination number that satisfiability pins down).
+    ``kind`` names the reduction and ``source`` holds its input: the chord
+    diagram, the 3SAT drawing, ``(n, edges)`` for vertex cover or
+    ``(n_a, n_b, edges)`` for edge domination. ``instance`` is the frame
+    family built from it. ``offset`` is the claimed difference between the
+    reduced optimum and the source optimum (for the sat kind it is the
+    domination number that satisfiability pins down).
     """
 
     kind: str
     source: Any
     instance: GeomInstance
-    forward: dict
-    backward: dict
     offset: int
 
 
@@ -61,6 +61,7 @@ class ChordDiagram:
 
     n: int
     order: tuple[int, ...]
+    _ends: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = tuple(int(c) for c in self.order)
@@ -69,15 +70,17 @@ class ChordDiagram:
             raise ValueError("a chord diagram needs at least one chord")
         if len(order) != 2 * self.n:
             raise ValueError(f"expected {2 * self.n} endpoints, got {len(order)}")
+        ends: dict[int, list[int]] = {}
+        for pos, c in enumerate(order, start=1):
+            ends.setdefault(c, []).append(pos)
         for c in range(1, self.n + 1):
-            if order.count(c) != 2:
+            if len(ends.get(c, ())) != 2:
                 raise ValueError(f"chord {c} must appear exactly twice")
+        object.__setattr__(self, "_ends", {c: tuple(ps) for c, ps in ends.items()})
 
     def positions(self, c: int) -> tuple[int, int]:
         """The two 1-based endpoint positions of chord c, ascending."""
-        first = self.order.index(c) + 1
-        second = self.order.index(c, first) + 1
-        return first, second
+        return self._ends[c]
 
 
 def chords_interleave(cd: ChordDiagram, a: int, b: int) -> bool:
@@ -137,15 +140,7 @@ def circle_certificate(cd: ChordDiagram, variant: str = "diagonal") -> Reduction
         inst = circle_to_vertical(cd)
     else:
         raise ValueError(f"variant must be 'diagonal' or 'vertical', got {variant!r}")
-    ids = {str(c): f"c{c}" for c in range(1, cd.n + 1)}
-    return ReductionCertificate(
-        kind=f"circle-{variant}",
-        source=cd,
-        instance=inst,
-        forward=ids,
-        backward={v: int(k) for k, v in ids.items()},
-        offset=0,
-    )
+    return ReductionCertificate(kind=f"circle-{variant}", source=cd, instance=inst, offset=0)
 
 
 # -- monotone rectilinear 3SAT -----------------------------------------------
@@ -252,10 +247,6 @@ class Monotone3SATDrawing:
             fixed.append(ClauseSpec(ca.literals, ca.positive, ca.legs, depth))
         object.__setattr__(self, "clauses", tuple(fixed))
 
-    @property
-    def n_clauses(self) -> int:
-        return len(self.clauses)
-
 
 def _clusters(n_vars: int, clauses: Iterable[ClauseSpec]) -> dict[int, list[int]]:
     out: dict[int, list[int]] = {i: [] for i in range(1, n_vars + 1)}
@@ -279,40 +270,44 @@ def satisfiable(d: Monotone3SATDrawing) -> bool:
     return False
 
 
-def _contacts(inst: GeomInstance) -> dict[str, set[str]]:
-    """Frame id -> ids of the frames it touches under the instance's model."""
-    g = build_intersection_graph(inst)
-    ids = [f.id for f in inst.frames]
-    return {ids[v]: {ids[u] for u in nbrs} for v, nbrs in enumerate(g.adjacency)}
+def _row(g: IntersectionGraph, v: int) -> list[int]:
+    """Sorted indices of the frames that frame v touches."""
+    return g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
 
 
 def _check_sat_embedding(d: Monotone3SATDrawing, frames: tuple[LFrame, ...]) -> None:
-    """Reject embeddings where a frame contact disagrees with the formula."""
+    """Reject embeddings where a frame contact disagrees with the formula.
+
+    ``frames`` come in construction order: x{i}t, x{i}f and a{i} for each
+    variable i, then one frame per clause.
+    """
     for f in frames:
         assert abs(f.hspan) == abs(f.vspan), f"unbalanced arms on {f.id}"
         hy = f.hseg()[0]
         _, vy0, vy1 = f.vseg()
         assert hy == 0 or vy0 <= 0 <= vy1, f"{f.id} misses the axis"
-    touches = _contacts(GeomInstance(frames=frames))
+    g = build_intersection_graph(GeomInstance(frames=frames))
+    first_clause = 3 * d.n_vars - 1
     for i in range(1, d.n_vars + 1):
+        xt, xf, a = 3 * i - 3, 3 * i - 2, 3 * i - 1
+        on_t, on_f = set(_row(g, xt)), set(_row(g, xf))
         for j, c in enumerate(d.clauses, start=1):
             member = i in c.literals
-            if (f"c{j}" in touches[f"x{i}t"]) != (c.positive and member):
+            if (first_clause + j in on_t) != (c.positive and member):
                 raise InvalidDrawing(
                     f"contact between variable {i} (true side) and clause {j} "
                     f"does not match membership"
                 )
-            if (f"c{j}" in touches[f"x{i}f"]) != (not c.positive and member):
+            if (first_clause + j in on_f) != (not c.positive and member):
                 raise InvalidDrawing(
                     f"contact between variable {i} (false side) and clause {j} "
                     f"does not match membership"
                 )
-        want = {f"x{i}t", f"x{i}f"}
-        got = touches[f"a{i}"]
-        if got != want:
-            names = sorted(got - want)
+        got = _row(g, a)
+        if got != [xt, xf]:
+            names = sorted(frames[u].id for u in got if u not in (xt, xf))
             raise InvalidDrawing(f"anchor frame a{i} touches extra frames {names}")
-        assert f"x{i}f" in touches[f"x{i}t"], f"variable {i} halves do not meet"
+        assert xf in on_t, f"variable {i} halves do not meet"
 
 
 def monotone3sat_to_lframes(
@@ -332,53 +327,30 @@ def monotone3sat_to_lframes(
     """
     clusters = _clusters(d.n_vars, d.clauses)
     x_pos = {i: 4 * clusters[i][-1] + 1 for i in clusters}
-    spans = []
+    # a variable's arm on each side reaches past every clause there naming it
+    up = dict.fromkeys(clusters, 3)
+    dn = dict.fromkeys(clusters, 3)
     clause_frames = []
     for j, c in enumerate(d.clauses, start=1):
         left = 4 * min(c.legs)
         span = (x_pos[max(c.literals)] + 1) - left
-        spans.append(span)
+        reach = up if c.positive else dn
+        for v in c.literals:
+            reach[v] = max(reach[v], span + 1)
         if c.positive:
             clause_frames.append(LFrame(f"c{j}", Point(left, span), span, -span))
         else:
             clause_frames.append(LFrame(f"c{j}", Point(left, -span), span, span))
     frames: list[LFrame] = []
     for i in range(1, d.n_vars + 1):
-        up = 1 + max(
-            [2]
-            + [spans[j] for j, c in enumerate(d.clauses) if c.positive and i in c.literals]
-        )
-        dn = 1 + max(
-            [2]
-            + [
-                spans[j]
-                for j, c in enumerate(d.clauses)
-                if not c.positive and i in c.literals
-            ]
-        )
         x = x_pos[i]
-        frames.append(LFrame(f"x{i}t", Point(x, up), up, -up))
-        frames.append(LFrame(f"x{i}f", Point(x, -dn), dn, dn))
+        frames.append(LFrame(f"x{i}t", Point(x, up[i]), up[i], -up[i]))
+        frames.append(LFrame(f"x{i}f", Point(x, -dn[i]), dn[i], dn[i]))
         frames.append(LFrame(f"a{i}", Point(x, 0), 1, 1))
     frames.extend(clause_frames)
     _check_sat_embedding(d, tuple(frames))
     inst = GeomInstance(frames=tuple(rotate_cw(f) for f in frames), vline=0)
-    forward = {
-        str(i): {"true": f"x{i}t", "false": f"x{i}f"} for i in range(1, d.n_vars + 1)
-    }
-    backward: dict = {}
-    for i in range(1, d.n_vars + 1):
-        backward[f"x{i}t"] = {"var": i, "value": True}
-        backward[f"x{i}f"] = {"var": i, "value": False}
-    cert = ReductionCertificate(
-        kind="sat",
-        source=d,
-        instance=inst,
-        forward=forward,
-        backward=backward,
-        offset=d.n_vars,
-    )
-    return inst, cert
+    return inst, ReductionCertificate(kind="sat", source=d, instance=inst, offset=d.n_vars)
 
 
 def sat_corpus() -> tuple[Monotone3SATDrawing, ...]:
@@ -492,24 +464,36 @@ def _norm_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, in
 def _check_vc_neighborhoods(
     n: int, edges: tuple[tuple[int, int], ...], inst: GeomInstance
 ) -> None:
+    """Assert that every frame touches exactly the frames the gadget intends.
+
+    Frames come in construction order: v_1..v_n, one path per edge, then
+    p_1..p_n and q_1..q_n. The vertex gadgets are checked first, v_i, p_i
+    and q_i for each i in turn, then the edge paths.
+    """
+    m = len(edges)
+    p, q = n + m - 1, 2 * n + m - 1  # p_i is frame p + i, q_i is frame q + i
     # edge paths by endpoint, and by their higher endpoint
-    incident: dict[int, set[str]] = {i: set() for i in range(1, n + 1)}
-    by_high: dict[int, set[str]] = {i: set() for i in range(1, n + 1)}
-    for i, j in edges:
-        incident[i].add(f"e{i}_{j}")
-        incident[j].add(f"e{i}_{j}")
-        by_high[j].add(f"e{i}_{j}")
-    expected: dict[str, set[str]] = {}
+    incident: list[list[int]] = [[] for _ in range(n + 1)]
+    by_high: list[list[int]] = [[] for _ in range(n + 1)]
+    for e, (i, j) in enumerate(edges, start=n):
+        incident[i].append(e)
+        incident[j].append(e)
+        by_high[j].append(e)
+    g = build_intersection_graph(inst)
+
+    def check(v: int, want: list[int]) -> None:
+        got = _row(g, v)
+        assert got == want, (
+            f"{inst.frames[v].id}: expected {sorted(inst.frames[u].id for u in want)}, "
+            f"got {sorted(inst.frames[u].id for u in got)}"
+        )
+
     for i in range(1, n + 1):
-        expected[f"v{i}"] = {f"p{i}"} | incident[i]
-        expected[f"p{i}"] = {f"v{i}", f"q{i}"}
-        expected[f"q{i}"] = {f"p{i}"}
-    for i, j in edges:
-        expected[f"e{i}_{j}"] = {f"v{i}", f"v{j}"} | (by_high[j] - {f"e{i}_{j}"})
-    touches = _contacts(inst)
-    for fid, want in expected.items():
-        got = touches[fid]
-        assert got == want, f"{fid}: expected {sorted(want)}, got {sorted(got)}"
+        check(i - 1, incident[i] + [p + i])
+        check(p + i, [i - 1, q + i])
+        check(q + i, [p + i])
+    for e, (i, j) in enumerate(edges, start=n):
+        check(e, [i - 1, j - 1] + [x for x in by_high[j] if x != e])
 
 
 def vc_to_epg(
@@ -540,19 +524,7 @@ def vc_to_epg(
         frames.append(LFrame(f"q{i}", Point(b, 2 * n + i), -b, 1))
     inst = GeomInstance(frames=tuple(frames), model="edge")
     _check_vc_neighborhoods(n, es, inst)
-    cert = ReductionCertificate(
-        kind="vc",
-        source=(n, es),
-        instance=inst,
-        forward={
-            "cover": {str(i): f"v{i}" for i in range(1, n + 1)},
-            "always": [f"p{i}" for i in range(1, n + 1)],
-        },
-        backward={f"v{i}": i for i in range(1, n + 1)}
-        | {f"e{i}_{j}": j for i, j in es},
-        offset=n,
-    )
-    return inst, cert
+    return inst, ReductionCertificate(kind="vc", source=(n, es), instance=inst, offset=n)
 
 
 def _vertex_cover_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
@@ -569,15 +541,17 @@ def _vertex_cover_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
 def _check_eds_neighborhoods(
     edges: tuple[tuple[int, int], ...], inst: GeomInstance
 ) -> None:
-    by_a: dict[int, set[str]] = {}
-    by_b: dict[int, set[str]] = {}
-    for i, j in edges:
-        by_a.setdefault(i, set()).add(f"e{i}_{j}")
-        by_b.setdefault(j, set()).add(f"e{i}_{j}")
-    touches = _contacts(inst)
-    for i, j in edges:
-        want = (by_a[i] | by_b[j]) - {f"e{i}_{j}"}
-        assert touches[f"e{i}_{j}"] == want, f"edge ({i},{j}) has wrong contacts"
+    """Assert that each edge path touches exactly the paths of the edges
+    sharing an endpoint with it; frames come in the order of ``edges``."""
+    by_a: dict[int, list[int]] = {}
+    by_b: dict[int, list[int]] = {}
+    for e, (i, j) in enumerate(edges):
+        by_a.setdefault(i, []).append(e)
+        by_b.setdefault(j, []).append(e)
+    g = build_intersection_graph(inst)
+    for e, (i, j) in enumerate(edges):
+        want = sorted(x for x in by_a[i] + by_b[j] if x != e)
+        assert _row(g, e) == want, f"edge ({i},{j}) has wrong contacts"
 
 
 def eds_to_epg(
@@ -609,15 +583,7 @@ def eds_to_epg(
     frames = tuple(LFrame(f"e{i}_{j}", Point(-i, -j), i, j) for i, j in es)
     inst = GeomInstance(frames=frames, model="edge")
     _check_eds_neighborhoods(es, inst)
-    cert = ReductionCertificate(
-        kind="eds",
-        source=(n_a, n_b, es),
-        instance=inst,
-        forward={f"{i},{j}": f"e{i}_{j}" for i, j in es},
-        backward={f"e{i}_{j}": [i, j] for i, j in es},
-        offset=0,
-    )
-    return inst, cert
+    return inst, ReductionCertificate(kind="eds", source=(n_a, n_b, es), instance=inst, offset=0)
 
 
 def _edge_dominating_size(edges: tuple[tuple[int, int], ...]) -> int:
@@ -644,8 +610,6 @@ def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:
         if cd.n > 12:
             raise SourceTooLarge(f"{cd.n} chords is beyond exhaustive reach")
         src = exact_mds_size(circle_graph(cd))
-        red = exact_mds_size(g)
-        ok = red == src + cert.offset
     elif cert.kind == "sat":
         d = cert.source
         if d.n_vars > 16 or g.n > 64:
@@ -653,8 +617,6 @@ def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:
                 f"{d.n_vars} variables / {g.n} frames is beyond exhaustive reach"
             )
         src = 1 if satisfiable(d) else 0
-        red = exact_mds_size(g, cap=max(32, g.n))
-        ok = red >= cert.offset and (red == cert.offset) == (src == 1)
     elif cert.kind == "vc":
         n, es = cert.source
         if n > 16 or g.n > 64:
@@ -662,15 +624,16 @@ def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:
                 f"{n} vertices / {g.n} frames is beyond exhaustive reach"
             )
         src = _vertex_cover_size(n, es)
-        red = exact_mds_size(g, cap=max(32, g.n))
-        ok = red == src + cert.offset
     elif cert.kind == "eds":
         _, _, es = cert.source
         if len(es) > 16:
             raise SourceTooLarge(f"{len(es)} edges is beyond exhaustive reach")
         src = _edge_dominating_size(es)
-        red = exact_mds_size(g, cap=max(32, g.n))
-        ok = red == src + cert.offset
     else:
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
+    red = exact_mds_size(g, cap=max(32, g.n))
+    if cert.kind == "sat":
+        ok = red >= cert.offset and (red == cert.offset) == (src == 1)
+    else:
+        ok = red == src + cert.offset
     return EquivalenceReport(cert.kind, src, red, cert.offset, ok)

@@ -17,10 +17,9 @@ from .geometry import GeomInstance
 _SCALE = 20.0
 _PAD = 30.0
 
-_FRAME = 'fill="none" stroke="#222222" stroke-width="1.5"'
-_FRAME_SOL = 'fill="none" stroke="#c62828" stroke-width="3"'
-_RECT = 'fill="none" stroke="#222222" stroke-width="1.5"'
-_RECT_SOL = 'fill="none" stroke="#c62828" stroke-width="3"'
+# frames and rectangles share one outline style, plain or chosen
+_SHAPE = 'fill="none" stroke="#222222" stroke-width="1.5"'
+_SHAPE_SOL = 'fill="none" stroke="#c62828" stroke-width="3"'
 _REF = 'stroke="#888888" stroke-width="1" stroke-dasharray="6 4"'
 _ARC = 'fill="none" stroke="#1565c0" stroke-width="1.5"'
 
@@ -46,6 +45,13 @@ class _Canvas:
     def sxy(self, x: float, y: float) -> str:
         sx, sy = self.pt(x, y)
         return f"{_fmt(sx)},{_fmt(sy)}"
+
+    def ref_line(self, x1: float, y1: float, x2: float, y2: float) -> str:
+        """Dashed reference line between two world points."""
+        (sx1, sy1), (sx2, sy2) = self.pt(x1, y1), self.pt(x2, y2)
+        return (
+            f'<line x1="{_fmt(sx1)}" y1="{_fmt(sy1)}" x2="{_fmt(sx2)}" y2="{_fmt(sy2)}" {_REF}/>'
+        )
 
 
 def _bounds(inst: GeomInstance, arcs: Optional[ArcDrawing]) -> tuple[float, float, float, float]:
@@ -77,20 +83,11 @@ def _ref_lines(inst: GeomInstance, cv: _Canvas) -> list[str]:
         xlo = max(cv.xlo, d - cv.yhi)
         xhi = min(cv.xhi, d - cv.ylo)
         if xlo <= xhi:
-            (x1, y1), (x2, y2) = cv.pt(xlo, d - xlo), cv.pt(xhi, d - xhi)
-            out.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {_REF}/>'
-            )
+            out.append(cv.ref_line(xlo, d - xlo, xhi, d - xhi))
     if inst.vline is not None and cv.xlo <= inst.vline <= cv.xhi:
-        (x1, y1), (x2, y2) = cv.pt(inst.vline, cv.ylo), cv.pt(inst.vline, cv.yhi)
-        out.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {_REF}/>'
-        )
+        out.append(cv.ref_line(inst.vline, cv.ylo, inst.vline, cv.yhi))
     if inst.hline is not None and cv.ylo <= inst.hline <= cv.yhi:
-        (x1, y1), (x2, y2) = cv.pt(cv.xlo, inst.hline), cv.pt(cv.xhi, inst.hline)
-        out.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {_REF}/>'
-        )
+        out.append(cv.ref_line(cv.xlo, inst.hline, cv.xhi, inst.hline))
     return out
 
 
@@ -107,19 +104,13 @@ def render_svg(
     body: list[str] = []
     if inst.n == 0:
         # nothing to draw, show the coordinate axes
-        (x1, y1), (x2, y2) = cv.pt(cv.xlo, 0), cv.pt(cv.xhi, 0)
-        body.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {_REF}/>'
-        )
-        (x1, y1), (x2, y2) = cv.pt(0, cv.ylo), cv.pt(0, cv.yhi)
-        body.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {_REF}/>'
-        )
+        body.append(cv.ref_line(cv.xlo, 0, cv.xhi, 0))
+        body.append(cv.ref_line(0, cv.ylo, 0, cv.yhi))
     body.extend(_ref_lines(inst, cv))
 
     for i, f in enumerate(inst.frames):
         pts = " ".join(cv.sxy(p.x, p.y) for p in (f.vhand(), f.corner, f.hand()))
-        style = _FRAME_SOL if i in chosen else _FRAME
+        style = _SHAPE_SOL if i in chosen else _SHAPE
         body.append(f'<polyline points="{pts}" {style}/>')
         if i in chosen:
             sx, sy = cv.pt(f.corner.x, f.corner.y)
@@ -128,7 +119,7 @@ def render_svg(
         sx, sy = cv.pt(r.lo.x, r.hi.y)
         w = (r.hi.x - r.lo.x) * _SCALE
         h = (r.hi.y - r.lo.y) * _SCALE
-        style = _RECT_SOL if i in chosen else _RECT
+        style = _SHAPE_SOL if i in chosen else _SHAPE
         body.append(
             f'<rect x="{_fmt(sx)}" y="{_fmt(sy)}" width="{_fmt(w)}" height="{_fmt(h)}" {style}/>'
         )

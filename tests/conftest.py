@@ -11,15 +11,21 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from lframes.epg import epg_intersect
 from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, lframe_intersect, rect_intersect
-from lframes.graph_core import IntersectionGraph
+from lframes.graph_core import IntersectionGraph, is_dominating
 
 # CLI runs in a subprocess import the package from this checkout, as the
 # in-process tests do through the pytest ``pythonpath`` setting
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+# property tests replay the same examples on every run, with no time limit
+# per example and no example database written to the checkout
+settings.register_profile("lframes", deadline=None, derandomize=True, database=None)
+settings.load_profile("lframes")
 
 
 def closed_masks(n, edges):
@@ -139,6 +145,18 @@ def reference_local_exchange(n, edges, B, R, arcs):
         if not any((mask >> b) & 1 and (mask >> r) & 1 for b, r in arcs):
             return False
     return True
+
+
+def swap_is_dominating(g, h, base_members, removed):
+    """Whether (base minus removed) plus the arc neighbors of removed dominates.
+
+    ``h`` is an exchange graph; ``base_members`` is the full solution its B
+    side came from, including any vertices shared with the other solution;
+    ``removed`` must be a subset of h.B.
+    """
+    removed = set(removed)
+    kept = set(base_members) - removed
+    return is_dominating(g, kept | {a.r for a in h.arcs if a.b in removed})
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,13 @@ from conftest import (
     brute_edge_dominating_size,
     brute_mds_size,
     brute_vertex_cover_size,
+    swap_is_dominating,
 )
 from lframes.exchange import (
     build_exchange_graph,
     check_local_exchange,
     count_crossings,
     draw_arcs,
-    swap_is_dominating,
 )
 from lframes.generators import (
     gen_anchored_one_sided,

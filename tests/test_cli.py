@@ -8,7 +8,9 @@ import pytest
 
 import lframes.cli as cli
 import lframes.permutation as permutation
-from conftest import parse_report
+from conftest import brute_is_dominating, pairwise_edges, parse_report
+from lframes.generators import gen_anchored_rects
+from lframes.instance_io import emit_instance
 
 
 def run_cli(args, capsys):
@@ -227,6 +229,11 @@ def test_unwritable_output_is_exit_2(tmp_path, capsys):
 
 
 TWO_LINE = "version 1\nvline 0\nhline 0\nf1 -3 2 5 -4\nf2 -2 3 4 -4\n"
+# anchored rectangles that also carry the two reference lines; exchange
+# drawings on seed 1 have arcs, which read frame corners
+RECTS = emit_instance(gen_anchored_rects(1, 30)).replace(
+    "diagonal 60\n", "diagonal 60\nvline 0\nhline 0\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -247,6 +254,16 @@ TWO_LINE = "version 1\nvline 0\nhline 0\nf1 -3 2 5 -4\nf2 -2 3 4 -4\n"
          "frames 'f2' and 'f3' share corner x"),
         # ValueError from the exchange drawing
         (["render", "--exchange"], "version 1\nf1 0 12 3 3\n", "instance has no diagonal"),
+        # NotTwoLineCrossing on rectangles
+        pytest.param(["solve", "--algo", "permutation"], RECTS,
+                     "two-line conversion requires a frame instance", id="rects-permutation"),
+        # ValueError from the exchange graph on rectangles
+        pytest.param(["render", "--exchange"], RECTS,
+                     "exchange graphs are defined on frame instances", id="rects-exchange"),
+        # NotAnchored from a rectangle the diagonal cuts
+        pytest.param(["solve", "--algo", "two-sided"],
+                     "version 1\nkind rects\ndiagonal 3\nr1 0 0 2 2\n",
+                     "rect 'r1' is not anchored at x+y=3", id="rects-two-sided-unanchored"),
     ],
 )
 def test_error_exit_code_contract(args, text, message, monkeypatch, capsys):
@@ -265,6 +282,23 @@ def test_error_exit_has_no_traceback(tmp_path):
     assert res.returncode == 2
     assert res.stderr == "error: instance has no diagonal\n"
     assert "Traceback" not in res.stderr
+    rects = tmp_path / "rects.txt"
+    rects.write_text(RECTS)
+    res = run_proc(["render", "--in", str(rects), "--exchange"])
+    assert res.returncode == 2
+    assert res.stderr == "error: exchange graphs are defined on frame instances\n"
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_two_sided_dominates_anchored_rects(seed, tmp_path, capsys):
+    inst = gen_anchored_rects(seed, 30)
+    path = tmp_path / "rects.txt"
+    path.write_text(emit_instance(inst))
+    code, out, _ = run_cli(["solve", "--in", str(path), "--algo", "two-sided"], capsys)
+    assert code == 0
+    index = {r.id: i for i, r in enumerate(inst.rects)}
+    members = [index[rid] for rid in parse_report(out)["members"].split()]
+    assert brute_is_dominating(inst.n, pairwise_edges(inst), members)
 
 
 def test_exact_over_cap_is_exit_2(tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import GridPath
 from lframes.epg import epg_intersect
 from lframes.geometry import LFrame, Point, lframe_intersect
@@ -70,14 +73,17 @@ def test_converse_fails():
     assert lframe_intersect(a, b) and not epg_intersect(a, b)
 
 
-def test_predicate_matches_edge_set_reference():
-    rng = random.Random(42)
-    for _ in range(400):
-        a = random_frame(rng, "a")
-        b = random_frame(rng, "b")
-        want = bool(reference_edges(a) & reference_edges(b))
-        assert epg_intersect(a, b) == want
-        assert epg_intersect(b, a) == want
+small = st.integers(-6, 6)
+span = st.integers(1, 5).flatmap(lambda s: st.sampled_from((s, -s)))
+frames = st.builds(frame, st.just("f"), small, small, span, span)
+
+
+@settings(max_examples=400)
+@given(a=frames, b=frames)
+def test_predicate_matches_edge_set_reference(a, b):
+    want = bool(reference_edges(a) & reference_edges(b))
+    assert epg_intersect(a, b) == want
+    assert epg_intersect(b, a) == want
 
 
 def test_gridpath_edges_match_reference():

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HUB6_FRAMES, reference_exchange_pairs, reference_local_exchange
+from conftest import (
+    HUB6_FRAMES,
+    reference_exchange_pairs,
+    reference_local_exchange,
+    swap_is_dominating,
+)
 from lframes.errors import DegeneratePosition, NotDisjoint
 from lframes.exchange import (
     ArcDrawing,
@@ -16,7 +21,6 @@ from lframes.exchange import (
     choose_edge_for_witness,
     count_crossings,
     draw_arcs,
-    swap_is_dominating,
 )
 from lframes.generators import gen_anchored_one_sided
 from lframes.geometry import Diagonal, GeomInstance, LFrame, Point
@@ -202,7 +206,7 @@ def test_hub6_fixture_is_consistent():
     assert is_dominating(g, [0])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     st.integers(0, 10**6),
     st.lists(st.integers(0, 2), min_size=1, max_size=30),

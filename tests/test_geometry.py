@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lframes.errors import NotAnchored
 from lframes.generators import gen_anchored_rects
@@ -39,6 +41,21 @@ def frame_points(f):
     return pts
 
 
+def rect_points(r):
+    """Closed point set of a rectangle as lattice points (exact for the
+    same reason as frame_points)."""
+    return {(x, y) for x in range(r.lo.x, r.hi.x + 1) for y in range(r.lo.y, r.hi.y + 1)}
+
+
+small = st.integers(-8, 8)
+span = st.integers(1, 6).flatmap(lambda s: st.sampled_from((s, -s)))
+frames = st.builds(frame, st.just("f"), small, small, span, span)
+rects = st.builds(
+    lambda x, y, w, h: Rect("r", Point(x, y), Point(x + w, y + h)),
+    small, small, st.integers(1, 6), st.integers(1, 6),
+)
+
+
 def random_frame(rng, fid):
     return frame(
         fid,
@@ -73,14 +90,20 @@ def test_intersect_single_point_touch():
     assert lframe_intersect(a, b)
 
 
-def test_intersect_matches_pointset_reference():
-    rng = random.Random(20260816)
-    for _ in range(300):
-        a = random_frame(rng, "a")
-        b = random_frame(rng, "b")
-        want = bool(frame_points(a) & frame_points(b))
-        assert lframe_intersect(a, b) == want
-        assert lframe_intersect(b, a) == want
+@settings(max_examples=300)
+@given(a=frames, b=frames)
+def test_intersect_matches_pointset_reference(a, b):
+    want = bool(frame_points(a) & frame_points(b))
+    assert lframe_intersect(a, b) == want
+    assert lframe_intersect(b, a) == want
+
+
+@settings(max_examples=300)
+@given(a=rects, b=rects)
+def test_rect_intersect_matches_pointset_reference(a, b):
+    want = bool(rect_points(a) & rect_points(b))
+    assert rect_intersect(a, b) == want
+    assert rect_intersect(b, a) == want
 
 
 def test_rect_above_keeps_sides_at_anchored_corner():

@@ -18,7 +18,7 @@ from lframes.generators import FAMILIES, gen_anchored_one_sided, gen_anchored_re
 from lframes.geometry import GeomInstance, LFrame, Point, Rect
 from lframes.graph_core import IntersectionGraph, build_intersection_graph, greedy_mds
 
-PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=400)
 
 coord = st.integers(-4, 4)
 span = st.integers(1, 4).flatmap(lambda s: st.sampled_from((s, -s)))

@@ -1,6 +1,10 @@
 """Instance text format round trips and the report line format."""
 
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lframes.errors import ParseError, ValidationError
 from lframes.generators import FAMILIES, gen_anchored_rects, generate
@@ -41,6 +45,45 @@ def test_round_trip_all_families():
 def test_round_trip_rect_family():
     inst = gen_anchored_rects(5, 7)
     assert parse_instance(emit_instance(inst)) == inst
+
+
+# ids are single tokens; a header keyword as the first record's id would be
+# read as a header line, so those are left out
+ids = st.text(st.sampled_from(string.ascii_letters + string.digits + "_.-"),
+              min_size=1, max_size=6).filter(
+    lambda s: s not in ("model", "kind", "diagonal", "vline", "hline")
+)
+big = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def instances(draw):
+    names = draw(st.lists(ids, unique=True, max_size=8))
+    lines = {
+        "diagonal": draw(st.none() | big.map(Diagonal)),
+        "vline": draw(st.none() | big),
+        "hline": draw(st.none() | big),
+    }
+    if draw(st.booleans()):
+        nonzero = big.filter(bool)
+        frames = [LFrame(i, Point(draw(big), draw(big)), draw(nonzero), draw(nonzero))
+                  for i in names]
+        model = draw(st.sampled_from(("standard", "edge")))
+        return GeomInstance(frames=frames, model=model, **lines)
+    rects = []
+    for i in names:
+        x, y = draw(big), draw(big)
+        w, h = draw(st.integers(1, 2**70)), draw(st.integers(1, 2**70))
+        rects.append(Rect(i, Point(x, y), Point(x + w, y + h)))
+    return GeomInstance(rects=rects, **lines)
+
+
+@settings(max_examples=200)
+@given(instances())
+def test_round_trip_generated_instances(inst):
+    text = emit_instance(inst)
+    assert parse_instance(text) == inst
+    assert emit_instance(parse_instance(text)) == text
 
 
 def test_comments_and_blank_lines_ignored():

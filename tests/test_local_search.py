@@ -89,7 +89,7 @@ def test_never_worse_than_greedy_and_always_dominating():
         assert local_search_mds(g, LocalSearchConfig(k=1)).size >= ds.size
 
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=300)
 
 graphs = st.integers(0, 12).flatmap(
     lambda n: st.tuples(

@@ -1,6 +1,8 @@
 """Gadget constructions: chord diagrams, monotone 3SAT, vertex cover, EDS."""
 
 import dataclasses
+import random
+import re
 
 import pytest
 
@@ -46,6 +48,30 @@ def test_diagram_validation():
         ChordDiagram(2, (1, 2, 1))
     with pytest.raises(ValueError):
         ChordDiagram(2, (1, 1, 1, 2))
+
+
+def test_positions_match_list_reference():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 8, 50, 400):
+        for _ in range(10):
+            cd = random_diagram(rng, n)
+            for c in range(1, n + 1):
+                first = cd.order.index(c) + 1
+                assert cd.positions(c) == (first, cd.order.index(c, first) + 1)
+
+
+def test_diagram_validation_names_the_first_bad_chord():
+    # the list-based rule: the smallest chord id not appearing exactly twice
+    rng = random.Random(12)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        order = tuple(rng.randint(0, n + 1) for _ in range(2 * n))
+        bad = [c for c in range(1, n + 1) if order.count(c) != 2]
+        if not bad:
+            assert ChordDiagram(n, order).order == order
+            continue
+        with pytest.raises(ValueError, match=f"^chord {bad[0]} must appear exactly twice$"):
+            ChordDiagram(n, order)
 
 
 def test_interleave_examples():
@@ -231,17 +257,18 @@ def test_sat_contact_pattern():
 
 
 def test_sat_embedding_check_rejects_wrong_contacts():
-    # one variable in one positive clause, laid out as the construction does
+    # one variable in one positive clause, laid out and ordered as the
+    # construction does: variable frames, anchor, then the clause
     d = Monotone3SATDrawing(1, (ClauseSpec((1,), True, (1,)),))
     x1t = LFrame("x1t", Point(5, 3), 3, -3)
     x1f = LFrame("x1f", Point(5, -3), 3, 3)
     c1 = LFrame("c1", Point(4, 2), 2, -2)
     a1 = LFrame("a1", Point(5, 0), 1, 1)
-    _check_sat_embedding(d, (x1t, x1f, c1, a1))
+    _check_sat_embedding(d, (x1t, x1f, a1, c1))
     cases = (
-        ((x1t, x1f, LFrame("c1", Point(30, 2), 2, -2), a1), "true side"),
-        ((x1t, x1f, c1, LFrame("a1", Point(20, 0), 1, 1)), r"extra frames \[\]"),
-        ((x1t, x1f, c1, LFrame("a1", Point(4, 0), 1, 1)), r"extra frames \['c1'\]"),
+        ((x1t, x1f, a1, LFrame("c1", Point(30, 2), 2, -2)), "true side"),
+        ((x1t, x1f, LFrame("a1", Point(20, 0), 1, 1), c1), r"extra frames \[\]"),
+        ((x1t, x1f, LFrame("a1", Point(4, 0), 1, 1), c1), r"extra frames \['c1'\]"),
     )
     for frames, message in cases:
         with pytest.raises(InvalidDrawing, match=message):
@@ -260,6 +287,25 @@ def test_gadget_checks_reject_wrong_contacts():
     _check_eds_neighborhoods(edges, eds_to_epg(2, 2, edges)[0])
     with pytest.raises(AssertionError, match=r"edge \(1,1\)"):
         _check_eds_neighborhoods(edges, GeomInstance(frames=frames, model="edge"))
+
+
+def test_vc_check_names_the_first_wrong_frame():
+    # frames are checked v_i, p_i, q_i for each i, then the edge paths; a
+    # gadget frame moved out of contact is reported through the first frame
+    # in that order that misses it
+    n, edges = 4, ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+    inst, _ = vc_to_epg(n, edges)
+    cases = (
+        ("e2_3", "v2: expected ['e1_2', 'e2_3', 'e2_4', 'p2'], got ['e1_2', 'e2_4', 'p2']"),
+        ("q3", "p3: expected ['q3', 'v3'], got ['v3']"),
+        ("e3_4", "v3: expected ['e1_3', 'e2_3', 'e3_4', 'p3'], got ['e1_3', 'e2_3', 'p3']"),
+    )
+    for moved, message in cases:
+        frames = tuple(
+            LFrame(f.id, Point(-90, 90), 1, 1) if f.id == moved else f for f in inst.frames
+        )
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            _check_vc_neighborhoods(n, edges, dataclasses.replace(inst, frames=frames))
 
 
 def test_vc_path():
