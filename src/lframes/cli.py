@@ -63,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("standard", "edge"))
     p.add_argument("--seed", type=int)
     p.add_argument("--cap", type=_positive, default=32,
-                   help="vertex limit for the exact solver")
+                   help="vertex limit for the exact solver, counting every "
+                        "vertex (it solves each connected component on its own)")
     p.add_argument("--oracle", action="store_true",
                    help="attach the optimal size ratio when n is small enough")
     p.add_argument("--oracle-cap", type=_positive, default=32)
@@ -162,13 +163,13 @@ def _cmd_solve(args) -> int:
 
     ratio = None
     if args.oracle:
-        if g is None:
-            g = build_intersection_graph(inst)
-        if g.n <= args.oracle_cap:
+        if inst.n <= args.oracle_cap:
+            if g is None:
+                g = build_intersection_graph(inst)
             opt = exact_mds_size(g, cap=args.oracle_cap)
             ratio = 1.0 if opt == 0 else len(members) / opt
         else:
-            print(f"oracle skipped: n={g.n} exceeds cap {args.oracle_cap}",
+            print(f"oracle skipped: n={inst.n} exceeds cap {args.oracle_cap}",
                   file=sys.stderr)
 
     fields = {

@@ -25,7 +25,10 @@ The graph is stored as CSR arrays: the sorted neighbors of v are
 reductions' gadget checks work on the arrays; local search and the exchange
 graph read the neighbor tuples (``adjacency``), derived on first use and
 cached. Only the exact solver turns neighborhoods into bitmasks, privately
-and per call, because it is meant for small graphs.
+and per call. It finds the connected components by walking the CSR rows and
+runs branch and bound on each component's own masks, so the search is
+exponential in the size of a component, not of the graph; its vertex
+``cap`` still counts every vertex.
 """
 
 from __future__ import annotations
@@ -415,51 +418,67 @@ def _min_ds(
         covered = node_cover | masks[v]
 
 
-def _optimum(g: IntersectionGraph, cap: int):
-    """Closed-neighborhood bitmasks of g, the full mask and one optimal
-    member tuple, from branch and bound seeded with the greedy bound.
+def _components(g: IntersectionGraph, cap: int) -> list:
+    """Per connected component of g: its vertices in id order, their
+    closed-neighborhood bitmasks (bit i is the component's i-th vertex) and
+    the local ids of the greedy members that fall in it.
 
-    Raises TooLarge when g has more than ``cap`` vertices.
+    Raises TooLarge when g has more than ``cap`` vertices in all, however
+    they split into components.
     """
     if g.n > cap:
         raise TooLarge(f"{g.n} vertices exceeds cap {cap}")
-    masks = []
-    for v, nbrs in enumerate(g.adjacency):
-        m = 1 << v
-        for u in nbrs:
-            m |= 1 << u
-        masks.append(m)
-    full = (1 << g.n) - 1
-    ub = greedy_mds(g)
-    opt = _min_ds(masks, full, (), 0, ub.size)
-    return masks, full, ub.members if opt is None else opt
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    in_greedy = bytearray(g.n)
+    for v in greedy_mds(g).members:
+        in_greedy[v] = 1
+    seen = bytearray(g.n)
+    out = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        verts, stack = [s], [s]
+        while stack:
+            v = stack.pop()
+            for u in indices[indptr[v]:indptr[v + 1]]:
+                if not seen[u]:
+                    seen[u] = 1
+                    verts.append(u)
+                    stack.append(u)
+        verts.sort()
+        local = {v: i for i, v in enumerate(verts)}
+        masks = []
+        for i, v in enumerate(verts):
+            m = 1 << i
+            for u in indices[indptr[v]:indptr[v + 1]]:
+                m |= 1 << local[u]
+            masks.append(m)
+        out.append((verts, masks, tuple(i for i, v in enumerate(verts) if in_greedy[v])))
+    return out
 
 
-def exact_mds_size(g: IntersectionGraph, cap: int = 32) -> int:
-    """Optimal dominating set size without the lexicographic tie-break pass.
+def _optimum(masks: Sequence[int], ub: tuple[int, ...]) -> tuple[int, ...]:
+    """One optimal member tuple of a connected component, by branch and
+    bound seeded with the dominating set ``ub``."""
+    opt = _min_ds(masks, (1 << len(masks)) - 1, (), 0, len(ub))
+    return ub if opt is None else opt
 
-    Raises TooLarge when g has more than ``cap`` vertices.
+
+def _least_optimum(masks: Sequence[int], opt: tuple[int, ...]) -> list[int]:
+    """The lexicographically least optimum of a component, given one optimum.
+
+    Commits vertices in id order, keeping a vertex exactly when some optimal
+    solution extends the committed prefix. ``witness`` is such a solution
+    that also avoids the excluded vertices, so a vertex in it is committed
+    without a search.
     """
-    return len(_optimum(g, cap)[2])
-
-
-def exact_mds(g: IntersectionGraph, cap: int = 32) -> DominatingSet:
-    """Minimum dominating set; deterministic lexicographically least optimum.
-
-    Phase one finds the optimal size by branch and bound seeded with the
-    greedy upper bound. Phase two commits vertices in id order, keeping a
-    vertex exactly when some optimal solution extends the committed prefix.
-    ``witness`` is such a solution that also avoids the excluded vertices,
-    so a vertex in it is committed without a search.
-    Raises TooLarge when g has more than ``cap`` vertices.
-    """
-    masks, full, opt = _optimum(g, cap)
+    full = (1 << len(masks)) - 1
     m = len(opt)
-
     chosen: list[int] = []
     excluded = 0
     witness = set(opt)
-    for v in range(g.n):
+    for v in range(len(masks)):
         if len(chosen) == m:
             break
         if v in witness:
@@ -471,4 +490,28 @@ def exact_mds(g: IntersectionGraph, cap: int = 32) -> DominatingSet:
             witness = set(sol)
         else:
             excluded |= 1 << v
-    return DominatingSet(tuple(chosen))
+    return chosen
+
+
+def exact_mds_size(g: IntersectionGraph, cap: int = 32) -> int:
+    """Optimal dominating set size: the sum of the component optima.
+
+    Raises TooLarge when g has more than ``cap`` vertices.
+    """
+    return sum(len(_optimum(masks, ub)) for _, masks, ub in _components(g, cap))
+
+
+def exact_mds(g: IntersectionGraph, cap: int = 32) -> DominatingSet:
+    """Minimum dominating set; deterministic lexicographically least optimum.
+
+    Each connected component is solved on its own masks: phase one finds an
+    optimum by branch and bound seeded with the greedy members in the
+    component, phase two turns it into the component's least optimum. Which
+    vertices of a component are kept depends on that component alone, so
+    the union is the least optimum of g.
+    Raises TooLarge when g has more than ``cap`` vertices.
+    """
+    members: list[int] = []
+    for verts, masks, ub in _components(g, cap):
+        members += (verts[i] for i in _least_optimum(masks, _optimum(masks, ub)))
+    return DominatingSet(tuple(members))

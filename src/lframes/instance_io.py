@@ -95,7 +95,8 @@ def parse_instance(text: str) -> GeomInstance:
             version_seen = True
             continue
 
-        if not in_records and keyword in _HEADER_KEYWORDS:
+        # a header keyword followed by four fields is a record with that id
+        if not in_records and keyword in _HEADER_KEYWORDS and len(rest) != 4:
             if keyword in seen:
                 raise ParseError(lineno, f"duplicate {keyword} declaration")
             if len(rest) != 1:

@@ -604,7 +604,7 @@ def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:
 
     Raises SourceTooLarge when either side is beyond exhaustive reach.
     """
-    g = build_intersection_graph(cert.instance)
+    frames = cert.instance.n
     if cert.kind in ("circle-diagonal", "circle-vertical"):
         cd = cert.source
         if cd.n > 12:
@@ -612,16 +612,16 @@ def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:
         src = exact_mds_size(circle_graph(cd))
     elif cert.kind == "sat":
         d = cert.source
-        if d.n_vars > 16 or g.n > 64:
+        if d.n_vars > 16 or frames > 64:
             raise SourceTooLarge(
-                f"{d.n_vars} variables / {g.n} frames is beyond exhaustive reach"
+                f"{d.n_vars} variables / {frames} frames is beyond exhaustive reach"
             )
         src = 1 if satisfiable(d) else 0
     elif cert.kind == "vc":
         n, es = cert.source
-        if n > 16 or g.n > 64:
+        if n > 16 or frames > 64:
             raise SourceTooLarge(
-                f"{n} vertices / {g.n} frames is beyond exhaustive reach"
+                f"{n} vertices / {frames} frames is beyond exhaustive reach"
             )
         src = _vertex_cover_size(n, es)
     elif cert.kind == "eds":
@@ -631,7 +631,7 @@ def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:
         src = _edge_dominating_size(es)
     else:
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
-    red = exact_mds_size(g, cap=max(32, g.n))
+    red = exact_mds_size(build_intersection_graph(cert.instance), cap=max(32, frames))
     if cert.kind == "sat":
         ok = red >= cert.offset and (red == cert.offset) == (src == 1)
     else:

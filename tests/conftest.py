@@ -15,7 +15,7 @@ from hypothesis import settings
 
 from lframes.epg import epg_intersect
 from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, lframe_intersect, rect_intersect
-from lframes.graph_core import IntersectionGraph, is_dominating
+from lframes.graph_core import IntersectionGraph, _min_ds, greedy_mds, is_dominating
 
 # CLI runs in a subprocess import the package from this checkout, as the
 # in-process tests do through the pytest ``pythonpath`` setting
@@ -56,6 +56,42 @@ def brute_is_dominating(n, edges, members):
     for v in members:
         cov |= masks[v]
     return cov == (1 << n) - 1
+
+
+def reference_exact_mds(g):
+    """Least optimum of g searched as one bitmask problem over all of g.
+
+    Phase one runs the library's branch and bound on the whole graph,
+    seeded with the greedy bound; phase two commits vertices in id order,
+    keeping a vertex exactly when some optimum extends the committed prefix
+    (a member of the last optimum found is kept without a search). It
+    shares ``_min_ds`` with the library, so it checks the split into
+    components, not the search itself, which brute force checks.
+    """
+    masks = [1 << v for v in range(g.n)]
+    for v, nbrs in enumerate(g.adjacency):
+        for u in nbrs:
+            masks[v] |= 1 << u
+    full = (1 << g.n) - 1
+    ub = greedy_mds(g).members
+    opt = _min_ds(masks, full, (), 0, len(ub)) or ub
+    m = len(opt)
+    chosen = []
+    excluded = 0
+    witness = set(opt)
+    for v in range(g.n):
+        if len(chosen) == m:
+            break
+        if v in witness:
+            chosen.append(v)
+            continue
+        sol = _min_ds(masks, full, chosen + [v], excluded, m + 1, target=m)
+        if sol is not None and len(sol) <= m:
+            chosen.append(v)
+            witness = set(sol)
+        else:
+            excluded |= 1 << v
+    return tuple(chosen)
 
 
 def reference_greedy(n, edges):

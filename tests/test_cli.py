@@ -137,6 +137,36 @@ def test_solve_builds_each_graph_once(tmp_path, monkeypatch, capsys):
         assert calls.count("two_line_vertex_order") == (algo == "permutation"), algo
 
 
+def test_oracle_over_cap_builds_no_graph(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "t.txt"
+    run_cli(["generate", "--family", "two-line", "--seed", "1", "--n", "40",
+             "--out", str(path)], capsys)
+    calls = []
+    build = cli.build_intersection_graph
+
+    def counting(inst):
+        calls.append(inst.n)
+        return build(inst)
+
+    monkeypatch.setattr(cli, "build_intersection_graph", counting)
+    code, out, err = run_cli(["solve", "--in", str(path), "--algo", "permutation",
+                              "--oracle"], capsys)
+    assert code == 0
+    assert "oracle_ratio" not in parse_report(out)
+    assert err.startswith("oracle skipped: n=40 exceeds cap 32\n")
+    assert calls == []
+
+
+def test_exact_solves_anchored_two_sided_2000_per_component(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    run_cli(["generate", "--family", "anchored-two-sided", "--seed", "1", "--n", "2000",
+             "--out", str(path)], capsys)
+    code, out, _ = run_cli(["solve", "--in", str(path), "--algo", "exact", "--cap", "2000"],
+                           capsys)
+    assert code == 0
+    assert parse_report(out)["size"] == "718"
+
+
 def test_solve_reads_stdin(monkeypatch, capsys):
     text = "version 1\nf1 0 0 3 3\nf2 1 -1 2 3\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

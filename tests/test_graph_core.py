@@ -6,9 +6,12 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import STAIR5_EDGES, brute_is_dominating, brute_mds_size
+from conftest import STAIR5_EDGES, brute_is_dominating, brute_mds_size, reference_exact_mds
 from lframes.errors import TooLarge
+from lframes.generators import gen_anchored_two_sided
 from lframes.geometry import GeomInstance, LFrame, Point, Rect
 from lframes import graph_core
 from lframes.graph_core import (
@@ -76,7 +79,8 @@ def test_exact_depth_is_not_bounded_by_recursion_limit():
 
 def test_exact_commits_witness_members_without_search(monkeypatch):
     # the phase-one optimum is the only one and holds every frame, so the
-    # lexicographic pass needs no search of its own
+    # lexicographic pass needs no search of its own: every search is a
+    # phase-one search, with no forced vertex
     frames = tuple(LFrame(f"f{i}", Point(3 * i, 0), 1, 1) for i in range(40))
     g = build_intersection_graph(GeomInstance(frames=frames))
     calls = []
@@ -88,7 +92,7 @@ def test_exact_commits_witness_members_without_search(monkeypatch):
 
     monkeypatch.setattr(graph_core, "_min_ds", counting)
     assert exact_mds(g, cap=40).members == tuple(range(40))
-    assert len(calls) == 1
+    assert calls and all(forced_in == () for _, _, forced_in, *_ in calls)
 
 
 def test_greedy_stair5(stair5):
@@ -150,6 +154,49 @@ def test_vertex_cap():
     with pytest.raises(TooLarge):
         exact_mds_size(g)
     assert exact_mds(g, cap=40).size == 33
+
+
+def test_vertex_cap_counts_every_component():
+    # 20 disjoint edges: 40 vertices in components of two
+    g = IntersectionGraph(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    with pytest.raises(TooLarge):
+        exact_mds(g, cap=39)
+    with pytest.raises(TooLarge):
+        exact_mds_size(g, cap=39)
+    assert exact_mds(g, cap=40).members == tuple(range(0, 40, 2))
+
+
+@st.composite
+def disjoint_unions(draw):
+    """A disjoint union of random graphs and isolated vertices, with the
+    vertex ids shuffled across the components."""
+    parts = draw(st.lists(st.integers(1, 7), max_size=4))
+    isolated = draw(st.integers(0, 3))
+    n = sum(parts) + isolated
+    ids = draw(st.permutations(range(n)))
+    edges, start = [], 0
+    for size in parts:
+        for i, j in itertools.combinations(range(size), 2):
+            if draw(st.booleans()):
+                edges.append((ids[start + i], ids[start + j]))
+        start += size
+    return IntersectionGraph(n, edges)
+
+
+@settings(max_examples=300)
+@given(disjoint_unions())
+def test_exact_per_component_matches_whole_graph_search(g):
+    ds = exact_mds(g)
+    assert ds.members == reference_exact_mds(g)
+    assert exact_mds_size(g) == ds.size
+
+
+def test_exact_anchored_two_sided_2000():
+    g = build_intersection_graph(gen_anchored_two_sided(1, 2000))
+    assert exact_mds_size(g, cap=2000) == 718
+    ds = exact_mds(g, cap=2000)
+    assert ds.size == 718
+    assert is_dominating(g, ds.members)
 
 
 def test_model_selects_predicate():

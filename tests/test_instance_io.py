@@ -47,12 +47,9 @@ def test_round_trip_rect_family():
     assert parse_instance(emit_instance(inst)) == inst
 
 
-# ids are single tokens; a header keyword as the first record's id would be
-# read as a header line, so those are left out
+# ids are single tokens, header keywords included
 ids = st.text(st.sampled_from(string.ascii_letters + string.digits + "_.-"),
-              min_size=1, max_size=6).filter(
-    lambda s: s not in ("model", "kind", "diagonal", "vline", "hline")
-)
+              min_size=1, max_size=6)
 big = st.integers(-(2**70), 2**70)
 
 
@@ -84,6 +81,28 @@ def test_round_trip_generated_instances(inst):
     text = emit_instance(inst)
     assert parse_instance(text) == inst
     assert emit_instance(parse_instance(text)) == text
+
+
+@pytest.mark.parametrize("record_id", ["kind", "vline"])
+def test_header_keyword_as_first_record_id(record_id):
+    frames = (LFrame(record_id, Point(0, 0), 3, 3), LFrame("f2", Point(1, 1), 2, 2))
+    inst = GeomInstance(frames=frames, diagonal=Diagonal(0), vline=5)
+    text = emit_instance(inst)
+    assert f"\n{record_id} 0 0 3 3\n" in text
+    assert parse_instance(text) == inst
+    rects = GeomInstance(rects=(Rect(record_id, Point(0, 0), Point(2, 2)),))
+    assert parse_instance(emit_instance(rects)) == rects
+
+
+@pytest.mark.parametrize("text, message", [
+    ("version 1\nkind frames rects\nf1 0 0 3 3\n", "line 2: kind takes one field"),
+    ("version 1\nkind frames\nkind rects\n", "line 3: duplicate kind declaration"),
+    ("version 1\nvline 0\nvline 1 2 3\n", "line 3: duplicate vline declaration"),
+    ("version 1\nvline 1 2\n", "line 2: vline takes one field"),
+])
+def test_header_errors_keep_their_messages(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_instance(text)
 
 
 def test_comments_and_blank_lines_ignored():

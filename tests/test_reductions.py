@@ -1,6 +1,7 @@
 """Gadget constructions: chord diagrams, monotone 3SAT, vertex cover, EDS."""
 
 import dataclasses
+import itertools
 import random
 import re
 
@@ -13,6 +14,7 @@ from conftest import (
 )
 from lframes.errors import InvalidDrawing, SourceTooLarge
 from lframes.geometry import GeomInstance, LFrame, Point, lframe_intersect
+from lframes import reductions
 from lframes.graph_core import build_intersection_graph, exact_mds_size
 from lframes.reductions import (
     ChordDiagram,
@@ -437,6 +439,23 @@ def test_source_too_large():
     inst, cert = vc_to_epg(17, [])
     with pytest.raises(SourceTooLarge):
         verify_equivalence(cert)
+
+
+def test_source_too_large_builds_no_graph(monkeypatch):
+    # the limits read the certificate, so a rejected source costs no graph
+    big = ChordDiagram(13, tuple(range(1, 14)) + tuple(range(1, 14)))
+    inst, cert = vc_to_epg(10, list(itertools.combinations(range(1, 11), 2)))
+    cases = [
+        (circle_certificate(big), "13 chords is beyond exhaustive reach"),
+        (vc_to_epg(17, [])[1], "17 vertices / 51 frames is beyond exhaustive reach"),
+        (cert, f"10 vertices / {inst.n} frames is beyond exhaustive reach"),
+    ]
+    built = []
+    monkeypatch.setattr(reductions, "build_intersection_graph", built.append)
+    for cert, message in cases:
+        with pytest.raises(SourceTooLarge, match=f"^{message}$"):
+            verify_equivalence(cert)
+    assert built == []
 
 
 def test_unknown_certificate_kind():
