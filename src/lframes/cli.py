@@ -164,9 +164,12 @@ def _cmd_solve(args) -> int:
     ratio = None
     if args.oracle:
         if inst.n <= args.oracle_cap:
-            if g is None:
-                g = build_intersection_graph(inst)
-            opt = exact_mds_size(g, cap=args.oracle_cap)
+            if args.algo == "exact":  # the members are an optimum already
+                opt = len(members)
+            else:
+                if g is None:
+                    g = build_intersection_graph(inst)
+                opt = exact_mds_size(g, cap=args.oracle_cap)
             ratio = 1.0 if opt == 0 else len(members) / opt
         else:
             print(f"oracle skipped: n={inst.n} exceeds cap {args.oracle_cap}",

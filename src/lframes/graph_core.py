@@ -17,30 +17,31 @@ Ottmann, in O((n + m) log n) time for n objects and m contacts:
   span contains its y_lo by a stabbing query on a segment tree.
 
 Coordinates are replaced by their ranks first, which keeps every
-comparison and admits integers of any size. Pairs found twice are merged
-when the graph is stored.
+comparison small; Python integers of any size rank alike. Each contact
+found is appended to the rows of both its vertices, and storing the graph
+sorts each row and merges pairs found twice.
 
-The graph is stored as CSR arrays: the sorted neighbors of v are
-``indices[indptr[v]:indptr[v + 1]]``. Greedy, the domination check and the
-reductions' gadget checks work on the arrays; local search and the exchange
-graph read the neighbor tuples (``adjacency``), derived on first use and
-cached. Only the exact solver turns neighborhoods into bitmasks, privately
-and per call. It finds the connected components by walking the CSR rows and
-runs branch and bound on each component's own masks, so the search is
-exponential in the size of a component, not of the graph; its vertex
-``cap`` still counts every vertex.
+The graph is stored as CSR arrays of the standard library's ``array``
+module: the sorted neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``,
+with 64-bit ``indptr`` and 32-bit ``indices``. Greedy, the domination
+check and the reductions' gadget checks work on the arrays; local search
+and the exchange graph read the neighbor tuples (``adjacency``), derived on
+first use and cached. Only the exact solver turns neighborhoods into
+bitmasks, privately and per call. It finds the connected components by
+walking the CSR rows and runs branch and bound on each component's own
+masks, so the search is exponential in the size of a component, not of the
+graph; its vertex ``cap`` still counts every vertex.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import TooLarge
 from .geometry import GeomInstance
@@ -63,40 +64,48 @@ class DominatingSet:
 class IntersectionGraph:
     """Static undirected graph held as CSR arrays.
 
-    ``edges`` is an iterable of vertex pairs or an integer array of shape
-    (m, 2); repeated pairs and either orientation are accepted.
+    ``edges`` is an iterable of vertex pairs; repeated pairs and either
+    orientation are accepted.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Optional[Sequence[str]] = None):
+        rows = [[] for _ in range(n)]
+        for u, v in edges:
+            if u == v:
+                raise ValueError("self-loops are not stored")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("edge endpoint out of range")
+            rows[u].append(v)
+            rows[v].append(u)
+        self._store(n, rows, labels)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: list, labels: Sequence[str]) -> IntersectionGraph:
+        """The graph in which v is adjacent to every vertex in ``rows[v]``;
+        each edge is listed in both its rows, in any order, possibly twice."""
+        g = cls.__new__(cls)
+        g._store(n, rows, labels)
+        return g
+
+    def _store(self, n: int, rows: list, labels: Optional[Sequence[str]]) -> None:
         self.n = n
         self.labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
         if len(self.labels) != n:
             raise ValueError("labels length must equal n")
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        u, v = pairs[:, 0], pairs[:, 1]
-        if (u == v).any():
-            raise ValueError("self-loops are not stored")
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-            raise ValueError("edge endpoint out of range")
-        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        # both orientations as source * n + target, sorted
-        both = np.sort(np.concatenate((keys, keys % n * n + keys // n)))
-        self.indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
-        self.indices = both % n
+        self.indptr, self.indices = array("q", [0]), array("i")
+        for row in rows:
+            self.indices.fromlist(sorted(set(row)))
+            self.indptr.append(len(self.indices))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuple per vertex."""
-        flat, ptr = self.indices.tolist(), self.indptr.tolist()
+        flat, ptr = self.indices.tolist(), self.indptr
         return tuple(tuple(flat[ptr[v]:ptr[v + 1]]) for v in range(self.n))
 
     def edge_set(self) -> frozenset:
-        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        keep = src < self.indices
-        return frozenset(zip(src[keep].tolist(), self.indices[keep].tolist()))
+        flat, ptr = self.indices.tolist(), self.indptr
+        return frozenset((v, u) for v in range(self.n) for u in flat[ptr[v]:ptr[v + 1]] if v < u)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntersectionGraph):
@@ -104,8 +113,8 @@ class IntersectionGraph:
         return (
             self.n == other.n
             and self.labels == other.labels
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
+            and self.indptr == other.indptr
+            and self.indices == other.indices
         )
 
     def __hash__(self):
@@ -115,129 +124,109 @@ class IntersectionGraph:
         return f"IntersectionGraph(n={self.n}, m={len(self.indices) // 2})"
 
 
-def _ranks(values: list) -> np.ndarray:
+def _ranks(values: list) -> list[int]:
     """Dense order-preserving ranks of integer coordinates."""
-    try:
-        arr = np.array(values, dtype=np.int64)
-    except OverflowError:  # beyond 64 bits: sort the Python ints themselves
-        arr = np.array(values, dtype=object)
-    order = np.argsort(arr, kind="stable")
-    ordered = arr[order]
-    ranks = np.empty(len(arr), dtype=np.int64)
-    ranks[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
-    return ranks
+    distinct = sorted(set(values))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return list(map(rank.__getitem__, values))
 
 
-def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of range(s, s + c) over the pairs (s, c)."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(starts - ends + counts, counts) + np.arange(total)
+def _link(rows: list, i: int, found: list) -> None:
+    """Record the contacts of i with the vertices in ``found`` in both rows."""
+    rows[i] += found
+    for j in found:
+        rows[j].append(i)
 
 
-class _Hits:
-    """Contacts found by a sweep: found items, and per query its id and count."""
-
-    def __init__(self):
-        self.found, self.who, self.count = array("q"), array("q"), array("q")
-
-    def add(self, i: int, items: list) -> None:
-        if items:
-            self.found.extend(items)
-            self.who.append(i)
-            self.count.append(len(items))
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        found = np.frombuffer(self.found, dtype=np.int64)
-        who = np.frombuffer(self.who, dtype=np.int64)
-        return found, np.repeat(who, np.frombuffer(self.count, dtype=np.int64))
-
-
-def _collinear_pairs(line, lo, hi, strict: bool):
-    """Pairs of arms on a common line whose closed spans meet.
+def _collinear_contacts(line, lo, hi, strict: bool, rows: list) -> None:
+    """Arms on a common line whose closed spans meet.
 
     ``strict`` asks for a shared length of at least one (ranks of integers
     keep strict order) instead of a shared point. In (line, lo) order, arm a
     meets exactly the later arms b of its line with lo[b] <= hi[a], or
-    lo[b] < hi[a] when strict: one run of positions.
+    lo[b] < hi[a] when strict: one run of positions. Lines holding a single
+    arm are skipped.
     """
-    width = int(hi.max()) + 1
-    key = line * width + lo
-    order = np.argsort(key, kind="stable")
-    reach = (line * width + hi - strict)[order]
-    first = np.arange(1, len(order) + 1)
-    counts = np.searchsorted(key[order], reach, side="right") - first
-    return np.repeat(order, counts), order[_runs(first, counts)]
+    width = max(hi) + 1
+    count = Counter(line)
+    keyed = sorted((w * width + lo[a], a) for a, w in enumerate(line) if count[w] > 1)
+    starts = [k for k, _ in keyed]
+    order = [a for _, a in keyed]
+    for p, (k, a) in enumerate(keyed, 1):
+        end = bisect_right(starts, k - lo[a] + hi[a] - strict, p)
+        if end > p:
+            _link(rows, a, order[p:end])
 
 
-def _crossing_pairs(hy, hx0, hx1, vx, vy0, vy1):
+def _crossing_contacts(hy, hx0, hx1, vx, vy0, vy1, rows: list) -> None:
     """(horizontal arm, vertical arm) pairs that share a point, own corners excluded.
 
     Sweep over x. At equal x, arms start before vertical arms query and
     queries come before arms end, because the segments are closed. Live
-    arms are kept as sorted keys y * n + id.
+    arms are kept as sorted keys y * n + id, their ids alongside, so a
+    query's contacts are one slice.
     """
     n = len(hy)
-    order = np.argsort(np.concatenate((hx0, vx, hx1)), kind="stable")
-    hkey = (hy * n + np.arange(n)).tolist()
-    qlo, qhi = (vy0 * n).tolist(), ((vy1 + 1) * n).tolist()
-    live: list[int] = []
-    hits = _Hits()
-    for e in order.tolist():
-        kind, i = divmod(e, n)
-        if kind == 0:
-            k = hkey[i]
-            live.insert(bisect_left(live, k), k)
-        elif kind == 1:
-            hits.add(i, live[bisect_left(live, qlo[i]):bisect_left(live, qhi[i])])
+    key = [y * n + i for i, y in enumerate(hy)]
+    below = [y * n for y in vy0]
+    above = [y * n + n for y in vy1]
+    at = hx0 + vx + hx1
+    live, ids = [], []
+    for e in sorted(range(3 * n), key=at.__getitem__):
+        if e < n:
+            p = bisect_left(live, key[e])
+            live.insert(p, key[e])
+            ids.insert(p, e)
+        elif e < 2 * n:
+            i = e - n
+            found = ids[bisect_left(live, below[i]):bisect_left(live, above[i])]
+            if len(found) > 1:
+                found.remove(i)  # the frame's own horizontal arm meets it at the corner
+                _link(rows, i, found)
         else:
-            del live[bisect_left(live, hkey[i])]
-    keys, v = hits.pairs()
-    h = keys % n
-    keep = h != v
-    return h[keep], v[keep]
+            p = bisect_left(live, key[e - 2 * n])
+            del live[p], ids[p]
 
 
-def _frame_pairs(frames, strict: bool) -> list:
+def _frame_contacts(frames, strict: bool, rows: list) -> None:
     n = len(frames)
     xr = _ranks([f.corner.x for f in frames] + [f.corner.x + f.hspan for f in frames])
     yr = _ranks([f.corner.y for f in frames] + [f.corner.y + f.vspan for f in frames])
-    hy, hx0, hx1 = yr[:n], np.minimum(xr[:n], xr[n:]), np.maximum(xr[:n], xr[n:])
-    vx, vy0, vy1 = xr[:n], np.minimum(yr[:n], yr[n:]), np.maximum(yr[:n], yr[n:])
-    pairs = [_collinear_pairs(hy, hx0, hx1, strict), _collinear_pairs(vx, vy0, vy1, strict)]
+    hy, hx0, hx1 = yr[:n], list(map(min, xr[:n], xr[n:])), list(map(max, xr[:n], xr[n:]))
+    vx, vy0, vy1 = xr[:n], list(map(min, yr[:n], yr[n:])), list(map(max, yr[:n], yr[n:]))
+    _collinear_contacts(hy, hx0, hx1, strict, rows)
+    _collinear_contacts(vx, vy0, vy1, strict, rows)
     if not strict:
-        pairs.append(_crossing_pairs(hy, hx0, hx1, vx, vy0, vy1))
-    return pairs
+        _crossing_contacts(hy, hx0, hx1, vx, vy0, vy1, rows)
 
 
-def _rect_pairs(rects) -> list:
-    """Pairs of closed rectangles that share a point.
+def _rect_contacts(rects, rows: list) -> None:
+    """Closed rectangles that share a point.
 
     Sweep over x, starts before ends at equal x. A starting rectangle b
     meets the live rectangles a with lo_a.y in (lo_b.y, hi_b.y] (a slice
-    of the live bottoms, kept as sorted keys y * n + id) and those with
-    lo_a.y <= lo_b.y <= hi_a.y (a stabbing query on a segment tree over
-    the y ranks, O(log n + output); entries of ended rectangles are
-    dropped when a query passes them).
+    of the live bottoms, kept as sorted keys y * n + id with the ids
+    alongside) and those with lo_a.y <= lo_b.y <= hi_a.y (a stabbing query
+    on a segment tree over the y ranks, O(log n + output); entries of ended
+    rectangles are dropped when a query passes them).
     """
     n = len(rects)
     xr = _ranks([r.lo.x for r in rects] + [r.hi.x for r in rects])
     yr = _ranks([r.lo.y for r in rects] + [r.hi.y for r in rects])
-    y0, y1 = yr[:n].tolist(), yr[n:].tolist()
-    size = 1 << int(yr.max()).bit_length()
+    y0, y1 = yr[:n], yr[n:]
+    size = 1 << max(yr).bit_length()
     tree: dict[int, list] = {}
     alive = bytearray(n)
-    live: list[int] = []
-    sliced, stabbed = _Hits(), _Hits()
-    for e in np.argsort(xr, kind="stable").tolist():
+    live, ids = [], []
+    for e in sorted(range(2 * n), key=xr.__getitem__):
         if e >= n:
             i = e - n
             alive[i] = 0
-            del live[bisect_left(live, y0[i] * n + i)]
+            p = bisect_left(live, y0[i] * n + i)
+            del live[p], ids[p]
             continue
         i = e
-        sliced.add(i, live[bisect_left(live, (y0[i] + 1) * n):bisect_left(live, (y1[i] + 1) * n)])
-        found = []
+        found = ids[bisect_left(live, (y0[i] + 1) * n):bisect_left(live, (y1[i] + 1) * n)]
         p = y0[i] + size
         while p:
             node = tree.get(p)
@@ -247,10 +236,12 @@ def _rect_pairs(rects) -> list:
                     tree[p] = kept
                 found += kept
             p >>= 1
-        stabbed.add(i, found)
+        _link(rows, i, found)
         alive[i] = 1
         k = y0[i] * n + i
-        live.insert(bisect_left(live, k), k)
+        p = bisect_left(live, k)
+        live.insert(p, k)
+        ids.insert(p, i)
         lo, hi = y0[i] + size, y1[i] + size + 1
         while lo < hi:
             if lo & 1:
@@ -261,31 +252,28 @@ def _rect_pairs(rects) -> list:
                 tree.setdefault(hi, []).append(i)
             lo >>= 1
             hi >>= 1
-    keys, b = sliced.pairs()
-    return [(keys % n, b), stabbed.pairs()]
 
 
 def build_intersection_graph(inst: GeomInstance) -> IntersectionGraph:
     """Intersection graph of the instance under its model, by sweeping."""
     objs = inst.objects
-    labels = [o.id for o in objs]
-    if not objs:
-        return IntersectionGraph(0, [], labels)
+    rows = [[] for _ in objs]
     if inst.frames:
-        pairs = _frame_pairs(inst.frames, strict=inst.model == "edge")
-    else:
-        pairs = _rect_pairs(inst.rects)
-    edges = np.column_stack([np.concatenate(side) for side in zip(*pairs)])
-    return IntersectionGraph(len(objs), edges, labels)
+        _frame_contacts(inst.frames, inst.model == "edge", rows)
+    elif objs:
+        _rect_contacts(inst.rects, rows)
+    return IntersectionGraph._from_rows(len(objs), rows, [o.id for o in objs])
 
 
 def is_dominating(g: IntersectionGraph, members: Iterable[int]) -> bool:
     """True iff the closed neighborhoods of ``members`` cover every vertex."""
-    covered = np.zeros(g.n, dtype=bool)
+    indptr, indices = g.indptr, g.indices
+    covered = bytearray(g.n)
     for v in members:
-        covered[v] = True
-        covered[g.indices[g.indptr[v]:g.indptr[v + 1]]] = True
-    return bool(covered.all())
+        covered[v] = 1
+        for u in indices[indptr[v]:indptr[v + 1]]:
+            covered[u] = 1
+    return all(covered)
 
 
 def greedy_mds(g: IntersectionGraph) -> DominatingSet:
@@ -298,27 +286,27 @@ def greedy_mds(g: IntersectionGraph) -> DominatingSet:
     the rule's choice, and a stale one is pushed back with its gain.
     """
     indptr, indices = g.indptr, g.indices
-    degree = np.diff(indptr)
-    gain = degree + 1
-    queue = list(zip((-gain).tolist(), range(g.n)))
+    gain = [indptr[v + 1] - indptr[v] + 1 for v in range(g.n)]
+    queue = [(-c, v) for v, c in enumerate(gain)]
     heapify(queue)
-    covered = np.zeros(g.n, dtype=bool)
+    covered = bytearray(g.n)
     left = g.n
     chosen = []
     while left:
         c, v = heappop(queue)
         if -c != gain[v]:
-            heappush(queue, (-int(gain[v]), v))
+            heappush(queue, (-gain[v], v))
             continue
         chosen.append(v)
-        nbrs = indices[indptr[v]:indptr[v + 1]]
-        new = nbrs[~covered[nbrs]]
+        new = [u for u in indices[indptr[v]:indptr[v + 1]] if not covered[u]]
         if not covered[v]:
-            new = np.append(new, v)
-        covered[new] = True
+            new.append(v)
         left -= len(new)
-        gain[new] -= 1
-        np.subtract.at(gain, indices[_runs(indptr[new], degree[new])], 1)
+        for w in new:
+            covered[w] = 1
+            gain[w] -= 1
+            for u in indices[indptr[w]:indptr[w + 1]]:
+                gain[u] -= 1
     return DominatingSet(tuple(chosen))
 
 

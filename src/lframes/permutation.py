@@ -28,8 +28,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateOrder, NotTwoLineCrossing
 from .geometry import GeomInstance
 from .graph_core import DominatingSet
@@ -227,6 +225,11 @@ def _scan(pi) -> list:
     indices stay as they are, every state skipping, so a parent row is kept
     per event only.
     """
+    # numpy is loaded here, not at module level: the vectorised search for
+    # the next event is the one place it pays for its import, and every
+    # other command that loads this module then starts without it
+    import numpy as np
+
     n = len(pi)
     big, inff, huge = n + 1, n + 2, n + 3
     values = np.asarray(pi, dtype=np.int64)

@@ -99,6 +99,24 @@ def test_solve_with_oracle(tmp_path, capsys):
     assert parse_report(out)["oracle_ratio"] == "1.000000"
 
 
+def test_exact_oracle_reuses_the_optimum(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.txt"
+    run_cli(["generate", "--family", "anchored-two-sided", "--seed", "2", "--n", "12",
+             "--out", str(path)], capsys)
+    args = ["solve", "--in", str(path), "--algo", "exact", "--oracle"]
+    _, plain, _ = run_cli(args[:-1], capsys)
+
+    def second_solve(*args, **kwargs):
+        raise AssertionError("the exact members are solved again")
+
+    monkeypatch.setattr(cli, "exact_mds_size", second_solve)
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    fields = parse_report(out)
+    assert fields.pop("oracle_ratio") == "1.000000"
+    assert fields == parse_report(plain)
+
+
 def test_solve_report_bytes(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("version 1\n"))
     code, out, _ = run_cli(
@@ -363,3 +381,26 @@ def test_subprocess_runs_match(tmp_path):
     sb = run_proc(["render", "--in", str(path), "--algo", "two-sided"])
     assert sa.returncode == sb.returncode == 0
     assert sa.stdout == sb.stdout
+
+
+def test_graph_solvers_start_without_numpy():
+    # the graph commands import no numpy; only the permutation scan loads it
+    script = (
+        "import sys\n"
+        "import lframes.cli\n"
+        "from lframes.generators import gen_anchored_one_sided, gen_anchored_two_sided,"
+        " reduction_certificate\n"
+        "from lframes.graph_core import build_intersection_graph, exact_mds, greedy_mds\n"
+        "from lframes.local_search import LocalSearchConfig, approx_two_sided, local_search_mds\n"
+        "from lframes.reductions import verify_equivalence\n"
+        "g = build_intersection_graph(gen_anchored_one_sided(1, 20))\n"
+        "greedy_mds(g)\n"
+        "exact_mds(g)\n"
+        "local_search_mds(g, LocalSearchConfig(k=2))\n"
+        "approx_two_sided(gen_anchored_two_sided(1, 20), 2)\n"
+        "assert verify_equivalence(reduction_certificate('vc', 1, 6)).ok\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

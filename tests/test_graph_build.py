@@ -76,6 +76,8 @@ def test_every_family_matches_predicates(family):
         g = build_intersection_graph(inst)
         assert g.edge_set() == pairwise_edges(inst), (family, seed, n)
         assert g.labels == tuple(o.id for o in inst.objects)
+        # both CSR orientations, each pair once per row
+        assert g == IntersectionGraph(g.n, pairwise_edges(inst), g.labels), (family, seed, n)
 
 
 @PROPERTY
@@ -104,9 +106,21 @@ def test_greedy_derives_no_masks():
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^self-loops are not stored$"):
         IntersectionGraph(3, [(1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^edge endpoint out of range$"):
         IntersectionGraph(3, [(0, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^edge endpoint out of range$"):
         IntersectionGraph(3, [(-1, 2)])
+    with pytest.raises(ValueError, match="^labels length must equal n$"):
+        IntersectionGraph(3, [(0, 1)], ["a", "b"])
+
+
+def test_graph_merges_pairs_into_csr_arrays():
+    g = IntersectionGraph(4, [(2, 0), (0, 2), (0, 2), (3, 0), (1, 3), (3, 1)])
+    assert g.edge_set() == {(0, 2), (0, 3), (1, 3)}
+    assert list(g.indptr) == [0, 2, 3, 4, 6]
+    assert list(g.indices) == [2, 3, 3, 0, 0, 1]
+    assert (g.indptr.typecode, g.indices.typecode) == ("q", "i")
+    built = build_intersection_graph(gen_anchored_one_sided(1, 30))
+    assert (built.indptr.typecode, built.indices.typecode) == ("q", "i")
