@@ -16,6 +16,7 @@ from .errors import (
 )
 from .geometry import (
     Diagonal,
+    FrameColumns,
     GeomInstance,
     LFrame,
     Point,

@@ -42,6 +42,12 @@ def _positive(text: str) -> int:
     return value
 
 
+def _add_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cap", type=_positive, default=32,
+                   help="vertex limit for the exact solver, counting every "
+                        "vertex (it solves each connected component on its own)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lframes",
@@ -62,9 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive, default=2)
     p.add_argument("--model", choices=("standard", "edge"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--cap", type=_positive, default=32,
-                   help="vertex limit for the exact solver, counting every "
-                        "vertex (it solves each connected component on its own)")
+    _add_cap(p)
     p.add_argument("--oracle", action="store_true",
                    help="attach the optimal size ratio when n is small enough")
     p.add_argument("--oracle-cap", type=_positive, default=32)
@@ -75,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=_positive, default=5)
     p.add_argument("--k", type=_positive, default=2)
+    _add_cap(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="draw an instance as SVG")
@@ -84,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive, default=2)
     p.add_argument("--exchange", action="store_true",
                    help="overlay exchange arcs between local search and exact")
+    _add_cap(p)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_render)
 
@@ -131,13 +137,13 @@ def _solve(inst: GeomInstance, algo: str, k: int, cap: int = 32):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _exchange(inst: GeomInstance, k: int):
+def _exchange(inst: GeomInstance, k: int, cap: int):
     """Local search against exact on one graph, and the exchange drawing
     between their symmetric differences; returns (g, local-search members,
     exchange graph, drawing)."""
     g = build_intersection_graph(inst)
     b_all = local_search_mds(g, LocalSearchConfig(k=k)).members
-    r_all = exact_mds(g).members
+    r_all = exact_mds(g, cap=cap).members
     b_only = sorted(set(b_all) - set(r_all))
     r_only = sorted(set(r_all) - set(b_all))
     h = build_exchange_graph(inst, b_only, r_only)
@@ -180,7 +186,7 @@ def _cmd_solve(args) -> int:
         "instance": instance_summary(inst),
         "n": str(inst.n),
         "size": str(len(members)),
-        "members": " ".join(inst.objects[i].id for i in members) or "-",
+        "members": " ".join(map(inst.ids.__getitem__, members)) or "-",
     }
     if args.algo in ("local-search", "two-sided"):
         fields["k"] = str(args.k)
@@ -197,7 +203,7 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.kind == "exchange":
         inst = gen_anchored_one_sided(args.seed, args.n)
-        g, _, h, drawing = _exchange(inst, args.k)
+        g, _, h, drawing = _exchange(inst, args.k, args.cap)
         crossings = count_crossings(drawing)
         m, total = len(h.arcs), len(h.B) + len(h.R)
         planar_ok = total < 3 or m <= 2 * total - 4
@@ -232,9 +238,9 @@ def _cmd_render(args) -> int:
     solution = None
     arcs = None
     if args.algo is not None:
-        solution = _solve(inst, args.algo, args.k)[0]
+        solution = _solve(inst, args.algo, args.k, args.cap)[0]
     if args.exchange:
-        _, b_all, _, arcs = _exchange(inst, args.k)
+        _, b_all, _, arcs = _exchange(inst, args.k, args.cap)
         if solution is None:
             solution = b_all
     _write_text(args.out, render_svg(inst, solution, arcs))

@@ -13,7 +13,7 @@ import random
 from itertools import combinations
 from typing import Callable
 
-from .geometry import Diagonal, GeomInstance, LFrame, Point, Rect
+from .geometry import Diagonal, FrameColumns, GeomInstance, Point, Rect
 from .reductions import (
     ChordDiagram,
     ReductionCertificate,
@@ -25,6 +25,10 @@ from .reductions import (
 )
 
 _ARM_MAX = 12
+
+
+def _frame_ids(n: int) -> list[str]:
+    return [f"f{i}" for i in range(1, n + 1)]
 
 
 def _anchor_xs(rng: random.Random, count: int, d: int) -> list[int]:
@@ -40,12 +44,13 @@ def gen_anchored_one_sided(seed: int, n: int, side: str = "above") -> GeomInstan
     rng = random.Random(seed)
     d = max(2 * n, 12)
     sgn = 1 if side == "above" else -1
-    frames = []
-    for i, x in enumerate(_anchor_xs(rng, n, d)):
-        h = sgn * rng.randint(1, _ARM_MAX)
-        v = sgn * rng.randint(1, _ARM_MAX)
-        frames.append(LFrame(f"f{i + 1}", Point(x, d - x), h, v))
-    return GeomInstance(frames=tuple(frames), diagonal=Diagonal(d))
+    xs = _anchor_xs(rng, n, d)
+    hs, vs = [], []
+    for _ in xs:
+        hs.append(sgn * rng.randint(1, _ARM_MAX))
+        vs.append(sgn * rng.randint(1, _ARM_MAX))
+    frames = FrameColumns(_frame_ids(n), xs, [d - x for x in xs], hs, vs)
+    return GeomInstance(frames=frames, diagonal=Diagonal(d))
 
 
 def _two_sided_anchors(rng: random.Random, n: int, d: int) -> list[tuple[bool, int]]:
@@ -72,13 +77,15 @@ def gen_anchored_two_sided(seed: int, n: int) -> GeomInstance:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     d = max(2 * n, 12)
-    frames = []
-    for i, (up, x) in enumerate(_two_sided_anchors(rng, n, d)):
+    anchors = _two_sided_anchors(rng, n, d)
+    xs = [x for _, x in anchors]
+    hs, vs = [], []
+    for up, _ in anchors:
         sgn = 1 if up else -1
-        h = sgn * rng.randint(1, _ARM_MAX)
-        v = sgn * rng.randint(1, _ARM_MAX)
-        frames.append(LFrame(f"f{i + 1}", Point(x, d - x), h, v))
-    return GeomInstance(frames=tuple(frames), diagonal=Diagonal(d))
+        hs.append(sgn * rng.randint(1, _ARM_MAX))
+        vs.append(sgn * rng.randint(1, _ARM_MAX))
+    frames = FrameColumns(_frame_ids(n), xs, [d - x for x in xs], hs, vs)
+    return GeomInstance(frames=frames, diagonal=Diagonal(d))
 
 
 def gen_anchored_rects(seed: int, n: int) -> GeomInstance:
@@ -148,13 +155,11 @@ def gen_two_line(seed: int, n: int) -> GeomInstance:
     span = n + 5
     cxs = rng.sample(range(-span, 0), n)
     cys = rng.sample(range(1, span + 1), n)
-    frames = []
-    for i in range(n):
-        cx, cy = cxs[i], cys[i]
-        h = -cx + rng.randint(0, 6)
-        v = -cy - rng.randint(0, 6)
-        frames.append(LFrame(f"f{i + 1}", Point(cx, cy), h, v))
-    return GeomInstance(frames=tuple(frames), vline=0, hline=0)
+    hs, vs = [], []
+    for cx, cy in zip(cxs, cys):
+        hs.append(-cx + rng.randint(0, 6))
+        vs.append(-cy - rng.randint(0, 6))
+    return GeomInstance(frames=FrameColumns(_frame_ids(n), cxs, cys, hs, vs), vline=0, hline=0)
 
 
 def reduction_certificate(kind: str, seed: int, n: int) -> ReductionCertificate:

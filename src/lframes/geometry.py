@@ -6,6 +6,7 @@ floating point anywhere; distance comparisons use squared distances.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -15,6 +16,12 @@ from .errors import NotAnchored
 class Point(NamedTuple):
     x: int
     y: int
+
+
+def check_spans(fid: str, hspan: int, vspan: int) -> None:
+    """Raise ValueError unless both arms of frame ``fid`` have nonzero length."""
+    if hspan == 0 or vspan == 0:
+        raise ValueError(f"frame {fid!r}: spans must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -33,8 +40,7 @@ class LFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "corner", Point(*self.corner))
-        if self.hspan == 0 or self.vspan == 0:
-            raise ValueError(f"frame {self.id!r}: spans must be nonzero")
+        check_spans(self.id, self.hspan, self.vspan)
 
     def hseg(self) -> tuple[int, int, int]:
         """Horizontal arm as (y, x_lo, x_hi) with x_lo <= x_hi."""
@@ -55,6 +61,71 @@ class LFrame:
     def vhand(self) -> Point:
         """Free endpoint of the vertical arm."""
         return Point(self.corner.x, self.corner.y + self.vspan)
+
+
+class FrameColumns(Sequence):
+    """A read-only sequence of L-frames stored as five parallel columns.
+
+    ``ids`` holds the frame ids, ``x`` and ``y`` the corners, ``hspan`` and
+    ``vspan`` the signed arm lengths, each a tuple of Python ints, so
+    coordinates of any size work. Code on hot paths reads the columns;
+    indexing or iterating builds the ``LFrame`` objects, once, on first
+    use. Two sequences are equal when they hold equal frames in the same
+    order, whether columns or a tuple of ``LFrame``.
+    """
+
+    __slots__ = ("ids", "x", "y", "hspan", "vspan", "_frames")
+
+    def __init__(self, ids, x, y, hspan, vspan):
+        self.ids, self.x, self.y, self.hspan, self.vspan = map(tuple, (ids, x, y, hspan, vspan))
+        if len({len(self.ids), len(self.x), len(self.y), len(self.hspan), len(self.vspan)}) > 1:
+            raise ValueError("frame columns differ in length")
+        if 0 in self.hspan or 0 in self.vspan:
+            for fid, h, v in zip(self.ids, self.hspan, self.vspan):
+                check_spans(fid, h, v)
+        self._frames = None
+
+    @classmethod
+    def of(cls, frames: Iterable[LFrame]) -> FrameColumns:
+        """Columns of the given frames, which are kept as the built objects."""
+        frames = tuple(frames)
+        cols = cls(
+            [f.id for f in frames],
+            [f.corner.x for f in frames],
+            [f.corner.y for f in frames],
+            [f.hspan for f in frames],
+            [f.vspan for f in frames],
+        )
+        cols._frames = frames
+        return cols
+
+    def _built(self) -> tuple[LFrame, ...]:
+        if self._frames is None:
+            self._frames = tuple(map(LFrame, self.ids, map(Point, self.x, self.y), self.hspan, self.vspan))
+        return self._frames
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FrameColumns):
+            return (self.ids, self.x, self.y, self.hspan, self.vspan) == (
+                other.ids, other.x, other.y, other.hspan, other.vspan)
+        if isinstance(other, tuple):
+            return self._built() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._built())
+
+    def __repr__(self):
+        return f"FrameColumns({self._built()!r})"
 
 
 @dataclass(frozen=True)
@@ -89,9 +160,14 @@ class GeomInstance:
     ``model`` selects the adjacency predicate: "standard" means nonempty
     point intersection, "edge" means sharing a unit grid edge. Frames and
     rectangles are mutually exclusive.
+
+    Frames are held as integer columns (``FrameColumns``): ``frames`` may
+    be given as columns or as any iterable of ``LFrame``, and reads back as
+    a read-only sequence of ``LFrame`` built from the columns at most once.
+    Rectangles are held as a tuple of ``Rect``.
     """
 
-    frames: tuple[LFrame, ...] = ()
+    frames: Sequence[LFrame] = ()
     rects: tuple[Rect, ...] = ()
     model: str = "standard"
     diagonal: Optional[Diagonal] = None
@@ -99,7 +175,8 @@ class GeomInstance:
     hline: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        if not isinstance(self.frames, FrameColumns):
+            object.__setattr__(self, "frames", FrameColumns.of(self.frames))
         object.__setattr__(self, "rects", tuple(self.rects))
         if self.frames and self.rects:
             raise ValueError("frames and rects are mutually exclusive")
@@ -107,13 +184,18 @@ class GeomInstance:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "edge" and self.rects:
             raise ValueError("edge model is defined for frames only")
-        ids = [o.id for o in self.objects]
+        ids = self.ids
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")
 
     @property
-    def objects(self) -> tuple:
+    def objects(self) -> Sequence:
         return self.frames if self.frames else self.rects
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Object ids in instance order."""
+        return self.frames.ids if self.frames else tuple(r.id for r in self.rects)
 
     @property
     def n(self) -> int:

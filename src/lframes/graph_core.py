@@ -41,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import TooLarge
@@ -188,10 +189,11 @@ def _crossing_contacts(hy, hx0, hx1, vx, vy0, vy1, rows: list) -> None:
             del live[p], ids[p]
 
 
-def _frame_contacts(frames, strict: bool, rows: list) -> None:
-    n = len(frames)
-    xr = _ranks([f.corner.x for f in frames] + [f.corner.x + f.hspan for f in frames])
-    yr = _ranks([f.corner.y for f in frames] + [f.corner.y + f.vspan for f in frames])
+def _frame_contacts(x, y, hspan, vspan, strict: bool, rows: list) -> None:
+    """Contacts between frames given as corner and span columns."""
+    n = len(x)
+    xr = _ranks([*x, *map(add, x, hspan)])
+    yr = _ranks([*y, *map(add, y, vspan)])
     hy, hx0, hx1 = yr[:n], list(map(min, xr[:n], xr[n:])), list(map(max, xr[:n], xr[n:]))
     vx, vy0, vy1 = xr[:n], list(map(min, yr[:n], yr[n:])), list(map(max, yr[:n], yr[n:]))
     _collinear_contacts(hy, hx0, hx1, strict, rows)
@@ -256,13 +258,13 @@ def _rect_contacts(rects, rows: list) -> None:
 
 def build_intersection_graph(inst: GeomInstance) -> IntersectionGraph:
     """Intersection graph of the instance under its model, by sweeping."""
-    objs = inst.objects
-    rows = [[] for _ in objs]
-    if inst.frames:
-        _frame_contacts(inst.frames, inst.model == "edge", rows)
-    elif objs:
+    fr = inst.frames
+    rows = [[] for _ in range(inst.n)]
+    if fr:
+        _frame_contacts(fr.x, fr.y, fr.hspan, fr.vspan, inst.model == "edge", rows)
+    elif inst.rects:
         _rect_contacts(inst.rects, rows)
-    return IntersectionGraph._from_rows(len(objs), rows, [o.id for o in objs])
+    return IntersectionGraph._from_rows(inst.n, rows, inst.ids)
 
 
 def is_dominating(g: IntersectionGraph, members: Iterable[int]) -> bool:

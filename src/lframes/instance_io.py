@@ -14,6 +14,11 @@ for frames or ``id lo-x lo-y hi-x hi-y`` for rectangles:
 
 ``parse_instance(emit_instance(inst))`` reproduces ``inst`` exactly.
 
+Frame records are read in one pass into the integer columns of
+``FrameColumns`` and written back from them, so neither direction builds
+an ``LFrame`` object. Records are checked in file order, so the error
+reported is the one on the earliest bad line.
+
 Reports are one ``key value`` line per field, keys sorted
 (``format_fields``).
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import ParseError, ValidationError
-from .geometry import Diagonal, GeomInstance, LFrame, Point, Rect
+from .geometry import Diagonal, FrameColumns, GeomInstance, Point, Rect, check_spans
 
 FORMAT_VERSION = 1
 
@@ -44,8 +49,8 @@ def emit_instance(inst: GeomInstance) -> str:
         lines.append(f"vline {inst.vline}")
     if inst.hline is not None:
         lines.append(f"hline {inst.hline}")
-    for f in inst.frames:
-        lines.append(f"{f.id} {f.corner.x} {f.corner.y} {f.hspan} {f.vspan}")
+    fr = inst.frames
+    lines += map("{} {} {} {} {}".format, fr.ids, fr.x, fr.y, fr.hspan, fr.vspan)
     for r in inst.rects:
         lines.append(f"{r.id} {r.lo.x} {r.lo.y} {r.hi.x} {r.hi.y}")
     return "\n".join(lines) + "\n"
@@ -73,16 +78,19 @@ def parse_instance(text: str) -> GeomInstance:
     vline: Optional[int] = None
     hline: Optional[int] = None
     seen: set[str] = set()
-    frames: list[LFrame] = []
+    ids: list[str] = []
+    xs: list[int] = []
+    ys: list[int] = []
+    hspans: list[int] = []
+    vspans: list[int] = []
     rects: list[Rect] = []
     version_seen = False
     in_records = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         keyword, rest = tokens[0], tokens[1:]
 
         if not version_seen:
@@ -121,10 +129,18 @@ def parse_instance(text: str) -> GeomInstance:
         in_records = True
         if len(rest) != 4:
             raise ParseError(lineno, "record takes an id and four integers")
-        a, b, c, d = _ints(rest, lineno)
+        try:
+            a, b, c, d = map(int, rest)
+        except ValueError:
+            a, b, c, d = _ints(rest, lineno)  # raises, naming the first bad field
         try:
             if kind == "frames":
-                frames.append(LFrame(keyword, Point(a, b), c, d))
+                check_spans(keyword, c, d)
+                ids.append(keyword)
+                xs.append(a)
+                ys.append(b)
+                hspans.append(c)
+                vspans.append(d)
             else:
                 rects.append(Rect(keyword, Point(a, b), Point(c, d)))
         except ValueError as e:
@@ -134,8 +150,8 @@ def parse_instance(text: str) -> GeomInstance:
         raise ParseError(1, "empty file, expected a version line")
     try:
         return GeomInstance(
-            frames=tuple(frames),
-            rects=tuple(rects),
+            frames=FrameColumns(ids, xs, ys, hspans, vspans),
+            rects=rects,
             model=model,
             diagonal=None if diagonal is None else Diagonal(diagonal),
             vline=vline,

@@ -26,7 +26,10 @@ about 2 sqrt(n). Worst-case width is Theta(n) on adversarial inputs.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from operator import add
+from typing import Optional
 
 from .errors import DegenerateOrder, NotTwoLineCrossing
 from .geometry import GeomInstance
@@ -40,13 +43,25 @@ class Permutation:
     pi: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", tuple(int(x) for x in self.pi))
-        if sorted(self.pi) != list(range(1, len(self.pi) + 1)):
-            raise ValueError("pi is not a bijection on 1..n")
+        pi = tuple(map(int, self.pi))
+        object.__setattr__(self, "pi", pi)
+        n = len(pi)
+        seen = bytearray(n + 1)
+        for v in pi:
+            if not 0 < v <= n or seen[v]:
+                raise ValueError("pi is not a bijection on 1..n")
+            seen[v] = 1
 
     @property
     def n(self) -> int:
         return len(self.pi)
+
+
+def _smallest_tie(col) -> Optional[int]:
+    """The smallest value occurring more than once in ``col``, or None."""
+    if len(set(col)) == len(col):
+        return None
+    return min(v for v, k in Counter(col).items() if k > 1)
 
 
 def two_line_vertex_order(inst: GeomInstance) -> tuple:
@@ -54,7 +69,9 @@ def two_line_vertex_order(inst: GeomInstance) -> tuple:
 
     Validates the two-line configuration: every frame must run rightward
     over the vertical line and downward over the horizontal one, corners
-    strictly inside the upper-left region.
+    strictly inside the upper-left region, with no two crossings tied on
+    either line. Errors name the first offending frame in record order,
+    then the smallest tied y, then the smallest tied x.
     """
     if inst.rects:
         raise NotTwoLineCrossing("two-line conversion requires a frame instance")
@@ -63,23 +80,27 @@ def two_line_vertex_order(inst: GeomInstance) -> tuple:
     if inst.hline is None:
         raise NotTwoLineCrossing("instance has no horizontal line")
     V, H = inst.vline, inst.hline
-    for f in inst.frames:
-        cx, cy = f.corner
-        if f.hspan < 0 or f.vspan > 0:
-            raise NotTwoLineCrossing(f"frame {f.id!r} is not oriented toward both lines")
-        if not (cx < V <= cx + f.hspan):
-            raise NotTwoLineCrossing(f"frame {f.id!r} misses the vertical line")
-        if not (cy + f.vspan <= H < cy):
-            raise NotTwoLineCrossing(f"frame {f.id!r} misses the horizontal line")
-    ys = sorted(f.corner.y for f in inst.frames)
-    for a, b in zip(ys, ys[1:]):
-        if a == b:
-            raise DegenerateOrder(f"tied vertical-line crossings at y={a}")
-    xs = sorted(f.corner.x for f in inst.frames)
-    for a, b in zip(xs, xs[1:]):
-        if a == b:
-            raise DegenerateOrder(f"tied horizontal-line crossings at x={a}")
-    return tuple(sorted(range(len(inst.frames)), key=lambda i: -inst.frames[i].corner.y))
+    fr = inst.frames
+    xs, ys = fr.x, fr.y
+    # cx < V <= cx + hspan and cy + vspan <= H < cy for every frame imply
+    # hspan > 0 > vspan, so four bounds check the whole configuration; only
+    # an invalid instance walks the records to name the first bad frame
+    if fr and not (max(xs) < V <= min(map(add, xs, fr.hspan))
+                   and max(map(add, ys, fr.vspan)) <= H < min(ys)):
+        for fid, cx, cy, h, v in zip(fr.ids, xs, ys, fr.hspan, fr.vspan):
+            if h < 0 or v > 0:
+                raise NotTwoLineCrossing(f"frame {fid!r} is not oriented toward both lines")
+            if not (cx < V <= cx + h):
+                raise NotTwoLineCrossing(f"frame {fid!r} misses the vertical line")
+            if not (cy + v <= H < cy):
+                raise NotTwoLineCrossing(f"frame {fid!r} misses the horizontal line")
+    tie = _smallest_tie(ys)
+    if tie is not None:
+        raise DegenerateOrder(f"tied vertical-line crossings at y={tie}")
+    tie = _smallest_tie(xs)
+    if tie is not None:
+        raise DegenerateOrder(f"tied horizontal-line crossings at x={tie}")
+    return tuple(sorted(range(len(ys)), key=ys.__getitem__, reverse=True))
 
 
 def two_line_permutation(inst: GeomInstance) -> tuple[tuple, Permutation]:
@@ -91,9 +112,11 @@ def two_line_permutation(inst: GeomInstance) -> tuple[tuple, Permutation]:
     ``order[t]``.
     """
     order1 = two_line_vertex_order(inst)
-    by_x = sorted(range(len(inst.frames)), key=lambda i: inst.frames[i].corner.x)
-    rank2 = {v: pos + 1 for pos, v in enumerate(by_x)}
-    return order1, Permutation(tuple(rank2[v] for v in order1))
+    xs = inst.frames.x
+    rank2 = [0] * len(xs)
+    for pos, v in enumerate(sorted(range(len(xs)), key=xs.__getitem__), 1):
+        rank2[v] = pos
+    return order1, Permutation(tuple(map(rank2.__getitem__, order1)))
 
 
 def lframes_to_permutation(inst: GeomInstance) -> Permutation:

@@ -323,6 +323,109 @@ def test_error_exit_code_contract(args, text, message, monkeypatch, capsys):
     assert err == f"error: {message}\n"
 
 
+def _two_line_text(*records, lines="vline 0\nhline 0\n"):
+    return "version 1\n" + lines + "".join(f"{r}\n" for r in records)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(_two_line_text("f1 -3 2 5 -4", "f2 -2 3 4 4", "f3 -1 4 -4 -5"),
+                     "frame 'f2' is not oriented toward both lines", id="misoriented-first-named"),
+        pytest.param(_two_line_text("f1 -3 2 5 -4", "f2 -2 3 1 -4"),
+                     "frame 'f2' misses the vertical line", id="misses-vline"),
+        pytest.param(_two_line_text("f1 -3 2 5 -4", "f2 -2 3 4 -2"),
+                     "frame 'f2' misses the horizontal line", id="misses-hline"),
+        pytest.param(_two_line_text("f1 -3 5 4 -6", "f2 -2 5 3 -6", "f3 -4 2 5 -3", "f4 -1 2 2 -3"),
+                     "tied vertical-line crossings at y=2", id="two-y-ties-smallest"),
+        pytest.param(_two_line_text("f1 -3 4 4 -5", "f2 -3 6 4 -7", "f3 -2 7 3 -8", "f4 -1 7 2 -8"),
+                     "tied vertical-line crossings at y=7", id="y-tie-before-x-tie"),
+        pytest.param(_two_line_text("f1 -1 4 2 -5", "f2 -1 6 2 -7", "f3 -5 7 6 -8", "f4 -5 3 6 -4"),
+                     "tied horizontal-line crossings at x=-5", id="two-x-ties-smallest"),
+        pytest.param(RECTS, "two-line conversion requires a frame instance", id="rects"),
+        pytest.param(_two_line_text("f1 -3 2 5 -4", lines="hline 0\n"),
+                     "instance has no vertical line", id="no-vline"),
+        pytest.param(_two_line_text("f1 -3 2 5 -4", lines="vline 0\n"),
+                     "instance has no horizontal line", id="no-hline"),
+    ],
+)
+def test_two_line_validation_order(text, message, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(["solve", "--algo", "permutation"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_two_line_members_survive_a_huge_shift(tmp_path, capsys):
+    # coordinates beyond 64 bits: shifting every corner and both lines by
+    # the same offset leaves the crossing orders, so the members, unchanged
+    path = tmp_path / "t.txt"
+    run_cli(["generate", "--family", "two-line", "--seed", "5", "--n", "60",
+             "--out", str(path)], capsys)
+    shift = 2**70
+    lines = []
+    for line in path.read_text().splitlines():
+        key, *fields = line.split()
+        if key in ("vline", "hline"):
+            line = f"{key} {int(fields[0]) + shift}"
+        elif key.startswith("f"):
+            x, y, h, v = map(int, fields)
+            line = f"{key} {x + shift} {y + shift} {h} {v}"
+        lines.append(line)
+    shifted = tmp_path / "shifted.txt"
+    shifted.write_text("\n".join(lines) + "\n")
+    _, plain, _ = run_cli(["solve", "--in", str(path), "--algo", "permutation"], capsys)
+    code, moved, _ = run_cli(["solve", "--in", str(shifted), "--algo", "permutation"], capsys)
+    assert code == 0
+    assert parse_report(moved)["members"] == parse_report(plain)["members"]
+    assert parse_report(moved)["instance"] == f"frames=60 model=standard vline={shift} hline={shift}"
+
+
+def test_two_line_commands_build_no_lframe(tmp_path):
+    # generate and solve read and write the frame columns only
+    path = tmp_path / "t.txt"
+    script = (
+        "import lframes.geometry as geometry\n"
+        "def refuse(self):\n"
+        "    raise AssertionError('an LFrame was built')\n"
+        "geometry.LFrame.__post_init__ = refuse\n"
+        "from lframes.cli import main\n"
+        f"assert main(['generate', '--family', 'two-line', '--seed', '3', '--n', '200',"
+        f" '--out', {str(path)!r}]) == 0\n"
+        f"assert main(['solve', '--in', {str(path)!r}, '--algo', 'permutation']) == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert parse_report(proc.stdout)["n"] == "200"
+
+
+def test_verify_exchange_takes_cap(capsys):
+    args = ["verify", "--kind", "exchange", "--n", "40", "--seed", "1"]
+    code, out, _ = run_cli(args + ["--cap", "40"], capsys)
+    assert code == 0
+    assert parse_report(out)["ok"] == "true"
+
+
+def test_verify_exchange_default_cap_is_exit_2(capsys):
+    code, out, err = run_cli(["verify", "--kind", "exchange", "--n", "40", "--seed", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 40 vertices exceeds cap 32\n"
+
+
+def test_render_exchange_takes_cap(tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "40",
+             "--out", str(path)], capsys)
+    code, _, err = run_cli(["render", "--in", str(path), "--exchange"], capsys)
+    assert code == 2
+    assert err == "error: 40 vertices exceeds cap 32\n"
+    code, out, _ = run_cli(["render", "--in", str(path), "--exchange", "--cap", "40"], capsys)
+    assert code == 0
+    assert out.startswith("<svg")
+
+
 def test_error_exit_has_no_traceback(tmp_path):
     path = tmp_path / "two_line.txt"
     path.write_text(TWO_LINE)

@@ -1,5 +1,6 @@
 """Geometry predicates and the rectangle-to-frame conversion."""
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from lframes.errors import NotAnchored
 from lframes.generators import gen_anchored_rects
 from lframes.geometry import (
     Diagonal,
+    FrameColumns,
     GeomInstance,
     LFrame,
     Point,
@@ -222,3 +224,31 @@ def test_instance_validation():
         GeomInstance(rects=(r,), model="edge")
     with pytest.raises(ValueError):
         GeomInstance(frames=(f, frame("f", 1, 1, 2, 2)))
+
+
+def test_frame_columns_read_as_frames():
+    objs = (frame("a", 0, 0, 3, 3), frame("b", 2**70, -1, -2, 5))
+    cols = FrameColumns(["a", "b"], [0, 2**70], [0, -1], [3, -2], [3, 5])
+    assert cols.x == (0, 2**70) and cols.ids == ("a", "b")
+    assert cols == FrameColumns.of(objs) and cols == objs
+    assert hash(cols) == hash(objs)
+    assert tuple(cols) == objs and cols[1] == objs[1] and len(cols) == 2
+    assert cols[0] is cols[0]  # built once
+    with pytest.raises(ValueError, match=r"^frame 'b': spans must be nonzero$"):
+        FrameColumns(["a", "b"], [0, 0], [0, 0], [1, 0], [1, 1])
+    with pytest.raises(ValueError):
+        FrameColumns(["a"], [0, 1], [0], [1], [1])
+
+
+def test_instance_holds_frame_columns():
+    objs = (frame("a", 0, 0, 3, 3), frame("b", 4, 4, 1, 1))
+    inst = GeomInstance(frames=objs)
+    assert isinstance(inst.frames, FrameColumns)
+    assert inst.frames == objs and inst.ids == ("a", "b") and inst.n == 2
+    cols = GeomInstance(frames=FrameColumns(["a", "b"], [0, 4], [0, 4], [3, 1], [3, 1]))
+    assert cols == inst and hash(cols) == hash(inst)
+    edge = dataclasses.replace(cols, model="edge")
+    assert edge.frames is cols.frames and edge != cols
+    moved = dataclasses.replace(inst, frames=objs[:1])
+    assert moved.frames == objs[:1] and moved.diagonal is None
+    assert GeomInstance(rects=(Rect("r", Point(0, 0), Point(1, 1)),)).ids == ("r",)

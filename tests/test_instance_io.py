@@ -23,6 +23,15 @@ def test_parse_zero_span_is_validation_error():
         parse_instance("version 1\nf1 0 0 0 3\n")
 
 
+def test_parse_reports_the_earliest_bad_record():
+    # records are checked in file order: a zero span on one line wins over
+    # a malformed integer on a later line, and the other way round
+    with pytest.raises(ValidationError, match=r"^frame 'f1': spans must be nonzero$"):
+        parse_instance("version 1\nf1 0 0 0 3\nf2 0 0 x 3\n")
+    with pytest.raises(ParseError, match=r"^line 2: expected integer, got 'x'$"):
+        parse_instance("version 1\nf2 0 0 x 3\nf1 0 0 0 3\n")
+
+
 def test_emit_frame_instance():
     inst = GeomInstance(frames=(LFrame("f1", Point(0, 0), 3, 3),))
     assert emit_instance(inst) == "version 1\nmodel standard\nkind frames\nf1 0 0 3 3\n"

@@ -4,6 +4,7 @@ import bisect
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import brute_mds_size, permutation_graph
@@ -34,6 +35,13 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1))
     assert Permutation((2, 1)).n == 2
+    # a duplicate value, a 0 and an n + 1
+    for pi in ((2, 3, 2), (2, 0, 1), (1, 4, 2)):
+        with pytest.raises(ValueError, match=r"^pi is not a bijection on 1\.\.n$"):
+            Permutation(pi)
+    p = Permutation(tuple(np.array([3, 1, 2], dtype=np.int64)))
+    assert p.pi == (3, 1, 2)
+    assert all(type(v) is int for v in p.pi)
 
 
 def test_swap_pair_is_adjacent():
