@@ -14,21 +14,25 @@ values irrelevant to the remaining suffix are collapsed to sentinels.
 The scan is event-driven. A position whose value is neither a suffix
 minimum nor a suffix maximum, and lies outside a "hot" set of value
 intervals read off the frontier, leaves the frontier and every state's
-history unchanged, so it is not visited at all: a vectorised search finds
-the next event, only events are stepped (in plain Python integers), and a
-parent row is stored per event. The frontier is re-sorted and pruned after
-every step, which the quiet-position test relies on. A random permutation
-of 10**6 elements takes about 160 events at frontier width 10; a
-sqrt(n) x sqrt(n) grid transpose takes about 4 sqrt(n) events at width
-about 2 sqrt(n). Worst-case width is Theta(n) on adversarial inputs.
+history unchanged, so it is not stepped: the next event is found by
+bisecting each value against the hot intervals in a pipeline of C-level
+iterators, only events are stepped (in plain Python integers), and an
+array of parent codes is stored per event. The frontier is re-sorted and
+pruned after every step, which the quiet-position test relies on. A
+random permutation of 10**6 elements takes about 160 events at frontier
+width 10; a sqrt(n) x sqrt(n) grid transpose takes about 4 sqrt(n) events
+at width about 2 sqrt(n). Worst-case width is Theta(n) on adversarial
+inputs.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from itertools import compress, count, islice, pairwise, repeat
+from operator import add, index
 from typing import Optional
 
 from .errors import DegenerateOrder, NotTwoLineCrossing
@@ -43,7 +47,7 @@ class Permutation:
     pi: tuple
 
     def __post_init__(self):
-        pi = tuple(map(int, self.pi))
+        pi = tuple(map(index, self.pi))
         object.__setattr__(self, "pi", pi)
         n = len(pi)
         seen = bytearray(n + 1)
@@ -232,10 +236,6 @@ def _hot_edges(front, inff):
     return edges
 
 
-_PROBE = 8  # positions tested one at a time before a vectorised search
-_FIRST_CHUNK = 64
-
-
 def _scan(pi) -> list:
     """0-based positions of one minimum dominating set of the inversion
     graph of pi (a sequence of the values 1..n).
@@ -248,45 +248,35 @@ def _scan(pi) -> list:
     indices stay as they are, every state skipping, so a parent row is kept
     per event only.
     """
-    # numpy is loaded here, not at module level: the vectorised search for
-    # the next event is the one place it pays for its import, and every
-    # other command that loads this module then starts without it
-    import numpy as np
-
     n = len(pi)
     big, inff, huge = n + 1, n + 2, n + 3
-    values = np.asarray(pi, dtype=np.int64)
-    sufmin = np.minimum.accumulate(values[::-1])[::-1]
-    sufmax = np.maximum.accumulate(values[::-1])[::-1]
-    forced = (values == sufmin) | (values == sufmax)
-    sufmin = sufmin.tolist() + [huge]
-    sufmax = sufmax.tolist() + [0]
-
-    def next_event(p, edges):
-        # the last position is forced, so both searches end
-        for q in range(p, min(p + _PROBE, n)):
-            if forced[q] or bisect_right(edges, pi[q]) & 1:
-                return q
-        e = np.asarray(edges, dtype=np.int64)
-        start, size = p + _PROBE, _FIRST_CHUNK
-        while True:
-            stop = min(start + size, n)
-            hit = (np.searchsorted(e, values[start:stop], side="right") & 1).astype(bool)
-            hit |= forced[start:stop]
-            i = int(hit.argmax())
-            if hit[i]:
-                return start + i
-            start, size = stop, size * 2
+    # one reverse pass marks the suffix minima and maxima, each with the
+    # least and greatest value from it on; between two marks these bounds
+    # stay put, so the bounds after any position are those of the next mark
+    marks = [(n, huge, 0)]
+    lo, hi = huge, 0
+    for p, v in zip(range(n - 1, -1, -1), reversed(pi)):
+        if not lo < v < hi:
+            lo, hi = min(lo, v), max(hi, v)
+            marks.append((p, lo, hi))
+    marks.reverse()
 
     front = [(0, 0, inff)]
     rows = []  # (position, parent codes) per event
+    rest = iter(pi)  # the values from position p on
     p = 0
-    while p < n:
-        if not forced[p]:
-            p = next_event(p, _hot_edges(front, inff))
-        front, codes = _step(front, pi[p], sufmin[p + 1], sufmax[p + 1], big, inff)
-        rows.append((p, codes))
-        p += 1
+    for (f, lo, hi), (_, lo_after, hi_after) in pairwise(marks):
+        while p <= f:
+            if p < f:  # the first hot position before the mark, else the mark
+                edges = _hot_edges(front, inff)
+                hot = map((1).__and__, map(bisect_right, repeat(edges), islice(rest, f - p)))
+                p = next(compress(count(p), hot), f)
+            if p == f:  # the mark: rest moves past it, and so do the bounds
+                next(rest)
+                lo, hi = lo_after, hi_after
+            front, codes = _step(front, pi[p], lo, hi, big, inff)
+            rows.append((p, array("q", codes)))
+            p += 1
 
     # after the last position every survivor is (count, 0, inf), and
     # pruning leaves the one of least count
@@ -307,6 +297,6 @@ def mds_permutation(p: Permutation) -> DominatingSet:
     Vertices are 0-based positions on line one. Runs the event-driven
     frontier scan (see the module docstring): the frontier is stepped only
     at suffix minima and maxima and at positions whose value can change it,
-    found with a vectorised search, and parent rows are stored per event.
+    and parent rows are stored per event.
     """
     return DominatingSet(tuple(_scan(p.pi)))

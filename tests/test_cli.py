@@ -487,7 +487,7 @@ def test_subprocess_runs_match(tmp_path):
 
 
 def test_graph_solvers_start_without_numpy():
-    # the graph commands import no numpy; only the permutation scan loads it
+    # the graph commands import no numpy
     script = (
         "import sys\n"
         "import lframes.cli\n"
@@ -507,3 +507,29 @@ def test_graph_solvers_start_without_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_no_command_loads_numpy(tmp_path):
+    # with numpy made unimportable, the two-line path and the exchange check
+    # still exit 0 and print what an unrestricted run prints
+    path = tmp_path / "two-line.txt"
+    generate = ["generate", "--family", "two-line", "--seed", "3", "--n", "40"]
+    path.write_text(run_proc(generate).stdout)
+    blocked = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from lframes.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    for args in (
+        generate,
+        ["solve", "--in", str(path), "--algo", "permutation"],
+        ["render", "--in", str(path), "--algo", "permutation"],
+        ["verify", "--kind", "exchange", "--n", "30", "--seed", "1"],
+    ):
+        plain = run_proc(args)
+        proc = subprocess.run([sys.executable, "-c", blocked, *args],
+                              capture_output=True, text=True)
+        assert plain.returncode == 0, plain.stderr
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert proc.stdout == plain.stdout, args

@@ -42,6 +42,10 @@ def test_permutation_validation():
     p = Permutation(tuple(np.array([3, 1, 2], dtype=np.int64)))
     assert p.pi == (3, 1, 2)
     assert all(type(v) is int for v in p.pi)
+    # values must be integers: floats and strings are not truncated or parsed
+    for pi in ((1.7, 2.2), (1.0, 2.0), ("2", "1")):
+        with pytest.raises(TypeError):
+            Permutation(pi)
 
 
 def test_swap_pair_is_adjacent():
@@ -122,6 +126,7 @@ def test_pure_python_scan_agrees():
         pi = list(range(1, n + 1))
         rng.shuffle(pi)
         takes = pm._scan(tuple(pi))
+        assert pm._scan(pi) == takes  # a list reads as the tuple does
         g = permutation_graph(Permutation(tuple(pi)))
         assert is_dominating(g, takes)
         assert len(takes) == brute_mds_size(n, g.edge_set())
@@ -182,6 +187,29 @@ def test_mds_matches_brute_force_on_structured_permutations():
         assert_optimal(block_reversal(sizes))
     for _ in range(30):
         assert_optimal(noisy_identity(rng.randint(1, 12), rng, rng.randint(2, 6)))
+
+
+def test_scan_on_long_forced_and_quiet_runs(monkeypatch):
+    # every position of the identity is a suffix minimum and every one of
+    # its reversal a suffix maximum, so each is stepped: the identity (no
+    # edges) needs every vertex, the reversal (complete) one. In
+    # (n, 2, 3, ..., n - 1, 1) the values 3..n-2 are neither suffix extrema
+    # nor hot, so that run is crossed without a step
+    stepped = []  # the values the scan steps over
+    step = pm._step
+    monkeypatch.setattr(
+        pm, "_step", lambda front, v, *rest: stepped.append(v) or step(front, v, *rest)
+    )
+    n = 10**5
+    assert pm._scan(tuple(range(1, n + 1))) == list(range(n))
+    assert stepped == list(range(1, n + 1))
+    stepped.clear()
+    assert pm._scan(tuple(range(n, 0, -1))) == [n - 1]
+    assert stepped == list(range(n, 0, -1))
+    for quiet in ((n, *range(2, n), 1), [n, *range(2, n), 1]):  # a tuple and a list
+        stepped.clear()
+        assert pm._scan(quiet) == [n - 1]
+        assert stepped == [n, 2, n - 1, 1]
 
 
 def test_hot_values_are_exactly_the_frontier_changes():
