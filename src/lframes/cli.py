@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: generate, solve, verify, render. Reports go to stdout one key
-per line and are byte-stable for a fixed seed; measured wall time goes to
-stderr. Exit codes: 0 success, 1 usage error, 2 parse or validation error
-or an input/output file that cannot be read or written, 3 verification
-failure.
+per line and are byte-stable for a fixed seed; measured wall time and any
+warning, as one ``warning: <message>`` line, go to stderr. Exit codes: 0
+success, 1 usage error, 2 parse or validation error or an input/output file
+that cannot be read or written, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -247,6 +248,10 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -255,7 +260,9 @@ def main(argv=None) -> int:
         code = e.code if isinstance(e.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except (LFramesError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

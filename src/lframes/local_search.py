@@ -1,11 +1,43 @@
-"""Local-search solver and the anchored one-sided / two-sided drivers."""
+"""Local-search solver and the anchored one-sided / two-sided drivers.
+
+k-swap local search removes at most k members and adds strictly fewer
+outside vertices, keeping the set dominating; the first improving swap in
+a fixed order is applied until none exists. Removal sets are tried by
+increasing size and then lexicographically; each removal's replacements
+likewise, drawn from the outside vertices adjacent to what it uncovers.
+
+Two facts keep the search small without changing the swap it returns.
+
+* **Links.** Two members are linked when they lie within distance 4 of
+  each other, that is when their distance-2 balls meet. Once the members
+  dominate, only removal sets that are connected under these links are
+  tried. Split a removal R into parts R1 and R2 with no link between them.
+  A vertex that R uncovers has all its dominators in R and they lie within
+  distance 2 of each other, so they lie in one part: the uncovered set
+  splits. A useful replacement vertex is adjacent to an uncovered vertex,
+  and one adjacent to both parts would link them, so the replacement A
+  splits as well. From |A| < |R| it follows that |A1| < |R1| or
+  |A2| < |R2|: a strictly smaller removal improves too, and the order
+  reaches it first. So the first improving removal is always connected.
+  A set that does not dominate leaves the same vertices uncovered by
+  every removal, so there every member counts as linked to every other.
+* **Cached verdicts.** Whether a removal improves depends only on which
+  vertices within distance 2 of it are members. A removal that fails stays
+  failed until a swap removes or adds a member within distance 2 of one of
+  its members; only those removals are queued again. The domination
+  counts and the links are updated by each swap rather than recomputed,
+  and the removals of each size are built one least member at a time, as
+  the search reaches them, so a search that stops early builds few.
+"""
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
+from bisect import bisect_right, insort
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import combinations, islice
 from typing import Optional
 
 from .errors import NotAnchored, NotOneSided
@@ -26,42 +58,159 @@ class LocalSearchConfig:
             raise ValueError("k must be >= 1")
 
 
-def _closed_sets(g: IntersectionGraph) -> list[frozenset]:
-    return [frozenset((v, *nbrs)) for v, nbrs in enumerate(g.adjacency)]
+class _SwapSearch:
+    """The k-swap search over a member set that changes one swap at a time.
 
-
-def _find_improvement(closed: list[frozenset], solution: list[int], k: int):
-    """First (removal, replacement) swap that shrinks the solution.
-
-    Removal subsets are enumerated by increasing size then lexicographically;
-    replacements likewise, drawn from outside vertices adjacent to something
-    the removal uncovers. ``closed`` holds the closed neighborhood of each
-    vertex. A removal uncovers the vertices of its closed neighborhoods
-    whose solution dominators all lie in it, by a count per vertex, and
-    keeps uncovered any vertex the solution does not dominate.
-    Returns None at a k-local optimum.
+    Removal sets are keyed (size, sorted tuple), which is the search order.
+    A block is the removals of one size whose least member is one member;
+    blocks are built in order, each when the search reaches it, from the
+    members of that moment. ``rest`` holds what is left of the current
+    block. ``queue`` holds the removals of earlier blocks (and of the
+    current one) that a swap made unknown again; ``pending`` marks which
+    of its entries are live. Every other removal of a block already reached
+    is known to fail. Swaps are applied only to a dominating set, and a
+    swap keeps it dominating.
     """
-    sol_sorted = sorted(solution)
-    sol_set = set(solution)
-    count = [0] * len(closed)
-    for s in sol_sorted:
-        for u in closed[s]:
-            count[u] += 1
-    undominated = {u for u, c in enumerate(count) if c == 0}
-    for r in range(1, min(k, len(sol_sorted)) + 1):
-        for removal in combinations(sol_sorted, r):
-            lost = Counter()
-            for x in removal:
-                lost.update(closed[x])
-            uncovered = undominated.union(u for u, c in lost.items() if c == count[u])
-            if not uncovered:
-                return removal, ()
-            candidates = sorted({v for u in uncovered for v in closed[u] if v not in sol_set})
-            for m in range(1, r):
-                for repl in combinations(candidates, m):
-                    if not uncovered.difference(*(closed[v] for v in repl)):
-                        return removal, repl
-    return None
+
+    def __init__(self, g: IntersectionGraph, members, k: int):
+        self.closed = [frozenset((v, *nbrs)) for v, nbrs in enumerate(g.adjacency)]
+        self.k = k
+        self.members = set(members)
+        self.order = sorted(self.members)
+        self.count = [0] * g.n  # members in each closed neighborhood
+        for s in self.members:
+            for u in self.closed[s]:
+                self.count[u] += 1
+        self.undominated = {u for u, c in enumerate(self.count) if c == 0}
+        self.balls = {}  # vertex -> its distance-2 ball, built on first use
+        self.near = None  # vertex -> members within distance 2, with links
+        self.links = None  # member -> members within distance 4, on first use
+        self.block = (1, -1)
+        self.rest = []  # reversed, so the next removal is last
+        self.queue = []
+        self.pending = set()
+
+    def _ball(self, v: int) -> frozenset:
+        ball = self.balls.get(v)
+        if ball is None:
+            closed = self.closed
+            ball = self.balls[v] = frozenset().union(*(closed[u] for u in closed[v]))
+        return ball
+
+    def _link(self, a: int) -> None:
+        linked = set()
+        for w in self._ball(a):
+            linked |= self.near[w]
+            self.near[w].add(a)
+        self.links[a] = linked
+        for b in linked:
+            self.links[b].add(a)
+
+    def _unlink(self, a: int) -> None:
+        for w in self._ball(a):
+            self.near[w].discard(a)
+        for b in self.links.pop(a):
+            self.links[b].discard(a)
+
+    def _linked(self, m: int):
+        if self.undominated:
+            return self.members
+        if self.links is None:
+            self.near, self.links = defaultdict(set), {}
+            for s in self.members:
+                self._link(s)
+        return self.links[m]
+
+    def _levels(self, m: int, least: int):
+        """Connected removals through m whose other members exceed
+        ``least``, as one set of frozensets per size from 1 to k."""
+        level = {frozenset((m,))}
+        yield level
+        for _ in range(1, self.k):
+            level = {
+                removal | {x}
+                for removal in level
+                for x in set().union(*map(self._linked, removal)) - removal
+                if x > least
+            }
+            yield level
+
+    def _next_block(self) -> bool:
+        size, a = self.block
+        i = bisect_right(self.order, a)
+        while i == len(self.order):
+            if size == self.k:
+                return False
+            size, i = size + 1, 0
+        a = self.order[i]
+        self.block = (size, a)
+        *_, level = islice(self._levels(a, a), size)
+        self.rest = sorted(((size, tuple(sorted(r))) for r in level), reverse=True)
+        return True
+
+    def _improve(self, removal: tuple[int, ...]):
+        """The first replacement that makes ``removal`` a shrinking swap."""
+        closed = self.closed
+        lost = Counter()
+        for x in removal:
+            lost.update(closed[x])
+        uncovered = self.undominated.union(u for u, c in lost.items() if c == self.count[u])
+        if not uncovered:
+            return removal, ()
+        candidates = sorted({v for u in uncovered for v in closed[u] if v not in self.members})
+        for m in range(1, len(removal)):
+            for repl in combinations(candidates, m):
+                if not uncovered.difference(*(closed[v] for v in repl)):
+                    return removal, repl
+        return None
+
+    def first_improvement(self):
+        """First (removal, replacement) swap that shrinks the members, or
+        None at a k-local optimum."""
+        queue, rest = self.queue, self.rest
+        while True:
+            if queue and (not rest or queue[0] < rest[-1]):
+                _, removal = heappop(queue)
+                if removal not in self.pending:
+                    continue
+                self.pending.discard(removal)
+            elif rest:
+                _, removal = rest.pop()
+            elif self._next_block():
+                rest = self.rest
+                continue
+            else:
+                return None
+            if self.members.issuperset(removal) and (found := self._improve(removal)):
+                return found
+
+    def swap(self, removal, repl) -> None:
+        for x in removal:
+            self.members.discard(x)
+            self.order.remove(x)
+            if self.links is not None:
+                self._unlink(x)
+            for u in self.closed[x]:
+                self.count[u] -= 1
+        for a in repl:
+            self.members.add(a)
+            insort(self.order, a)
+            if self.links is not None:
+                self._link(a)
+            for u in self.closed[a]:
+                self.count[u] += 1
+        # the removals near the swap are unknown again; those in blocks not
+        # yet reached are built from the new members when they are
+        around = set().union(*(self._ball(x) for x in (*removal, *repl)))
+        for m in around & self.members:
+            for size, level in enumerate(self._levels(m, -1), 1):
+                if size > self.block[0]:
+                    break
+                for r in level:
+                    key = tuple(sorted(r))
+                    if (size, key[0]) <= self.block and key not in self.pending:
+                        self.pending.add(key)
+                        heappush(self.queue, (size, key))
 
 
 def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchConfig()) -> DominatingSet:
@@ -70,23 +219,26 @@ def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchC
     A swap removes a subset of at most k vertices and adds strictly fewer
     outside vertices while keeping the set dominating, so every accepted
     swap reduces the size and the loop terminates. The first improving swap
-    in enumeration order is applied, which makes runs deterministic.
+    in enumeration order is applied, which makes runs deterministic. Only
+    removals connected under the distance-4 links are tried, and a removal
+    that failed is tried again only after a swap within distance 2 of it;
+    the module docstring shows why this returns the same swap as trying
+    every removal after every swap.
     """
     if cfg.k > K_WARN_LIMIT:
         warnings.warn(
             f"k={cfg.k}: swap enumeration is exponential in k", stacklevel=2
         )
-    closed = _closed_sets(g)
-    solution = list(greedy_mds(g).members)
-    while (found := _find_improvement(closed, solution, cfg.k)) is not None:
-        removal, repl = found
-        solution = sorted(set(solution).difference(removal).union(repl))
-    return DominatingSet(tuple(solution))
+    search = _SwapSearch(g, greedy_mds(g).members, cfg.k)
+    while (found := search.first_improvement()) is not None:
+        search.swap(*found)
+    return DominatingSet(tuple(search.members))
 
 
 def is_k_locally_optimal(g: IntersectionGraph, members, k: int) -> bool:
-    """Re-run the swap enumeration once and report whether nothing improves."""
-    return _find_improvement(_closed_sets(g), list(members), k) is None
+    """Run the swap search once on any member set and report whether
+    nothing improves."""
+    return _SwapSearch(g, members, k).first_improvement() is None
 
 
 def anchoring_side(inst: GeomInstance) -> Optional[str]:

@@ -9,7 +9,7 @@ import pytest
 import lframes.cli as cli
 import lframes.permutation as permutation
 from conftest import brute_is_dominating, pairwise_edges, parse_report
-from lframes.generators import gen_anchored_rects
+from lframes.generators import gen_anchored_one_sided, gen_anchored_rects
 from lframes.instance_io import emit_instance
 
 
@@ -533,3 +533,14 @@ def test_no_command_loads_numpy(tmp_path):
         assert plain.returncode == 0, plain.stderr
         assert proc.returncode == 0, (args, proc.stderr)
         assert proc.stdout == plain.stdout, args
+
+
+def test_large_k_warning_is_one_plain_line(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text(emit_instance(gen_anchored_one_sided(1, 8)))
+    res = run_proc(["solve", "--in", str(path), "--algo", "local-search", "--k", "4"])
+    assert res.returncode == 0
+    assert parse_report(res.stdout)["k"] == "4"
+    first, *rest = res.stderr.splitlines()
+    assert first == "warning: k=4: swap enumeration is exponential in k"
+    assert [line.split()[0] for line in rest] == ["wall_time_s"]

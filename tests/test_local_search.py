@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_is_dominating,
     brute_mds_size,
     closed_masks,
     reference_find_improvement,
+    reference_greedy,
     reference_local_search,
 )
 from lframes.errors import NotAnchored, NotOneSided
@@ -126,6 +128,75 @@ def test_local_optimality_matches_bitmask_step(case, subset, k):
     members = [v for v in range(n) if (subset >> v) & 1]
     want = reference_find_improvement(closed_masks(n, edges), members, k) is None
     assert is_k_locally_optimal(IntersectionGraph(n, edges), members, k) == want
+
+
+# Disjoint unions of small graphs with the vertex ids shuffled across the
+# parts: removals that span two parts with no link between them, which the
+# search skips, are most common here.
+def _shuffled_union(parts, perm):
+    edges, offset = [], 0
+    for n, pairs in parts:
+        edges += [(perm[offset + u], perm[offset + v]) for u, v in pairs if u != v]
+        offset += n
+    return offset, edges
+
+
+small_graphs = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12),
+    )
+)
+unions = st.lists(small_graphs, min_size=1, max_size=4).flatmap(
+    lambda parts: st.tuples(
+        st.just(parts), st.permutations(range(sum(n for n, _ in parts)))
+    )
+)
+
+
+@PROPERTY
+@given(unions, st.integers(1, 3))
+def test_members_match_bitmask_search_on_disjoint_unions(case, k):
+    n, edges = _shuffled_union(*case)
+    g = IntersectionGraph(n, edges)
+    assert local_search_mds(g, LocalSearchConfig(k=k)).members == reference_local_search(n, edges, k)
+
+
+@PROPERTY
+@given(unions, st.integers(0, 2**28 - 1), st.integers(1, 3))
+def test_local_optimality_matches_bitmask_step_on_disjoint_unions(case, subset, k):
+    # a random member set, the same set joined to a dominating one, and a
+    # minimal dominating set inside that, where only k >= 2 swaps can help
+    n, edges = _shuffled_union(*case)
+    g = IntersectionGraph(n, edges)
+    masks = closed_masks(n, edges)
+    members = {v for v in range(n) if (subset >> v) & 1}
+    dominating = members | set(reference_greedy(n, edges))
+    minimal = set(dominating)
+    for v in sorted(dominating):
+        if brute_is_dominating(n, edges, minimal - {v}):
+            minimal.discard(v)
+    for s in (members, dominating, minimal):
+        want = reference_find_improvement(masks, s, k) is None
+        assert is_k_locally_optimal(g, s, k) == want
+
+
+def test_members_match_bitmask_search_at_n_500():
+    g = build_intersection_graph(gen_anchored_one_sided(1, 500))
+    want = reference_local_search(g.n, g.edge_set(), 2)
+    assert local_search_mds(g, LocalSearchConfig(k=2)).members == want
+
+
+@pytest.mark.parametrize("gen, k, size", [
+    (gen_anchored_one_sided, 2, 438),
+    (gen_anchored_one_sided, 3, 432),
+    (gen_anchored_two_sided, 2, 724),
+])
+def test_sizes_at_n_2000(gen, k, size):
+    g = build_intersection_graph(gen(1, 2000))
+    ds = local_search_mds(g, LocalSearchConfig(k=k))
+    assert ds.size == size
+    assert is_dominating(g, ds.members)
 
 
 def test_anchoring_side():
