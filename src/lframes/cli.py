@@ -23,13 +23,13 @@ from .exchange import (
     count_crossings,
     draw_arcs,
 )
-from .generators import FAMILIES, gen_anchored_one_sided, generate, reduction_certificate
+from .generators import FAMILIES, gen_anchored_one_sided, generate, reduction_source
 from .geometry import GeomInstance
 from .graph_core import build_intersection_graph, exact_mds, exact_mds_size, greedy_mds
 from .instance_io import emit_instance, format_fields, instance_summary, parse_instance
 from .local_search import LocalSearchConfig, approx_two_sided, local_search_mds
 from .permutation import mds_permutation, two_line_permutation
-from .reductions import verify_equivalence
+from .reductions import build_certificate, check_reach, verify_equivalence
 from .svg import render_svg
 
 _ALGOS = ("exact", "greedy", "local-search", "two-sided", "permutation")
@@ -75,12 +75,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-cap", type=_positive, default=32)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="check a reduction or an exchange drawing")
+    p = sub.add_parser(
+        "verify", help="check a reduction or an exchange drawing",
+        description="Reduce a seeded source and recompute both optima by brute "
+                    "force, or check the exchange drawing between local search "
+                    "and exact on a seeded one-sided anchored instance. Sources "
+                    "beyond exhaustive reach exit 2 before the reduction is "
+                    "built: circle kinds take at most 12 chords, sat at most 16 "
+                    "variables and 64 frames, vc at most 16 vertices and 64 "
+                    "frames, eds at most 16 edges.",
+    )
     p.add_argument("--kind", required=True, choices=_VERIFY_KINDS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=_positive, default=5)
     p.add_argument("--k", type=_positive, default=2)
-    _add_cap(p)
+    p.add_argument("--cap", type=_positive, default=32,
+                   help="vertex limit for the exact solver of --kind exchange; "
+                        "the reduction kinds ignore it")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="draw an instance as SVG")
@@ -143,8 +154,8 @@ def _exchange(inst: GeomInstance, k: int, cap: int):
     between their symmetric differences; returns (g, local-search members,
     exchange graph, drawing)."""
     g = build_intersection_graph(inst)
+    r_all = exact_mds(g, cap=cap).members  # refuses past the cap before the search
     b_all = local_search_mds(g, LocalSearchConfig(k=k)).members
-    r_all = exact_mds(g, cap=cap).members
     b_only = sorted(set(b_all) - set(r_all))
     r_only = sorted(set(r_all) - set(b_all))
     h = build_exchange_graph(inst, b_only, r_only)
@@ -219,7 +230,9 @@ def _cmd_verify(args) -> int:
             "ok": "true" if ok else "false",
         }
     else:
-        rep = verify_equivalence(reduction_certificate(args.kind, args.seed, args.n))
+        source = reduction_source(args.kind, args.seed, args.n)
+        check_reach(args.kind, source)
+        rep = verify_equivalence(build_certificate(args.kind, source))
         ok = rep.ok
         fields = {
             "kind": args.kind,

@@ -3,8 +3,9 @@
 Every generator takes an explicit integer seed (64-bit values welcome) and
 drives a private ``random.Random`` instance, so outputs are reproducible
 across platforms and interpreter versions. Nothing here reads global RNG
-state. ``reduction_certificate`` is the one seeded path from a reduction
-kind to its certificate; the five reduction families emit its instance.
+state. ``reduction_source`` is the one seeded path from a reduction kind
+to its source and ``reduction_certificate`` pushes that source through the
+reduction; the five reduction families emit its instance.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ from itertools import combinations
 from typing import Callable
 
 from .geometry import Diagonal, FrameColumns, GeomInstance, Point, Rect
-from .reductions import (
-    ChordDiagram,
-    ReductionCertificate,
-    circle_certificate,
-    eds_to_epg,
-    monotone3sat_to_lframes,
-    sat_corpus,
-    vc_to_epg,
-)
+from .reductions import ChordDiagram, ReductionCertificate, build_certificate, sat_corpus
 
 _ARM_MAX = 12
 
@@ -162,26 +155,31 @@ def gen_two_line(seed: int, n: int) -> GeomInstance:
     return GeomInstance(frames=FrameColumns(_frame_ids(n), cxs, cys, hs, vs), vline=0, hline=0)
 
 
-def reduction_certificate(kind: str, seed: int, n: int) -> ReductionCertificate:
-    """A seeded source instance pushed through the reduction of ``kind``.
+def reduction_source(kind: str, seed: int, n: int):
+    """The seeded source instance of a reduction ``kind``.
 
-    circle-diagonal and circle-vertical reduce a random diagram of n chords;
+    circle-diagonal and circle-vertical take a random diagram of n chords;
     sat takes a committed drawing, the seed cycling the corpus and n unused;
-    vc reduces a random graph on n vertices; eds a random bipartite graph
+    vc takes a random graph on n vertices; eds a random bipartite graph
     with n // 2 vertices on one side and the rest on the other.
     """
     if kind in ("circle-diagonal", "circle-vertical"):
-        return circle_certificate(gen_chord_diagram(seed, n), kind.split("-")[1])
+        return gen_chord_diagram(seed, n)
     if kind == "sat":
         corpus = sat_corpus()
-        return monotone3sat_to_lframes(corpus[seed % len(corpus)])[1]
+        return corpus[seed % len(corpus)]
     if kind == "vc":
-        return vc_to_epg(*gen_graph(seed, n))[1]
+        return gen_graph(seed, n)
     if kind == "eds":
         n_a = max(1, n // 2)
         n_b = max(1, n - n_a)
-        return eds_to_epg(n_a, n_b, gen_bipartite(seed, n_a, n_b))[1]
+        return n_a, n_b, gen_bipartite(seed, n_a, n_b)
     raise ValueError(f"unknown reduction kind {kind!r}")
+
+
+def reduction_certificate(kind: str, seed: int, n: int) -> ReductionCertificate:
+    """The seeded source of ``kind`` pushed through its reduction."""
+    return build_certificate(kind, reduction_source(kind, seed, n))
 
 
 def _reduced(kind: str) -> Callable[[int, int], GeomInstance]:

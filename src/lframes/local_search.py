@@ -25,19 +25,16 @@ Two facts keep the search small without changing the swap it returns.
   vertices within distance 2 of it are members. A removal that fails stays
   failed until a swap removes or adds a member within distance 2 of one of
   its members; only those removals are queued again. The domination
-  counts and the links are updated by each swap rather than recomputed,
-  and the removals of each size are built one least member at a time, as
-  the search reaches them, so a search that stops early builds few.
+  counts and the links are updated by each swap rather than recomputed.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right, insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Optional
 
 from .errors import NotAnchored, NotOneSided
@@ -61,34 +58,32 @@ class LocalSearchConfig:
 class _SwapSearch:
     """The k-swap search over a member set that changes one swap at a time.
 
-    Removal sets are keyed (size, sorted tuple), which is the search order.
-    A block is the removals of one size whose least member is one member;
-    blocks are built in order, each when the search reaches it, from the
-    members of that moment. ``rest`` holds what is left of the current
-    block. ``queue`` holds the removals of earlier blocks (and of the
-    current one) that a swap made unknown again; ``pending`` marks which
-    of its entries are live. Every other removal of a block already reached
-    is known to fail. Swaps are applied only to a dominating set, and a
-    swap keeps it dominating.
+    ``queue`` holds the removals whose verdict is unknown, keyed (size,
+    sorted tuple), which is the search order; ``pending`` holds the same
+    removals, so none is queued twice. Every other connected removal of the
+    members is known to fail. Swaps are applied only to a dominating set,
+    and a swap keeps it dominating.
     """
 
     def __init__(self, g: IntersectionGraph, members, k: int):
         self.closed = [frozenset((v, *nbrs)) for v, nbrs in enumerate(g.adjacency)]
         self.k = k
         self.members = set(members)
-        self.order = sorted(self.members)
         self.count = [0] * g.n  # members in each closed neighborhood
         for s in self.members:
             for u in self.closed[s]:
                 self.count[u] += 1
         self.undominated = {u for u, c in enumerate(self.count) if c == 0}
         self.balls = {}  # vertex -> its distance-2 ball, built on first use
-        self.near = None  # vertex -> members within distance 2, with links
-        self.links = None  # member -> members within distance 4, on first use
-        self.block = (1, -1)
-        self.rest = []  # reversed, so the next removal is last
+        self.near = defaultdict(set)  # vertex -> members within distance 2
+        self.links = {}  # member -> members within distance 4
+        if not self.undominated:
+            for s in self.members:
+                self._link(s)
         self.queue = []
         self.pending = set()
+        for s in self.members:  # each removal from its least member
+            self._push(self._levels(s, s))
 
     def _ball(self, v: int) -> frozenset:
         ball = self.balls.get(v)
@@ -113,13 +108,7 @@ class _SwapSearch:
             self.links[b].discard(a)
 
     def _linked(self, m: int):
-        if self.undominated:
-            return self.members
-        if self.links is None:
-            self.near, self.links = defaultdict(set), {}
-            for s in self.members:
-                self._link(s)
-        return self.links[m]
+        return self.members if self.undominated else self.links[m]
 
     def _levels(self, m: int, least: int):
         """Connected removals through m whose other members exceed
@@ -135,18 +124,13 @@ class _SwapSearch:
             }
             yield level
 
-    def _next_block(self) -> bool:
-        size, a = self.block
-        i = bisect_right(self.order, a)
-        while i == len(self.order):
-            if size == self.k:
-                return False
-            size, i = size + 1, 0
-        a = self.order[i]
-        self.block = (size, a)
-        *_, level = islice(self._levels(a, a), size)
-        self.rest = sorted(((size, tuple(sorted(r))) for r in level), reverse=True)
-        return True
+    def _push(self, levels) -> None:
+        for size, level in enumerate(levels, 1):
+            for r in level:
+                key = tuple(sorted(r))
+                if key not in self.pending:
+                    self.pending.add(key)
+                    heappush(self.queue, (size, key))
 
     def _improve(self, removal: tuple[int, ...]):
         """The first replacement that makes ``removal`` a shrinking swap."""
@@ -167,50 +151,28 @@ class _SwapSearch:
     def first_improvement(self):
         """First (removal, replacement) swap that shrinks the members, or
         None at a k-local optimum."""
-        queue, rest = self.queue, self.rest
-        while True:
-            if queue and (not rest or queue[0] < rest[-1]):
-                _, removal = heappop(queue)
-                if removal not in self.pending:
-                    continue
-                self.pending.discard(removal)
-            elif rest:
-                _, removal = rest.pop()
-            elif self._next_block():
-                rest = self.rest
-                continue
-            else:
-                return None
+        while self.queue:
+            _, removal = heappop(self.queue)
+            self.pending.discard(removal)
             if self.members.issuperset(removal) and (found := self._improve(removal)):
                 return found
+        return None
 
     def swap(self, removal, repl) -> None:
         for x in removal:
             self.members.discard(x)
-            self.order.remove(x)
-            if self.links is not None:
-                self._unlink(x)
+            self._unlink(x)
             for u in self.closed[x]:
                 self.count[u] -= 1
         for a in repl:
             self.members.add(a)
-            insort(self.order, a)
-            if self.links is not None:
-                self._link(a)
+            self._link(a)
             for u in self.closed[a]:
                 self.count[u] += 1
-        # the removals near the swap are unknown again; those in blocks not
-        # yet reached are built from the new members when they are
+        # the removals near the swap are unknown again
         around = set().union(*(self._ball(x) for x in (*removal, *repl)))
         for m in around & self.members:
-            for size, level in enumerate(self._levels(m, -1), 1):
-                if size > self.block[0]:
-                    break
-                for r in level:
-                    key = tuple(sorted(r))
-                    if (size, key[0]) <= self.block and key not in self.pending:
-                        self.pending.add(key)
-                        heappush(self.queue, (size, key))
+            self._push(self._levels(m, -1))
 
 
 def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchConfig()) -> DominatingSet:

@@ -599,39 +599,68 @@ def _edge_dominating_size(edges: tuple[tuple[int, int], ...]) -> int:
 # -- verification ------------------------------------------------------------
 
 
+def build_certificate(kind: str, source) -> ReductionCertificate:
+    """Push ``source`` through the reduction of ``kind``; the source has
+    the shape that ``ReductionCertificate.source`` documents."""
+    if kind in ("circle-diagonal", "circle-vertical"):
+        return circle_certificate(source, kind.split("-")[1])
+    if kind == "sat":
+        return monotone3sat_to_lframes(source)[1]
+    if kind == "vc":
+        return vc_to_epg(*source)[1]
+    if kind == "eds":
+        return eds_to_epg(*source)[1]
+    raise ValueError(f"unknown reduction kind {kind!r}")
+
+
+def check_reach(kind: str, source) -> None:
+    """Raise SourceTooLarge when the source of a ``kind`` reduction, or the
+    frames it reduces to, are beyond exhaustive reach.
+
+    The limits are 12 chords; 16 variables and 64 frames for sat; 16
+    vertices and 64 frames for vc; 16 edges for eds. The frame counts are
+    read off the source (3 per variable plus 1 per clause, 3 per vertex
+    plus 1 per edge), so the check runs before the reduction is built.
+    """
+    if kind in ("circle-diagonal", "circle-vertical"):
+        if source.n > 12:
+            raise SourceTooLarge(f"{source.n} chords is beyond exhaustive reach")
+    elif kind == "sat":
+        frames = 3 * source.n_vars + len(source.clauses)
+        if source.n_vars > 16 or frames > 64:
+            raise SourceTooLarge(
+                f"{source.n_vars} variables / {frames} frames is beyond exhaustive reach"
+            )
+    elif kind == "vc":
+        n, es = source
+        frames = 3 * n + len(es)
+        if n > 16 or frames > 64:
+            raise SourceTooLarge(
+                f"{n} vertices / {frames} frames is beyond exhaustive reach"
+            )
+    elif kind == "eds":
+        _, _, es = source
+        if len(es) > 16:
+            raise SourceTooLarge(f"{len(es)} edges is beyond exhaustive reach")
+    else:
+        raise ValueError(f"unknown certificate kind {kind!r}")
+
+
 def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:
     """Recompute both optima by brute force and check the claimed offset.
 
     Raises SourceTooLarge when either side is beyond exhaustive reach.
     """
-    frames = cert.instance.n
-    if cert.kind in ("circle-diagonal", "circle-vertical"):
-        cd = cert.source
-        if cd.n > 12:
-            raise SourceTooLarge(f"{cd.n} chords is beyond exhaustive reach")
-        src = exact_mds_size(circle_graph(cd))
-    elif cert.kind == "sat":
-        d = cert.source
-        if d.n_vars > 16 or frames > 64:
-            raise SourceTooLarge(
-                f"{d.n_vars} variables / {frames} frames is beyond exhaustive reach"
-            )
-        src = 1 if satisfiable(d) else 0
+    check_reach(cert.kind, cert.source)
+    if cert.kind == "sat":
+        src = 1 if satisfiable(cert.source) else 0
     elif cert.kind == "vc":
-        n, es = cert.source
-        if n > 16 or frames > 64:
-            raise SourceTooLarge(
-                f"{n} vertices / {frames} frames is beyond exhaustive reach"
-            )
-        src = _vertex_cover_size(n, es)
+        src = _vertex_cover_size(*cert.source)
     elif cert.kind == "eds":
-        _, _, es = cert.source
-        if len(es) > 16:
-            raise SourceTooLarge(f"{len(es)} edges is beyond exhaustive reach")
-        src = _edge_dominating_size(es)
+        src = _edge_dominating_size(cert.source[-1])
     else:
-        raise ValueError(f"unknown certificate kind {cert.kind!r}")
-    red = exact_mds_size(build_intersection_graph(cert.instance), cap=max(32, frames))
+        src = exact_mds_size(circle_graph(cert.source))
+    red = exact_mds_size(build_intersection_graph(cert.instance), cap=max(32, cert.instance.n))
     if cert.kind == "sat":
         ok = red >= cert.offset and (red == cert.offset) == (src == 1)
     else:

@@ -426,6 +426,44 @@ def test_render_exchange_takes_cap(tmp_path, capsys):
     assert out.startswith("<svg")
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("called past a refusing check")
+
+
+def test_exchange_checks_cap_before_local_search(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a.txt"
+    run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "40",
+             "--out", str(path)], capsys)
+    monkeypatch.setattr(cli, "local_search_mds", _refuse)
+    for args in (["verify", "--kind", "exchange", "--n", "40", "--seed", "1"],
+                 ["render", "--in", str(path), "--exchange"]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (2, "", "error: 40 vertices exceeds cap 32\n")
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("circle-diagonal", 13, "13 chords is beyond exhaustive reach"),
+    ("vc", 800, "800 vertices / 162073 frames is beyond exhaustive reach"),
+])
+def test_verify_checks_reach_before_building_the_reduction(kind, n, message, monkeypatch, capsys):
+    import lframes.reductions as reductions
+
+    for name in ("circle_to_diagonal", "circle_to_vertical", "monotone3sat_to_lframes",
+                 "vc_to_epg", "eds_to_epg"):
+        monkeypatch.setattr(reductions, name, _refuse)
+    code, out, err = run_cli(["verify", "--kind", kind, "--seed", "1", "--n", str(n)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_help_states_reach_and_cap_scope(capsys):
+    assert cli.main(["verify", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for limit in ("at most 12 chords", "at most 16 variables and 64 frames",
+                  "at most 16 vertices and 64 frames", "at most 16 edges",
+                  "exact solver of --kind exchange; the reduction kinds ignore it"):
+        assert limit in text
+
+
 def test_error_exit_has_no_traceback(tmp_path):
     path = tmp_path / "two_line.txt"
     path.write_text(TWO_LINE)

@@ -23,6 +23,8 @@ from lframes.reductions import (
     _check_eds_neighborhoods,
     _check_sat_embedding,
     _check_vc_neighborhoods,
+    build_certificate,
+    check_reach,
     chords_interleave,
     circle_certificate,
     circle_graph,
@@ -456,6 +458,24 @@ def test_source_too_large_builds_no_graph(monkeypatch):
         with pytest.raises(SourceTooLarge, match=f"^{message}$"):
             verify_equivalence(cert)
     assert built == []
+
+
+def test_reach_check_counts_the_frames_the_reduction_builds():
+    # check_reach reads 3 frames per variable plus 1 per clause, and 3 per
+    # vertex plus 1 per edge, off the source before anything is built
+    for d in sat_corpus():
+        check_reach("sat", d)
+        assert build_certificate("sat", d).instance.n == 3 * d.n_vars + len(d.clauses)
+    edges = list(itertools.combinations(range(1, 17), 2))
+    for m in (16, 17):
+        source = (16, tuple(edges[:m]))
+        frames = build_certificate("vc", source).instance.n
+        assert frames == 48 + m
+        if frames <= 64:
+            check_reach("vc", source)
+        else:
+            with pytest.raises(SourceTooLarge, match=f"^16 vertices / {frames} frames is"):
+                check_reach("vc", source)
 
 
 def test_unknown_certificate_kind():
