@@ -5,6 +5,12 @@ per line and are byte-stable for a fixed seed; measured wall time and any
 warning, as one ``warning: <message>`` line, go to stderr. Exit codes: 0
 success, 1 usage error, 2 parse or validation error or an input/output file
 that cannot be read or written, 3 verification failure.
+
+Each subcommand imports only the modules it runs: this module loads the
+argument parser, the errors, the generators (for the family choices) and
+the text format, and each command or solver branch imports its solver
+modules inside the function. The package itself resolves its exports on
+first use, so ``python -m lframes.cli`` loads nothing else up front.
 """
 
 from __future__ import annotations
@@ -17,20 +23,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import LFramesError
-from .exchange import (
-    build_exchange_graph,
-    check_local_exchange,
-    count_crossings,
-    draw_arcs,
-)
 from .generators import FAMILIES, gen_anchored_one_sided, generate, reduction_source
 from .geometry import GeomInstance
-from .graph_core import build_intersection_graph, exact_mds, exact_mds_size, greedy_mds
 from .instance_io import emit_instance, format_fields, instance_summary, parse_instance
-from .local_search import LocalSearchConfig, approx_two_sided, local_search_mds
-from .permutation import mds_permutation, two_line_permutation
-from .reductions import build_certificate, check_reach, verify_equivalence
-from .svg import render_svg
 
 _ALGOS = ("exact", "greedy", "local-search", "two-sided", "permutation")
 _VERIFY_KINDS = ("circle-diagonal", "circle-vertical", "sat", "vc", "eds", "exchange")
@@ -134,17 +129,25 @@ def _solve(inst: GeomInstance, algo: str, k: int, cap: int = 32):
     instance (permutation, two-sided).
     """
     if algo == "permutation":
+        from .permutation import mds_permutation, two_line_permutation
+
         order1, p = two_line_permutation(inst)
         ds = mds_permutation(p)
         return tuple(sorted(order1[t] for t in ds.members)), None
     if algo == "two-sided":
+        from .local_search import approx_two_sided
+
         return approx_two_sided(inst, k).members, None
+    from .graph_core import build_intersection_graph, exact_mds, greedy_mds
+
     g = build_intersection_graph(inst)
     if algo == "exact":
         return exact_mds(g, cap=cap).members, g
     if algo == "greedy":
         return greedy_mds(g).members, g
     if algo == "local-search":
+        from .local_search import LocalSearchConfig, local_search_mds
+
         return local_search_mds(g, LocalSearchConfig(k=k)).members, g
     raise ValueError(f"unknown algorithm {algo!r}")
 
@@ -152,9 +155,13 @@ def _solve(inst: GeomInstance, algo: str, k: int, cap: int = 32):
 def _exchange(inst: GeomInstance, k: int, cap: int):
     """Local search against exact on one graph, and the exchange drawing
     between their symmetric differences; returns (g, local-search members,
-    exchange graph, drawing)."""
+    exchange graph, drawing). Callers check ``cap`` before any work."""
+    from .exchange import build_exchange_graph, draw_arcs
+    from .graph_core import build_intersection_graph, exact_mds
+    from .local_search import LocalSearchConfig, local_search_mds
+
     g = build_intersection_graph(inst)
-    r_all = exact_mds(g, cap=cap).members  # refuses past the cap before the search
+    r_all = exact_mds(g, cap=cap).members
     b_all = local_search_mds(g, LocalSearchConfig(k=k)).members
     b_only = sorted(set(b_all) - set(r_all))
     r_only = sorted(set(r_all) - set(b_all))
@@ -185,6 +192,8 @@ def _cmd_solve(args) -> int:
             if args.algo == "exact":  # the members are an optimum already
                 opt = len(members)
             else:
+                from .graph_core import build_intersection_graph, exact_mds_size
+
                 if g is None:
                     g = build_intersection_graph(inst)
                 opt = exact_mds_size(g, cap=args.oracle_cap)
@@ -214,6 +223,10 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.kind == "exchange":
+        from .exchange import check_local_exchange, count_crossings
+        from .graph_core import check_cap
+
+        check_cap(args.n, args.cap)  # the instance has args.n frames
         inst = gen_anchored_one_sided(args.seed, args.n)
         g, _, h, drawing = _exchange(inst, args.k, args.cap)
         crossings = count_crossings(drawing)
@@ -230,6 +243,8 @@ def _cmd_verify(args) -> int:
             "ok": "true" if ok else "false",
         }
     else:
+        from .reductions import build_certificate, check_reach, verify_equivalence
+
         source = reduction_source(args.kind, args.seed, args.n)
         check_reach(args.kind, source)
         rep = verify_equivalence(build_certificate(args.kind, source))
@@ -248,7 +263,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .svg import render_svg
+
     inst = parse_instance(_read_text(args.infile))
+    if args.exchange:
+        from .graph_core import check_cap
+
+        check_cap(inst.n, args.cap)
     solution = None
     arcs = None
     if args.algo is not None:

@@ -5,17 +5,20 @@ drives a private ``random.Random`` instance, so outputs are reproducible
 across platforms and interpreter versions. Nothing here reads global RNG
 state. ``reduction_source`` is the one seeded path from a reduction kind
 to its source and ``reduction_certificate`` pushes that source through the
-reduction; the five reduction families emit its instance.
+reduction; the five reduction families emit its instance. Only those
+paths import ``reductions``, so the geometric families never load it.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .geometry import Diagonal, FrameColumns, GeomInstance, Point, Rect
-from .reductions import ChordDiagram, ReductionCertificate, build_certificate, sat_corpus
+
+if TYPE_CHECKING:  # the reduction families import reductions when they run
+    from .reductions import ChordDiagram, ReductionCertificate
 
 _ARM_MAX = 12
 
@@ -108,6 +111,8 @@ def gen_chord_diagram(seed: int, n: int) -> ChordDiagram:
     """Uniformly shuffled order of 2n chord endpoints."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    from .reductions import ChordDiagram
+
     rng = random.Random(seed)
     order = list(range(1, n + 1)) * 2
     rng.shuffle(order)
@@ -166,6 +171,8 @@ def reduction_source(kind: str, seed: int, n: int):
     if kind in ("circle-diagonal", "circle-vertical"):
         return gen_chord_diagram(seed, n)
     if kind == "sat":
+        from .reductions import sat_corpus
+
         corpus = sat_corpus()
         return corpus[seed % len(corpus)]
     if kind == "vc":
@@ -179,6 +186,8 @@ def reduction_source(kind: str, seed: int, n: int):
 
 def reduction_certificate(kind: str, seed: int, n: int) -> ReductionCertificate:
     """The seeded source of ``kind`` pushed through its reduction."""
+    from .reductions import build_certificate
+
     return build_certificate(kind, reduction_source(kind, seed, n))
 
 

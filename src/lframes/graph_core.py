@@ -408,6 +408,15 @@ def _min_ds(
         covered = node_cover | masks[v]
 
 
+def check_cap(n: int, cap: int) -> None:
+    """Raise TooLarge when n vertices exceed the exact solver's ``cap``.
+
+    Callers that know n before any graph exists check it here first.
+    """
+    if n > cap:
+        raise TooLarge(f"{n} vertices exceeds cap {cap}")
+
+
 def _components(g: IntersectionGraph, cap: int) -> list:
     """Per connected component of g: its vertices in id order, their
     closed-neighborhood bitmasks (bit i is the component's i-th vertex) and
@@ -416,8 +425,7 @@ def _components(g: IntersectionGraph, cap: int) -> list:
     Raises TooLarge when g has more than ``cap`` vertices in all, however
     they split into components.
     """
-    if g.n > cap:
-        raise TooLarge(f"{g.n} vertices exceeds cap {cap}")
+    check_cap(g.n, cap)
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
     in_greedy = bytearray(g.n)
     for v in greedy_mds(g).members:

@@ -197,12 +197,6 @@ def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchC
     return DominatingSet(tuple(search.members))
 
 
-def is_k_locally_optimal(g: IntersectionGraph, members, k: int) -> bool:
-    """Run the swap search once on any member set and report whether
-    nothing improves."""
-    return _SwapSearch(g, members, k).first_improvement() is None
-
-
 def anchoring_side(inst: GeomInstance) -> Optional[str]:
     """The common anchoring side of all frames, or None if mixed/unanchored."""
     if inst.diagonal is None or not inst.frames:

@@ -9,10 +9,12 @@ paths. Arcs are the only ``path`` elements emitted.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .exchange import ArcDrawing
 from .geometry import GeomInstance
+
+if TYPE_CHECKING:  # annotations only: drawing an instance loads no exchange code
+    from .exchange import ArcDrawing
 
 _SCALE = 20.0
 _PAD = 30.0

@@ -16,6 +16,7 @@ from hypothesis import settings
 from lframes.epg import epg_intersect
 from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, lframe_intersect, rect_intersect
 from lframes.graph_core import IntersectionGraph, _min_ds, greedy_mds, is_dominating
+from lframes.local_search import _SwapSearch
 
 # CLI runs in a subprocess import the package from this checkout, as the
 # in-process tests do through the pytest ``pythonpath`` setting
@@ -92,6 +93,12 @@ def reference_exact_mds(g):
         else:
             excluded |= 1 << v
     return tuple(chosen)
+
+
+def is_k_locally_optimal(g, members, k):
+    """Run the library's swap search once on any member set and report
+    whether nothing improves."""
+    return _SwapSearch(g, members, k).first_improvement() is None
 
 
 def reference_greedy(n, edges):

@@ -7,6 +7,9 @@ import sys
 import pytest
 
 import lframes.cli as cli
+import lframes.exchange as exchange
+import lframes.graph_core as graph_core
+import lframes.local_search as local_search
 import lframes.permutation as permutation
 from conftest import brute_is_dominating, pairwise_edges, parse_report
 from lframes.generators import gen_anchored_one_sided, gen_anchored_rects
@@ -109,7 +112,7 @@ def test_exact_oracle_reuses_the_optimum(tmp_path, monkeypatch, capsys):
     def second_solve(*args, **kwargs):
         raise AssertionError("the exact members are solved again")
 
-    monkeypatch.setattr(cli, "exact_mds_size", second_solve)
+    monkeypatch.setattr(graph_core, "exact_mds_size", second_solve)
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     fields = parse_report(out)
@@ -144,7 +147,8 @@ def test_solve_builds_each_graph_once(tmp_path, monkeypatch, capsys):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(cli, "build_intersection_graph", counting(cli.build_intersection_graph))
+    monkeypatch.setattr(graph_core, "build_intersection_graph",
+                        counting(graph_core.build_intersection_graph))
     monkeypatch.setattr(permutation, "two_line_vertex_order",
                         counting(permutation.two_line_vertex_order))
     for path, algo in ((anchored, "greedy"), (anchored, "two-sided"), (two_line, "permutation")):
@@ -160,13 +164,13 @@ def test_oracle_over_cap_builds_no_graph(tmp_path, monkeypatch, capsys):
     run_cli(["generate", "--family", "two-line", "--seed", "1", "--n", "40",
              "--out", str(path)], capsys)
     calls = []
-    build = cli.build_intersection_graph
+    build = graph_core.build_intersection_graph
 
     def counting(inst):
         calls.append(inst.n)
         return build(inst)
 
-    monkeypatch.setattr(cli, "build_intersection_graph", counting)
+    monkeypatch.setattr(graph_core, "build_intersection_graph", counting)
     code, out, err = run_cli(["solve", "--in", str(path), "--algo", "permutation",
                               "--oracle"], capsys)
     assert code == 0
@@ -214,7 +218,7 @@ def test_verify_kinds_pass(capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "check_local_exchange", lambda h, g: False)
+    monkeypatch.setattr(exchange, "check_local_exchange", lambda h, g: False)
     code, out, _ = run_cli(["verify", "--kind", "exchange", "--seed", "8", "--n", "10"], capsys)
     assert code == 3
     assert "ok false" in out
@@ -434,11 +438,24 @@ def test_exchange_checks_cap_before_local_search(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a.txt"
     run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "40",
              "--out", str(path)], capsys)
-    monkeypatch.setattr(cli, "local_search_mds", _refuse)
+    monkeypatch.setattr(local_search, "local_search_mds", _refuse)
     for args in (["verify", "--kind", "exchange", "--n", "40", "--seed", "1"],
                  ["render", "--in", str(path), "--exchange"]):
         code, out, err = run_cli(args, capsys)
         assert (code, out, err) == (2, "", "error: 40 vertices exceeds cap 32\n")
+
+
+def test_exchange_refuses_past_cap_before_any_work(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a.txt"
+    run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "40",
+             "--out", str(path)], capsys)
+    monkeypatch.setattr(cli, "gen_anchored_one_sided", _refuse)
+    monkeypatch.setattr(graph_core, "build_intersection_graph", _refuse)
+    for args, n in ((["verify", "--kind", "exchange", "--n", "100000", "--seed", "1"], 100000),
+                    (["render", "--in", str(path), "--exchange"], 40),
+                    (["render", "--in", str(path), "--exchange", "--algo", "greedy"], 40)):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (2, "", f"error: {n} vertices exceeds cap 32\n"), args
 
 
 @pytest.mark.parametrize("kind, n, message", [
@@ -545,6 +562,35 @@ def test_graph_solvers_start_without_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def _loaded_modules(args):
+    """The lframes modules one CLI call leaves loaded, run in a fresh process."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from lframes.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('lframes.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    assert code == "0", (args, proc.stderr)
+    return set(modules)
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text(emit_instance(gen_anchored_one_sided(1, 12)))
+    loaded = _loaded_modules(["solve", "--in", str(path), "--algo", "greedy"])
+    assert "graph_core" in loaded
+    assert not loaded & {"reductions", "exchange", "local_search", "permutation", "svg"}
+    loaded = _loaded_modules(["verify", "--kind", "sat", "--seed", "1"])
+    assert "reductions" in loaded
+    assert not loaded & {"permutation", "svg", "exchange", "local_search"}
+    loaded = _loaded_modules(["generate", "--family", "anchored-one-sided", "--seed", "1"])
+    assert not loaded & {"reductions", "graph_core"}
 
 
 def test_no_command_loads_numpy(tmp_path):

@@ -11,6 +11,7 @@ from conftest import (
     brute_is_dominating,
     brute_mds_size,
     closed_masks,
+    is_k_locally_optimal,
     reference_find_improvement,
     reference_greedy,
     reference_local_search,
@@ -29,7 +30,6 @@ from lframes.local_search import (
     LocalSearchConfig,
     anchoring_side,
     approx_two_sided,
-    is_k_locally_optimal,
     local_search_mds,
     ptas_one_sided,
     split_two_sided,
