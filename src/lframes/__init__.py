@@ -17,13 +17,13 @@ _EXPORTS = {
         "ParseError", "SourceTooLarge", "TooLarge", "ValidationError",
     ),
     "geometry": (
-        "Diagonal", "FrameColumns", "GeomInstance", "LFrame", "Point", "Rect",
+        "Diagonal", "DominatingSet", "FrameColumns", "GeomInstance", "LFrame", "Point", "Rect",
         "is_anchored", "lframe_intersect", "rect_intersect", "rect_to_lframe", "rotate_cw",
     ),
     "epg": ("epg_intersect",),
     "graph_core": (
-        "DominatingSet", "IntersectionGraph", "build_intersection_graph", "exact_mds",
-        "exact_mds_size", "greedy_mds", "is_dominating",
+        "IntersectionGraph", "build_intersection_graph", "exact_mds", "exact_mds_size",
+        "greedy_mds", "is_dominating",
     ),
     "local_search": (
         "LocalSearchConfig", "approx_two_sided", "local_search_mds", "ptas_one_sided",

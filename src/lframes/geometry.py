@@ -1,4 +1,5 @@
-"""Exact integer geometry: L-frames, rectangles, reference lines, predicates.
+"""Exact integer geometry: L-frames, rectangles, reference lines, predicates,
+and the solvers' result type, ``DominatingSet``.
 
 Everything here is pure integer arithmetic on closed segments. There is no
 floating point anywhere; distance comparisons use squared distances.
@@ -151,6 +152,20 @@ class Diagonal:
 
     def contains(self, p: Point) -> bool:
         return p.x + p.y == self.d
+
+
+@dataclass(frozen=True)
+class DominatingSet:
+    """A vertex set intended to dominate some graph; members sorted."""
+
+    members: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(sorted(self.members)))
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 @dataclass(frozen=True)

@@ -38,28 +38,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import TooLarge
-from .geometry import GeomInstance
-
-
-@dataclass(frozen=True)
-class DominatingSet:
-    """A vertex set intended to dominate some graph; members sorted."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+from .geometry import DominatingSet, GeomInstance
 
 
 class IntersectionGraph:

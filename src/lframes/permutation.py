@@ -16,13 +16,23 @@ minimum nor a suffix maximum, and lies outside a "hot" set of value
 intervals read off the frontier, leaves the frontier and every state's
 history unchanged, so it is not stepped: the next event is found by
 bisecting each value against the hot intervals in a pipeline of C-level
-iterators, only events are stepped (in plain Python integers), and an
-array of parent codes is stored per event. The frontier is re-sorted and
-pruned after every step, which the quiet-position test relies on. A
-random permutation of 10**6 elements takes about 160 events at frontier
+iterators, and only events are stepped (in plain Python integers). The
+frontier is re-sorted and pruned after every step, which the
+quiet-position test relies on.
+
+A frontier of one state, which is common on near-sorted inputs (every
+frontier holds a state with nothing pending, so that state is the one),
+is stepped in constant time: its two candidates, skip then take, go
+through the same drop and collapse rules, and take is kept unless skip
+dominates it; its hot values are read off the state directly. Each event
+stores one row of parent codes: one of three shared tuples after a
+one-state step, so those rows allocate nothing, else an array.
+
+A random permutation of 10**6 elements takes about 160 events at frontier
 width 10; a sqrt(n) x sqrt(n) grid transpose takes about 4 sqrt(n) events
-at width about 2 sqrt(n). Worst-case width is Theta(n) on adversarial
-inputs.
+at width about 2 sqrt(n); the identity steps every position at width 1.
+Worst-case width is Theta(n) on adversarial inputs, where the scan is
+quadratic: the rotation (2, ..., n, 1) keeps about 2n states.
 """
 
 from __future__ import annotations
@@ -36,8 +46,7 @@ from operator import add, index
 from typing import Optional
 
 from .errors import DegenerateOrder, NotTwoLineCrossing
-from .geometry import GeomInstance
-from .graph_core import DominatingSet
+from .geometry import DominatingSet, GeomInstance
 
 
 @dataclass(frozen=True)
@@ -157,14 +166,37 @@ class _Staircase:
         return -self.neg_m[j] if j < len(self.fs) else -1
 
 
+_SKIP, _TAKE, _BOTH = (0,), (1,), (0, 1)  # the parent codes of one-state steps
+
+
 def _step(front, v, smin, smax, big, inff):
     """Advance the frontier over one position of value v.
 
     front is a list of (count, M, F), sorted by (count asc, M desc, F desc)
     and Pareto-pruned; smin and smax bound the values after this position.
     Returns the next frontier in the same form, and for each of its states
-    the code 2 * s + took naming the state s it came from.
+    the code 2 * s + took naming the state s it came from: a shared tuple
+    (_SKIP, _TAKE, _BOTH, or () if nothing survives) when front holds one
+    state, else an array.
     """
+    if len(front) == 1:  # two candidates, skip then take, under the rules below
+        ((c, m, f),) = front
+        fs = v if m < v < f else f
+        mt = m if m > v else v
+        ft = inff if v < f else f
+        skip = fs == inff or fs >= smin
+        take = ft == inff or ft >= smin
+        if fs != inff and fs > smax:
+            fs = smax + 1
+        if ft != inff and ft > smax:
+            ft = smax + 1
+        m = 0 if m < smin else big if m > smax else m
+        mt = 0 if mt < smin else big if mt > smax else mt
+        if skip and take and (m < mt or fs < ft):
+            return [(c, m, fs), (c + 1, mt, ft)], _BOTH
+        if skip:
+            return [(c, m, fs)], _SKIP
+        return ([(c + 1, mt, ft)], _TAKE) if take else ([], ())
     cands = []
     for s, (c, m, f) in enumerate(front):
         skip = (c, m, v if m < v < f else f, 2 * s)
@@ -190,7 +222,7 @@ def _step(front, v, smin, smax, big, inff):
         if kept.insert(-nm, -nf):
             new.append((c, -nm, -nf))
             codes.append(code)
-    return new, codes
+    return new, array("q", codes)
 
 
 def _hot_edges(front, inff):
@@ -208,7 +240,15 @@ def _hot_edges(front, inff):
     with F' >= F. (On every permutation with n <= 8, and on thousands of
     random and structured ones, the last clause never marks a value that
     the others leave quiet; without a proof that it cannot, it stays.)
+    For one state (c, M, F) that reads: [M+1, inf) when F is inf, else
+    v < min(M, F), v > max(M, F) and M < v < F.
     """
+    if len(front) == 1:
+        _, m, f = front[0]
+        if f == inff:
+            return [m + 1, inff]
+        spans = ((1, min(m, f)), (m + 1, f), (max(m, f) + 1, inff))
+        return [e for a, b in spans if a < b for e in (a, b)]
     stair = _Staircase()  # the states of count <= c + 1
     j = 0
     below, above = 1, inff  # hot for v < below and for v > above
@@ -275,7 +315,7 @@ def _scan(pi) -> list:
                 next(rest)
                 lo, hi = lo_after, hi_after
             front, codes = _step(front, pi[p], lo, hi, big, inff)
-            rows.append((p, array("q", codes)))
+            rows.append((p, codes))
             p += 1
 
     # after the last position every survivor is (count, 0, inf), and

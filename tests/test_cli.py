@@ -12,7 +12,7 @@ import lframes.graph_core as graph_core
 import lframes.local_search as local_search
 import lframes.permutation as permutation
 from conftest import brute_is_dominating, pairwise_edges, parse_report
-from lframes.generators import gen_anchored_one_sided, gen_anchored_rects
+from lframes.generators import gen_anchored_one_sided, gen_anchored_rects, gen_two_line
 from lframes.instance_io import emit_instance
 
 
@@ -591,6 +591,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert not loaded & {"permutation", "svg", "exchange", "local_search"}
     loaded = _loaded_modules(["generate", "--family", "anchored-one-sided", "--seed", "1"])
     assert not loaded & {"reductions", "graph_core"}
+    path.write_text(emit_instance(gen_two_line(1, 40)))
+    loaded = _loaded_modules(["solve", "--in", str(path), "--algo", "permutation"])
+    assert "permutation" in loaded
+    assert not loaded & {"graph_core", "reductions", "exchange", "local_search", "svg"}
 
 
 def test_no_command_loads_numpy(tmp_path):

@@ -212,10 +212,9 @@ def test_scan_on_long_forced_and_quiet_runs(monkeypatch):
         assert stepped == [n, 2, n - 1, 1]
 
 
-def test_hot_values_are_exactly_the_frontier_changes():
-    # step every position: the frontier stays sorted and Pareto-pruned, and
-    # away from suffix minima and maxima it changes exactly at the values
-    # the scan treats as hot
+def frontier_corpus():
+    """All permutations with n <= 6, UNSORTED_COLLAPSE, grids, and random,
+    noisy-identity and block-reversal permutations with n <= 200."""
     rng = random.Random(47)
     cases = [pi for n in range(1, 7) for pi in itertools.permutations(range(1, n + 1))]
     cases.append(UNSORTED_COLLAPSE)
@@ -225,7 +224,14 @@ def test_hot_values_are_exactly_the_frontier_changes():
         pi = list(range(1, n + 1))
         rng.shuffle(pi)
         cases += [pi, noisy_identity(n, rng, 8), block_reversal([rng.randint(1, 9) for _ in range(n // 5)])]
-    for pi in cases:
+    return cases
+
+
+def test_hot_values_are_exactly_the_frontier_changes():
+    # step every position: the frontier stays sorted and Pareto-pruned, and
+    # away from suffix minima and maxima it changes exactly at the values
+    # the scan treats as hot
+    for pi in frontier_corpus():
         n = len(pi)
         inff = n + 2
         sufmin, sufmax = [n + 3] * (n + 1), [0] * (n + 1)
@@ -242,6 +248,73 @@ def test_hot_values_are_exactly_the_frontier_changes():
             if sufmin[p] < v < sufmax[p]:
                 assert bool(hot) == (set(nxt) != set(front)), (pi, p)
             front = nxt
+
+
+def reference_step(front, v, smin, smax, big, inff):
+    """The scan's step written plainly: skip and take for every state under
+    the drop and sentinel-collapse rules, a pairwise Pareto filter under
+    (count <=, M >=, F >=) that keeps the least code of equal states, and a
+    sort by (count asc, M desc, F desc)."""
+    cands = []
+    for s, (c, m, f) in enumerate(front):
+        skip = (c, m, v if m < v < f else f)
+        take = (c + 1, max(m, v), inff if v < f else f)
+        for code, (c2, m2, f2) in enumerate((skip, take), 2 * s):
+            if f2 != inff and f2 < smin:
+                continue
+            if f2 != inff and f2 > smax:
+                f2 = smax + 1
+            m2 = 0 if m2 < smin else big if m2 > smax else m2
+            cands.append(((c2, m2, f2), code))
+
+    def beats(a, code_a, b, code_b):
+        return a[0] <= b[0] and a[1] >= b[1] and a[2] >= b[2] and (a != b or code_a < code_b)
+
+    kept = [(st, code) for st, code in cands
+            if not any(beats(other, oc, st, code) for other, oc in cands)]
+    kept.sort(key=lambda sc: (sc[0][0], -sc[0][1], -sc[0][2]))
+    return [st for st, _ in kept], [code for _, code in kept]
+
+
+def test_step_matches_a_plain_reference_step(monkeypatch):
+    # every step the scan makes on the corpus gives the reference's next
+    # frontier and parent codes, one-state frontiers included, and those
+    # reach each of their three outcomes: skip, take, and both
+    one_state = set()
+    step = pm._step
+
+    def checked(front, *args):
+        new, codes = step(front, *args)
+        assert (new, list(codes)) == reference_step(front, *args), (front, args)
+        if len(front) == 1:
+            one_state.add(tuple(codes))
+        return new, codes
+
+    monkeypatch.setattr(pm, "_step", checked)
+    for pi in frontier_corpus():
+        pm._scan(pi)
+    assert one_state == {(0,), (1,), (0, 1)}
+
+
+def test_every_one_state_frontier_steps_and_heats_as_the_reference():
+    # the scan reaches one-state frontiers only with F = inf (a take from an
+    # F = inf state keeps F = inf and is never dropped), so pin the rest here:
+    # every state steps as the reference does over every value, and a value
+    # strictly between the bounds is hot iff it changes a state already
+    # collapsed to those bounds
+    for n in range(2, 8):
+        big, inff = n + 1, n + 2
+        for smin, smax in itertools.combinations_with_replacement(range(1, n + 1), 2):
+            for v, m, f in itertools.product(range(1, n + 1), range(big + 1), range(1, inff + 1)):
+                if v in (m, f) or m == f:
+                    continue
+                front = [(2, m, f)]
+                new, codes = pm._step(front, v, smin, smax, big, inff)
+                assert (new, list(codes)) == reference_step(front, v, smin, smax, big, inff)
+                collapsed = m in (0, big, *range(smin, smax + 1)) and (smin <= f <= smax + 1 or f == inff)
+                if smin < v < smax and collapsed:
+                    hot = bisect.bisect_right(pm._hot_edges(front, inff), v) & 1
+                    assert bool(hot) == (new != front), (n, smin, smax, v, m, f)
 
 
 def test_generated_instances_match_permutation_graph():
