@@ -20,12 +20,12 @@ iterators, and only events are stepped (in plain Python integers). The
 frontier is re-sorted and pruned after every step, which the
 quiet-position test relies on.
 
-A frontier of one state, which is common on near-sorted inputs (every
-frontier holds a state with nothing pending, so that state is the one),
-is stepped in constant time: its two candidates, skip then take, go
-through the same drop and collapse rules, and take is kept unless skip
-dominates it; its hot values are read off the state directly. Each event
-stores one row of parent codes: one of three shared tuples after a
+Every frontier holds a state with nothing pending (F = inf): the initial
+state has it, a take from such a state keeps it and is never dropped, and
+only another F = inf state can dominate it. So a frontier of one state,
+which is common on near-sorted inputs, is (c, M, inf), and it is stepped
+in constant time with its hot values read off the state directly. Each
+event stores one row of parent codes: one of three shared tuples after a
 one-state step, so those rows allocate nothing, else an array.
 
 A random permutation of 10**6 elements takes about 160 events at frontier
@@ -38,7 +38,7 @@ quadratic: the rotation (2, ..., n, 1) keeps about 2n states.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, islice, pairwise, repeat
@@ -160,11 +160,6 @@ class _Staircase:
         fs[lo:hi] = [f]
         return True
 
-    def max_m(self, f: int) -> int:
-        """Largest M among points with F >= f, or -1."""
-        j = bisect_left(self.fs, f)
-        return -self.neg_m[j] if j < len(self.fs) else -1
-
 
 _SKIP, _TAKE, _BOTH = (0,), (1,), (0, 1)  # the parent codes of one-state steps
 
@@ -176,27 +171,16 @@ def _step(front, v, smin, smax, big, inff):
     and Pareto-pruned; smin and smax bound the values after this position.
     Returns the next frontier in the same form, and for each of its states
     the code 2 * s + took naming the state s it came from: a shared tuple
-    (_SKIP, _TAKE, _BOTH, or () if nothing survives) when front holds one
-    state, else an array.
+    (_SKIP, _TAKE or _BOTH) when front holds one state, else an array.
     """
-    if len(front) == 1:  # two candidates, skip then take, under the rules below
-        ((c, m, f),) = front
-        fs = v if m < v < f else f
-        mt = m if m > v else v
-        ft = inff if v < f else f
-        skip = fs == inff or fs >= smin
-        take = ft == inff or ft >= smin
-        if fs != inff and fs > smax:
-            fs = smax + 1
-        if ft != inff and ft > smax:
-            ft = smax + 1
+    if len(front) == 1:  # (c, M, inf): see the module docstring
+        ((c, m, _),) = front
+        if m > v:  # skip keeps the state and take only adds to its count
+            return [(c, 0 if m < smin else big if m > smax else m, inff)], _SKIP
+        if v < smin:  # skip leaves v pending with no smaller value left
+            return [(c + 1, 0, inff)], _TAKE
         m = 0 if m < smin else big if m > smax else m
-        mt = 0 if mt < smin else big if mt > smax else mt
-        if skip and take and (m < mt or fs < ft):
-            return [(c, m, fs), (c + 1, mt, ft)], _BOTH
-        if skip:
-            return [(c, m, fs)], _SKIP
-        return ([(c + 1, mt, ft)], _TAKE) if take else ([], ())
+        return [(c, m, min(v, smax + 1)), (c + 1, v if v <= smax else big, inff)], _BOTH
     cands = []
     for s, (c, m, f) in enumerate(front):
         skip = (c, m, v if m < v < f else f, 2 * s)
@@ -234,36 +218,36 @@ def _hot_edges(front, inff):
     the sentinels in place; it then leaves the frontier as it is exactly
     when, for every state (c, M, F), skipping it keeps (M, F) and taking it
     yields a state weakly dominated by one of count <= c + 1. Per state that
-    fails for v in (M, F), where skipping lowers F; for v < min(M, F) when
-    no state of count <= c + 1 has F = inf and M' >= M; and for v > max(F, G)
-    when F is finite, G being the largest M' over states of count <= c + 1
-    with F' >= F. (On every permutation with n <= 8, and on thousands of
-    random and structured ones, the last clause never marks a value that
-    the others leave quiet; without a proof that it cannot, it stays.)
-    For one state (c, M, F) that reads: [M+1, inf) when F is inf, else
-    v < min(M, F), v > max(M, F) and M < v < F.
+    fails for v in (M, F), where skipping lowers F, and for v < min(M, F)
+    when no state of count <= c + 1 has F = inf and M' >= M. For one state
+    (c, M, inf) that reads [M+1, inf).
+
+    A third case needs no clause, as it is always hot already: for a state
+    of finite F, taking v > max(M, F) yields (c + 1, v, F), which is quiet
+    iff v <= G, the largest M' over states of count <= c + 1 with F' >= F.
+    Let v > max(F, G). Were some earlier value u > v, adding u to the
+    state's takes would give count c + 1, M >= u > v (above v also once
+    collapsed, as v is still ahead) and F' >= F (M only grows, so nothing
+    new is pending); the frontier dominates that state, so G > v, a
+    contradiction. So v exceeds every earlier value, hence the M of the
+    frontier's F = inf state (the sentinel 0 or an earlier value, which v
+    still ahead keeps from collapsing to big): v lies in its (M, inf).
     """
     if len(front) == 1:
-        _, m, f = front[0]
-        if f == inff:
-            return [m + 1, inff]
-        spans = ((1, min(m, f)), (m + 1, f), (max(m, f) + 1, inff))
-        return [e for a, b in spans if a < b for e in (a, b)]
-    stair = _Staircase()  # the states of count <= c + 1
+        return [front[0][1] + 1, inff]
     j = 0
-    below, above = 1, inff  # hot for v < below and for v > above
+    below = 1  # hot for v < below
+    top = -1  # the largest M over the F = inf states of count <= c + 1
     for c, m, f in front:
         while j < len(front) and front[j][0] <= c + 1:
-            stair.insert(front[j][1], front[j][2])
+            if front[j][2] == inff and front[j][1] > top:
+                top = front[j][1]
             j += 1
-        if stair.max_m(inff) < m:
+        if top < m:
             below = max(below, min(m, f))
-        if f != inff:
-            above = min(above, max(f, stair.max_m(f)))
 
     spans = [(m + 1, f) for _, m, f in front if m + 1 < f]
     spans.append((1, below))
-    spans.append((above + 1, inff))
     spans.sort()
     edges = []
     for a, b in spans:

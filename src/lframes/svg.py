@@ -98,10 +98,19 @@ def render_svg(
     solution: Optional[Iterable[int]] = None,
     arcs: Optional[ArcDrawing] = None,
 ) -> str:
-    """Render the instance, an optional solution, and optional arcs."""
+    """Render the instance, an optional solution, and optional arcs.
+
+    Raises ValueError when a coordinate or the canvas size is not a finite
+    float, as the drawing could not place it.
+    """
     chosen = frozenset(solution) if solution is not None else frozenset()
-    xlo, ylo, xhi, yhi = _bounds(inst, arcs)
-    cv = _Canvas(xlo, ylo, xhi, yhi)
+    try:
+        cv = _Canvas(*_bounds(inst, arcs))
+        finite = all(map(math.isfinite, (cv.xlo, cv.ylo, cv.xhi, cv.yhi, cv.width, cv.height)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("cannot draw: coordinates and canvas size must be finite floats")
 
     body: list[str] = []
     if inst.n == 0:

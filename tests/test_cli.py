@@ -206,6 +206,17 @@ def test_solve_model_override(monkeypatch, capsys):
     assert parse_report(out)["size"] == "2"
 
 
+def test_solve_edge_model_on_rectangles_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "rects.txt"
+    path.write_text(emit_instance(gen_anchored_rects(1, 5)))
+    code, out, err = run_cli(
+        ["solve", "--in", str(path), "--algo", "greedy", "--model", "edge"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: edge model is defined for frames only\n"
+
+
 def test_verify_kinds_pass(capsys):
     for kind in ("circle-diagonal", "circle-vertical", "sat", "vc", "eds"):
         code, out, _ = run_cli(["verify", "--kind", kind, "--seed", "4", "--n", "5"], capsys)
@@ -232,6 +243,19 @@ def test_render_instance(tmp_path, capsys):
     assert code == 0
     assert out.startswith("<svg ")
     assert out.count("<polyline") == 6
+
+
+@pytest.mark.parametrize("xs", [(0, 10**400), (-10**307, 10**307)], ids=["overflow", "inf-canvas"])
+def test_render_beyond_float_range_is_exit_2(xs, tmp_path, capsys):
+    # a coordinate no float holds, and a canvas wider than the float range
+    path = tmp_path / "far.txt"
+    path.write_text("version 1\n" + "".join(f"f{i} {x} 0 3 3\n" for i, x in enumerate(xs)))
+    code, _, _ = run_cli(["solve", "--in", str(path), "--algo", "greedy"], capsys)
+    assert code == 0
+    code, out, err = run_cli(["render", "--in", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot draw: coordinates and canvas size must be finite floats\n"
 
 
 def test_render_exchange_overlay(tmp_path, capsys):

@@ -213,10 +213,10 @@ def test_scan_on_long_forced_and_quiet_runs(monkeypatch):
 
 
 def frontier_corpus():
-    """All permutations with n <= 6, UNSORTED_COLLAPSE, grids, and random,
+    """All permutations with n <= 7, UNSORTED_COLLAPSE, grids, and random,
     noisy-identity and block-reversal permutations with n <= 200."""
     rng = random.Random(47)
-    cases = [pi for n in range(1, 7) for pi in itertools.permutations(range(1, n + 1))]
+    cases = [pi for n in range(1, 8) for pi in itertools.permutations(range(1, n + 1))]
     cases.append(UNSORTED_COLLAPSE)
     cases += [grid_transpose(a, b) for a in (3, 7, 12) for b in (2, 5, 11)]
     for _ in range(20):
@@ -277,13 +277,16 @@ def reference_step(front, v, smin, smax, big, inff):
 
 
 def test_step_matches_a_plain_reference_step(monkeypatch):
-    # every step the scan makes on the corpus gives the reference's next
-    # frontier and parent codes, one-state frontiers included, and those
-    # reach each of their three outcomes: skip, take, and both
+    # every step the scan makes on the corpus starts from a frontier that
+    # holds a state with nothing pending (F = inf) and gives the reference's
+    # next frontier and parent codes, one-state frontiers included, and
+    # those reach each of their three outcomes: skip, take, and both
     one_state = set()
     step = pm._step
 
     def checked(front, *args):
+        inff = args[-1]
+        assert any(f == inff for _, _, f in front), (front, args)
         new, codes = step(front, *args)
         assert (new, list(codes)) == reference_step(front, *args), (front, args)
         if len(front) == 1:
@@ -298,23 +301,22 @@ def test_step_matches_a_plain_reference_step(monkeypatch):
 
 def test_every_one_state_frontier_steps_and_heats_as_the_reference():
     # the scan reaches one-state frontiers only with F = inf (a take from an
-    # F = inf state keeps F = inf and is never dropped), so pin the rest here:
-    # every state steps as the reference does over every value, and a value
-    # strictly between the bounds is hot iff it changes a state already
-    # collapsed to those bounds
+    # F = inf state keeps F = inf and is never dropped), so every such state
+    # (c, M, inf) steps as the reference does over every value and every
+    # pair of bounds, and a value strictly between the bounds is hot iff it
+    # changes a state whose M is already collapsed to those bounds
     for n in range(2, 8):
         big, inff = n + 1, n + 2
         for smin, smax in itertools.combinations_with_replacement(range(1, n + 1), 2):
-            for v, m, f in itertools.product(range(1, n + 1), range(big + 1), range(1, inff + 1)):
-                if v in (m, f) or m == f:
+            for v, m in itertools.product(range(1, n + 1), range(big + 1)):
+                if v == m:
                     continue
-                front = [(2, m, f)]
+                front = [(2, m, inff)]
                 new, codes = pm._step(front, v, smin, smax, big, inff)
                 assert (new, list(codes)) == reference_step(front, v, smin, smax, big, inff)
-                collapsed = m in (0, big, *range(smin, smax + 1)) and (smin <= f <= smax + 1 or f == inff)
-                if smin < v < smax and collapsed:
+                if smin < v < smax and m in (0, big, *range(smin, smax + 1)):
                     hot = bisect.bisect_right(pm._hot_edges(front, inff), v) & 1
-                    assert bool(hot) == (new != front), (n, smin, smax, v, m, f)
+                    assert bool(hot) == (new != front), (n, smin, smax, v, m)
 
 
 def test_generated_instances_match_permutation_graph():

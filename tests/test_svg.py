@@ -66,6 +66,21 @@ def test_reference_lines_drawn():
     assert s.count("<line") >= 1
 
 
+def test_two_line_instance_draws_both_reference_lines():
+    inst = GeomInstance(
+        frames=(LFrame("a", Point(-5, 3), 6, -4), LFrame("b", Point(-3, 2), 4, -3)),
+        vline=0,
+        hline=0,
+    )
+    lines = minidom.parseString(render_svg(inst)).getElementsByTagName("line")
+    ends = [tuple(ln.getAttribute(k) for k in ("x1", "y1", "x2", "y2")) for ln in lines]
+    assert all(ln.getAttribute("stroke-dasharray") for ln in lines)
+    # x = 0 and y = 0 on a canvas whose upper-left corner is (-5, 3)
+    assert [e[0] for e in ends if e[0] == e[2]] == ["130.00"]
+    assert [e[1] for e in ends if e[1] == e[3]] == ["90.00"]
+    assert len(ends) == 2
+
+
 def test_byte_identical_repeat():
     a = render_svg(HUB6, solution=[0])
     b = render_svg(HUB6, solution=[0])
