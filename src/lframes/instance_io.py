@@ -17,7 +17,9 @@ for frames or ``id lo-x lo-y hi-x hi-y`` for rectangles:
 Frame records are read in one pass into the integer columns of
 ``FrameColumns`` and written back from them, so neither direction builds
 an ``LFrame`` object. Records are checked in file order, so the error
-reported is the one on the earliest bad line.
+reported is the one on the earliest bad line. The text is split into
+lines a block at a time, never as one list of every line, and each
+column turns into a tuple before the next one does.
 
 Reports are one ``key value`` line per field, keys sorted
 (``format_fields``).
@@ -25,6 +27,7 @@ Reports are one ``key value`` line per field, keys sorted
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from .errors import ParseError, ValidationError
@@ -66,6 +69,28 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
     return out
 
 
+_BLOCK = 1 << 16  # characters split into lines at a time
+
+
+def _blocks(text: str):
+    """Consecutive pieces of ``text``, each running to the first ``\n`` at
+    least ``_BLOCK`` characters on, or to the end."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + _BLOCK) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
+def _lines(text: str):
+    """The lines of ``text``, as ``text.splitlines()`` gives them, split a
+    block at a time. Each block ends just after a ``\n``, which always ends
+    a line break (``\r\n`` is the only one of two characters), so no break
+    straddles two blocks.
+    """
+    return chain.from_iterable(map(str.splitlines, _blocks(text)))
+
+
 def parse_instance(text: str) -> GeomInstance:
     """Read an instance file back into a GeomInstance.
 
@@ -87,7 +112,7 @@ def parse_instance(text: str) -> GeomInstance:
     version_seen = False
     in_records = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -148,6 +173,12 @@ def parse_instance(text: str) -> GeomInstance:
 
     if not version_seen:
         raise ParseError(1, "empty file, expected a version line")
+    # one column at a time, so no two copies of every column are alive
+    ids = tuple(ids)
+    xs = tuple(xs)
+    ys = tuple(ys)
+    hspans = tuple(hspans)
+    vspans = tuple(vspans)
     try:
         return GeomInstance(
             frames=FrameColumns(ids, xs, ys, hspans, vspans),

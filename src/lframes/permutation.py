@@ -3,7 +3,9 @@
 A frame that crosses one vertical and one horizontal line is read off as a
 pair of positions: top-to-bottom on the vertical line, left-to-right on the
 horizontal one. Segment crossings in the resulting diagram are exactly the
-frame intersections, so dominating sets transfer verbatim.
+frame intersections, so dominating sets transfer verbatim. That holds in
+the standard model only: in the edge model frames that merely cross are
+not adjacent, and the reading is refused.
 
 The solver is a left-to-right scan over the diagram. Its state after a
 prefix is the pair (M, F): M is the largest value taken so far, F the
@@ -24,26 +26,30 @@ Every frontier holds a state with nothing pending (F = inf): the initial
 state has it, a take from such a state keeps it and is never dropped, and
 only another F = inf state can dominate it. So a frontier of one state,
 which is common on near-sorted inputs, is (c, M, inf), and it is stepped
-in constant time with its hot values read off the state directly. Each
-event stores one row of parent codes: one of three shared tuples after a
-one-state step, so those rows allocate nothing, else an array.
+in constant time with its hot values read off the state directly.
 
 A random permutation of 10**6 elements takes about 160 events at frontier
 width 10; a sqrt(n) x sqrt(n) grid transpose takes about 4 sqrt(n) events
 at width about 2 sqrt(n); the identity steps every position at width 1.
 Worst-case width is Theta(n) on adversarial inputs, where the scan is
-quadratic: the rotation (2, ..., n, 1) keeps about 2n states.
+quadratic: the rotation (2, ..., n, 1) keeps about 2n states. The suffix
+marks (position, least and greatest value after it) and the event
+positions are held in machine-word arrays, and each event's row of parent
+codes is one of three shared tuples after a one-state step, else an
+array. So the history takes about two machine words per event and the
+marks three per mark: about 40 bytes per element on the identity, which
+steps and marks every position. The read-off sorts one list of the frame
+indices by y and by x, so both orders share their index objects, and it
+finds tied crossings next to each other in those orders.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, islice, pairwise, repeat
+from itertools import compress, count, islice, repeat
 from operator import add, index
-from typing import Optional
 
 from .errors import DegenerateOrder, NotTwoLineCrossing
 from .geometry import DominatingSet, GeomInstance
@@ -69,25 +75,24 @@ class Permutation:
     def n(self) -> int:
         return len(self.pi)
 
+    @classmethod
+    def _of(cls, pi: tuple) -> Permutation:
+        """A permutation of ``pi``, a tuple of ints already known to be a
+        bijection on 1..n, kept as it is without a second check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "pi", pi)
+        return p
 
-def _smallest_tie(col) -> Optional[int]:
-    """The smallest value occurring more than once in ``col``, or None."""
-    if len(set(col)) == len(col):
-        return None
-    return min(v for v, k in Counter(col).items() if k > 1)
 
-
-def two_line_vertex_order(inst: GeomInstance) -> tuple:
-    """Frame indices in line-one order (top to bottom on the vertical line).
-
-    Validates the two-line configuration: every frame must run rightward
-    over the vertical line and downward over the horizontal one, corners
-    strictly inside the upper-left region, with no two crossings tied on
-    either line. Errors name the first offending frame in record order,
-    then the smallest tied y, then the smallest tied x.
-    """
+def _line_orders(inst: GeomInstance) -> tuple[tuple, list]:
+    """Frame indices in line-one order, and each frame's 1-based position
+    on line two, of an instance validated as two_line_vertex_order says."""
     if inst.rects:
         raise NotTwoLineCrossing("two-line conversion requires a frame instance")
+    if inst.model != "standard":
+        # in the edge model frames that cross at a point are not adjacent,
+        # so the graph is not the permutation graph of the crossings
+        raise NotTwoLineCrossing("two-line conversion requires the standard model")
     if inst.vline is None:
         raise NotTwoLineCrossing("instance has no vertical line")
     if inst.hline is None:
@@ -107,13 +112,42 @@ def two_line_vertex_order(inst: GeomInstance) -> tuple:
                 raise NotTwoLineCrossing(f"frame {fid!r} misses the vertical line")
             if not (cy + v <= H < cy):
                 raise NotTwoLineCrossing(f"frame {fid!r} misses the horizontal line")
-    tie = _smallest_tie(ys)
-    if tie is not None:
-        raise DegenerateOrder(f"tied vertical-line crossings at y={tie}")
-    tie = _smallest_tie(xs)
-    if tie is not None:
-        raise DegenerateOrder(f"tied horizontal-line crossings at x={tie}")
-    return tuple(sorted(range(len(ys)), key=ys.__getitem__, reverse=True))
+    # both sorts start from the indices in record order, where each key
+    # read is a step forward in memory, and share the index objects. Tied
+    # crossings sit next to each other in a sorted order, and walking it
+    # upward meets the smallest tie first.
+    indices = list(range(len(ys)))
+    order1 = tuple(sorted(indices, key=ys.__getitem__, reverse=True))
+    last = None
+    for i in reversed(order1):
+        y = ys[i]
+        if y == last:
+            raise DegenerateOrder(f"tied vertical-line crossings at y={y}")
+        last = y
+    order2 = sorted(indices, key=xs.__getitem__)
+    del indices
+    rank2 = [0] * len(order2)
+    last = None
+    for pos, i in enumerate(order2, 1):
+        x = xs[i]
+        if x == last:
+            raise DegenerateOrder(f"tied horizontal-line crossings at x={x}")
+        last = x
+        rank2[i] = pos
+    return order1, rank2
+
+
+def two_line_vertex_order(inst: GeomInstance) -> tuple:
+    """Frame indices in line-one order (top to bottom on the vertical line).
+
+    Validates the two-line configuration: a frame instance in the standard
+    model, every frame running rightward over the vertical line and
+    downward over the horizontal one, corners strictly inside the
+    upper-left region, with no two crossings tied on either line. Errors
+    name the first offending frame in record order, then the smallest tied
+    y, then the smallest tied x.
+    """
+    return _line_orders(inst)[0]
 
 
 def two_line_permutation(inst: GeomInstance) -> tuple[tuple, Permutation]:
@@ -124,12 +158,8 @@ def two_line_permutation(inst: GeomInstance) -> tuple[tuple, Permutation]:
     the frames intersect. Position t of the permutation is frame
     ``order[t]``.
     """
-    order1 = two_line_vertex_order(inst)
-    xs = inst.frames.x
-    rank2 = [0] * len(xs)
-    for pos, v in enumerate(sorted(range(len(xs)), key=xs.__getitem__), 1):
-        rank2[v] = pos
-    return order1, Permutation(tuple(map(rank2.__getitem__, order1)))
+    order1, rank2 = _line_orders(inst)
+    return order1, Permutation._of(tuple(map(rank2.__getitem__, order1)))
 
 
 def lframes_to_permutation(inst: GeomInstance) -> Permutation:
@@ -275,21 +305,30 @@ def _scan(pi) -> list:
     n = len(pi)
     big, inff, huge = n + 1, n + 2, n + 3
     # one reverse pass marks the suffix minima and maxima, each with the
-    # least and greatest value from it on; between two marks these bounds
-    # stay put, so the bounds after any position are those of the next mark
-    marks = [(n, huge, 0)]
+    # least and greatest value after it, in three machine-word columns;
+    # between two marks these bounds stay put, so the bounds after any
+    # position are those after the next mark, and before the first mark
+    # they bound every value
+    marks, los, his = array("q"), array("q"), array("q")
     lo, hi = huge, 0
     for p, v in zip(range(n - 1, -1, -1), reversed(pi)):
         if not lo < v < hi:
-            lo, hi = min(lo, v), max(hi, v)
-            marks.append((p, lo, hi))
-    marks.reverse()
+            marks.append(p)
+            los.append(lo)
+            his.append(hi)
+            if v < lo:
+                lo = v
+            if v > hi:
+                hi = v
+    for col in (marks, los, his):
+        col.reverse()
 
     front = [(0, 0, inff)]
-    rows = []  # (position, parent codes) per event
+    events = array("q")  # the position of each event
+    rows = []  # and its parent codes
     rest = iter(pi)  # the values from position p on
     p = 0
-    for (f, lo, hi), (_, lo_after, hi_after) in pairwise(marks):
+    for f, lo_after, hi_after in zip(marks, los, his):
         while p <= f:
             if p < f:  # the first hot position before the mark, else the mark
                 edges = _hot_edges(front, inff)
@@ -299,14 +338,15 @@ def _scan(pi) -> list:
                 next(rest)
                 lo, hi = lo_after, hi_after
             front, codes = _step(front, pi[p], lo, hi, big, inff)
-            rows.append((p, codes))
+            events.append(p)
+            rows.append(codes)
             p += 1
 
     # after the last position every survivor is (count, 0, inf), and
     # pruning leaves the one of least count
     takes = []
     s = 0
-    for p, codes in reversed(rows):
+    for p, codes in zip(reversed(events), reversed(rows)):
         code = codes[s]
         if code & 1:
             takes.append(p)

@@ -7,6 +7,7 @@ agreement between the two is meaningful.
 
 import itertools
 import os
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 # per example and no example database written to the checkout
 settings.register_profile("lframes", deadline=None, derandomize=True, database=None)
 settings.load_profile("lframes")
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most memory, in bytes, that Python held during
+    the call beyond what it held when the call began (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def closed_masks(n, edges):

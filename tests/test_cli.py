@@ -149,14 +149,13 @@ def test_solve_builds_each_graph_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(graph_core, "build_intersection_graph",
                         counting(graph_core.build_intersection_graph))
-    monkeypatch.setattr(permutation, "two_line_vertex_order",
-                        counting(permutation.two_line_vertex_order))
+    monkeypatch.setattr(permutation, "_line_orders", counting(permutation._line_orders))
     for path, algo in ((anchored, "greedy"), (anchored, "two-sided"), (two_line, "permutation")):
         calls.clear()
         code, _, _ = run_cli(["solve", "--in", str(path), "--algo", algo, "--oracle"], capsys)
         assert code == 0, algo
         assert calls.count("build_intersection_graph") == 1, algo
-        assert calls.count("two_line_vertex_order") == (algo == "permutation"), algo
+        assert calls.count("_line_orders") == (algo == "permutation"), algo
 
 
 def test_oracle_over_cap_builds_no_graph(tmp_path, monkeypatch, capsys):
@@ -383,6 +382,27 @@ def test_two_line_validation_order(text, message, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_permutation_refuses_the_edge_model(tmp_path, capsys):
+    # frames that only cross share no grid edge, so on the edge model the
+    # permutation reading would answer for the wrong graph: solve, its
+    # oracle and render all exit 2, from a --model override or the header
+    path = tmp_path / "t.txt"
+    run_cli(["generate", "--family", "two-line", "--seed", "3", "--n", "30",
+             "--out", str(path)], capsys)
+    edge = tmp_path / "edge.txt"
+    edge.write_text(path.read_text().replace("model standard\n", "model edge\n"))
+    for args in (["solve", "--in", str(path), "--algo", "permutation", "--model", "edge"],
+                 ["solve", "--in", str(edge), "--algo", "permutation", "--oracle"],
+                 ["render", "--in", str(edge), "--algo", "permutation"]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert out == ""
+        assert err == "error: two-line conversion requires the standard model\n"
+    code, out, _ = run_cli(["solve", "--in", str(edge), "--algo", "exact"], capsys)
+    assert code == 0
+    assert parse_report(out)["size"] == "30"
 
 
 def test_two_line_members_survive_a_huge_shift(tmp_path, capsys):

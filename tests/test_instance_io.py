@@ -1,11 +1,14 @@
 """Instance text format round trips and the report line format."""
 
+import random
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+from lframes import instance_io
 from lframes.errors import ParseError, ValidationError
 from lframes.generators import FAMILIES, gen_anchored_rects, generate
 from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, Rect
@@ -134,6 +137,58 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_instance("version 1\nkind frames\nf1 0 0 3\n")
     assert "line 3" in str(err.value)
+
+
+# every line break str.splitlines knows
+LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _mixed_break_text(rng, records, bad_at=None):
+    """A frame file whose lines end in random line breaks, with blank lines
+    and comments, and a bad record as the first line past ``bad_at``
+    characters."""
+    parts = ["version 1", rng.choice(LINE_BREAKS)]
+    size = sum(map(len, parts))
+    for k in range(records):
+        if bad_at is not None and size > bad_at:
+            parts += ["bad 0 0 3 x", rng.choice(LINE_BREAKS)]
+            bad_at = None
+        line = rng.choice((f"f{k} 0 0 3 3", "", "# note", f"f{k} 1 2 3 3 # c"))
+        parts += [line, rng.choice(LINE_BREAKS)]
+        size += len(line) + len(parts[-1])
+    return "".join(parts)
+
+
+def test_lines_are_those_of_splitlines(monkeypatch):
+    # blocks of any size end just after a \n, so no line break is split
+    text = _mixed_break_text(random.Random(8), 400) + "f9 0 0 3 3"  # no final break
+    for block in (1, 2, 3, 5, 8, 13, 40, 10**6):
+        monkeypatch.setattr(instance_io, "_BLOCK", block)
+        for t in (text, text[:-10], ""):
+            assert list(instance_io._lines(t)) == t.splitlines(), block
+
+
+def test_parse_error_line_numbers_follow_splitlines():
+    # the bad record sits more than one block in, behind every kind of line break
+    block = instance_io._BLOCK
+    text = _mixed_break_text(random.Random(9), block // 4, 3 * block // 2)
+    assert text.index("bad 0 0 3 x") > block
+    assert all(b in text for b in LINE_BREAKS)
+    lineno = text.splitlines().index("bad 0 0 3 x") + 1
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"line {lineno}: expected integer, got 'x'"
+
+
+def test_parse_allocates_little_beyond_what_it_keeps():
+    # the columns keep about 207 bytes a frame; lines are split a block at
+    # a time and the columns become tuples one by one
+    n = 50_000
+    text = emit_instance(generate("two-line", 1, n))
+    inst, peak = traced_peak(parse_instance, text)
+    assert inst.n == n
+    assert peak / n < 270
 
 
 def test_header_after_records_rejected():

@@ -3,20 +3,24 @@
 import bisect
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import brute_mds_size, permutation_graph
+from conftest import brute_mds_size, permutation_graph, traced_peak
 from lframes import permutation as pm
 from lframes.errors import DegenerateOrder, NotTwoLineCrossing
-from lframes.generators import gen_two_line
+from lframes.generators import gen_two_line, generate
 from lframes.geometry import GeomInstance, LFrame, Point
 from lframes.graph_core import build_intersection_graph, is_dominating
+from lframes.instance_io import emit_instance, parse_instance
 from lframes.permutation import (
     Permutation,
     lframes_to_permutation,
     mds_permutation,
+    two_line_permutation,
     two_line_vertex_order,
 )
 
@@ -372,3 +376,72 @@ def test_tied_crossings_rejected():
     )
     with pytest.raises(DegenerateOrder):
         two_line_vertex_order(inst2)
+
+
+def test_tie_messages_name_the_smallest_tie():
+    # several tied crossings on each line: the smallest tied y is named
+    # first, and once y has no ties the smallest tied x, whichever way the
+    # line is read and however many frames share the value
+    def frame(k, x, y):
+        return LFrame(f"f{k}", Point(x, y), 100, -100)
+
+    ys = [40, 20, 30, 20, 30, 30, 40, 50]
+    xs = [-50, -60, -10, -50, -60, -60, -20, -30]
+    inst = GeomInstance(frames=[frame(k, x, y) for k, (x, y) in enumerate(zip(xs, ys))],
+                        vline=0, hline=0)
+    with pytest.raises(DegenerateOrder, match=r"^tied vertical-line crossings at y=20$"):
+        two_line_vertex_order(inst)
+    inst = GeomInstance(frames=[frame(k, x, 10 + k) for k, x in enumerate(xs)], vline=0, hline=0)
+    with pytest.raises(DegenerateOrder, match=r"^tied horizontal-line crossings at x=-60$"):
+        two_line_permutation(inst)
+
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        xs = [rng.randint(-9, -1) for _ in range(n)]
+        ys = [rng.randint(1, 9) for _ in range(n)] if rng.random() < 0.5 else rng.sample(range(1, 99), n)
+        inst = GeomInstance(frames=[frame(k, x, y) for k, (x, y) in enumerate(zip(xs, ys))],
+                            vline=0, hline=0)
+        tied_y = [v for v, c in Counter(ys).items() if c > 1]
+        tied_x = [v for v, c in Counter(xs).items() if c > 1]
+        if tied_y:
+            message = f"tied vertical-line crossings at y={min(tied_y)}"
+        elif tied_x:
+            message = f"tied horizontal-line crossings at x={min(tied_x)}"
+        else:
+            assert len(two_line_vertex_order(inst)) == n
+            continue
+        for read in (two_line_vertex_order, lframes_to_permutation):
+            with pytest.raises(DegenerateOrder) as err:
+                read(inst)
+            assert str(err.value) == message, (xs, ys)
+
+
+def test_edge_model_rejected():
+    # in the edge model frames that only cross share no grid edge, so the
+    # graph is not the permutation graph and the reading must refuse it
+    inst = replace(gen_two_line(3, 30), model="edge")
+    assert build_intersection_graph(inst).edge_set() == set()
+    for read in (two_line_vertex_order, two_line_permutation, lframes_to_permutation):
+        with pytest.raises(NotTwoLineCrossing, match=r"^two-line conversion requires the standard model$"):
+            read(inst)
+
+
+def test_read_off_allocates_little_beyond_what_it_keeps():
+    # the order and the permutation keep about 76 bytes a frame; the two
+    # sorts share their index objects, so the peak stays close to that
+    n = 50_000
+    inst = parse_instance(emit_instance(generate("two-line", 1, n)))
+    (order1, p), peak = traced_peak(two_line_permutation, inst)
+    assert peak / n < 95
+    assert p.pi == lframes_to_permutation(inst).pi
+    assert order1 == two_line_vertex_order(inst)
+
+
+def test_scan_history_is_held_in_machine_words():
+    # the identity steps and marks every position; its marks and history
+    # take a few machine words each, and the answer a list of n positions
+    n = 10**5
+    takes, peak = traced_peak(pm._scan, tuple(range(1, n + 1)))
+    assert takes == list(range(n))
+    assert peak / n < 100
