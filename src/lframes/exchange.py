@@ -10,44 +10,60 @@ detection reduces to strict interval interleaving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, NotDisjoint
-from .geometry import GeomInstance, Point, corner_dist2
+from .geometry import GeomInstance, Point, _Record, _set, corner_dist2
 from .graph_core import IntersectionGraph, build_intersection_graph
 
 
-@dataclass(frozen=True)
-class Arc:
-    b: int
-    r: int
-    witness: int
-    cls: str  # "top" | "down" | "mixed"
-    witnesses: tuple[int, ...] = ()
-    mixed_orientation: Optional[str] = None  # "b_left" | "r_left"
+class Arc(_Record):
+    """Witness arc between b in B and r in R; ``cls`` is "top", "down" or
+    "mixed", and ``mixed_orientation`` "b_left" or "r_left"."""
+
+    __slots__ = ("b", "r", "witness", "cls", "witnesses", "mixed_orientation")
+
+    def __init__(self, b: int, r: int, witness: int, cls: str,
+                 witnesses: tuple[int, ...] = (), mixed_orientation: Optional[str] = None):
+        _set(self, "b", b)
+        _set(self, "r", r)
+        _set(self, "witness", witness)
+        _set(self, "cls", cls)
+        _set(self, "witnesses", witnesses)
+        _set(self, "mixed_orientation", mixed_orientation)
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
-    B: frozenset
-    R: frozenset
-    arcs: tuple[Arc, ...]
+class ExchangeGraph(_Record):
+    """The arcs between the disjoint dominating sets B and R."""
+
+    __slots__ = ("B", "R", "arcs")
+
+    def __init__(self, B: frozenset, R: frozenset, arcs: tuple[Arc, ...]):
+        _set(self, "B", B)
+        _set(self, "R", R)
+        _set(self, "arcs", arcs)
 
 
-@dataclass(frozen=True)
-class ArcPiece:
-    """Half circle with diameter endpoints on the diagonal, p0.x < p1.x."""
+class ArcPiece(_Record):
+    """Half circle with diameter endpoints on the diagonal, p0.x < p1.x;
+    ``side`` is "above" or "below"."""
 
-    p0: Point
-    p1: Point
-    side: str  # "above" | "below"
-    arc_index: int
+    __slots__ = ("p0", "p1", "side", "arc_index")
+
+    def __init__(self, p0: Point, p1: Point, side: str, arc_index: int):
+        _set(self, "p0", p0)
+        _set(self, "p1", p1)
+        _set(self, "side", side)
+        _set(self, "arc_index", arc_index)
 
 
-@dataclass(frozen=True)
-class ArcDrawing:
-    pieces: tuple[ArcPiece, ...]
+class ArcDrawing(_Record):
+    """The half circles drawing an exchange graph's arcs."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: tuple[ArcPiece, ...]):
+        _set(self, "pieces", pieces)
 
 
 def choose_edge_for_witness(

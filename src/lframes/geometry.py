@@ -3,15 +3,66 @@ and the solvers' result type, ``DominatingSet``.
 
 Everything here is pure integer arithmetic on closed segments. There is no
 floating point anywhere; distance comparisons use squared distances.
+
+The package's record classes (the frozen value objects here and in the
+solver modules) derive from ``_Record``. Each names its fields once, in
+``__slots__`` and in constructor order, and its own ``__init__`` validates
+the arguments and stores them with ``_set``. A slot whose name starts with
+``_`` is internal: it stays out of equality, hashing, ``repr`` and the
+constructor. From the fields the base derives equality with objects of the
+same class only, a hash, a ``Name(field=value, ...)`` repr, pickling and
+copying (both call the constructor again) and ``_replace(**changes)``,
+which also builds through the constructor, so validation runs again.
+Assigning or deleting an attribute raises AttributeError, and records have
+no ordering. No method is generated at import time and defining a record
+imports nothing, so the records add almost nothing to a CLI call's start-up.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import NotAnchored
+
+_set = object.__setattr__  # stores a field of a record in its __init__
+
+
+class _Record:
+    """Base of the record classes; see the module docstring."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        """A copy with the given fields changed, validated as a new record."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
 
 class Point(NamedTuple):
@@ -25,8 +76,7 @@ def check_spans(fid: str, hspan: int, vspan: int) -> None:
         raise ValueError(f"frame {fid!r}: spans must be nonzero")
 
 
-@dataclass(frozen=True)
-class LFrame:
+class LFrame(_Record):
     """Union of a horizontal and a vertical closed segment sharing a corner.
 
     The horizontal segment runs from ``corner`` to ``corner + (hspan, 0)``,
@@ -34,14 +84,16 @@ class LFrame:
     are nonzero; the sign pair picks one of the four orientations.
     """
 
-    id: str
-    corner: Point
-    hspan: int
-    vspan: int
+    __slots__ = ("id", "corner", "hspan", "vspan")
 
-    def __post_init__(self):
-        object.__setattr__(self, "corner", Point(*self.corner))
-        check_spans(self.id, self.hspan, self.vspan)
+    def __init__(self, id: str, corner: Point, hspan: int, vspan: int):
+        if type(corner) is not Point:
+            corner = Point(*corner)
+        check_spans(id, hspan, vspan)
+        _set(self, "id", id)
+        _set(self, "corner", corner)
+        _set(self, "hspan", hspan)
+        _set(self, "vspan", vspan)
 
     def hseg(self) -> tuple[int, int, int]:
         """Horizontal arm as (y, x_lo, x_hi) with x_lo <= x_hi."""
@@ -129,47 +181,46 @@ class FrameColumns(Sequence):
         return f"FrameColumns({self._built()!r})"
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(_Record):
     """Closed axis-parallel rectangle, lo strictly southwest of hi."""
 
-    id: str
-    lo: Point
-    hi: Point
+    __slots__ = ("id", "lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Point(*self.lo))
-        object.__setattr__(self, "hi", Point(*self.hi))
-        if not (self.lo.x < self.hi.x and self.lo.y < self.hi.y):
-            raise ValueError(f"rect {self.id!r}: degenerate")
+    def __init__(self, id: str, lo: Point, hi: Point):
+        lo, hi = Point(*lo), Point(*hi)
+        if not (lo.x < hi.x and lo.y < hi.y):
+            raise ValueError(f"rect {id!r}: degenerate")
+        _set(self, "id", id)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(_Record):
     """The line {(x, y) : x + y = d}, slope -1."""
 
-    d: int
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        _set(self, "d", d)
 
     def contains(self, p: Point) -> bool:
         return p.x + p.y == self.d
 
 
-@dataclass(frozen=True)
-class DominatingSet:
+class DominatingSet(_Record):
     """A vertex set intended to dominate some graph; members sorted."""
 
-    members: tuple[int, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+    def __init__(self, members: tuple[int, ...]):
+        _set(self, "members", tuple(sorted(members)))
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class GeomInstance:
+class GeomInstance(_Record):
     """A family of frames or rectangles plus optional reference lines.
 
     ``model`` selects the adjacency predicate: "standard" means nonempty
@@ -182,23 +233,32 @@ class GeomInstance:
     Rectangles are held as a tuple of ``Rect``.
     """
 
-    frames: Sequence[LFrame] = ()
-    rects: tuple[Rect, ...] = ()
-    model: str = "standard"
-    diagonal: Optional[Diagonal] = None
-    vline: Optional[int] = None
-    hline: Optional[int] = None
+    __slots__ = ("frames", "rects", "model", "diagonal", "vline", "hline")
 
-    def __post_init__(self):
-        if not isinstance(self.frames, FrameColumns):
-            object.__setattr__(self, "frames", FrameColumns.of(self.frames))
-        object.__setattr__(self, "rects", tuple(self.rects))
-        if self.frames and self.rects:
+    def __init__(
+        self,
+        frames: Sequence[LFrame] = (),
+        rects: tuple[Rect, ...] = (),
+        model: str = "standard",
+        diagonal: Optional[Diagonal] = None,
+        vline: Optional[int] = None,
+        hline: Optional[int] = None,
+    ):
+        if not isinstance(frames, FrameColumns):
+            frames = FrameColumns.of(frames)
+        rects = tuple(rects)
+        if frames and rects:
             raise ValueError("frames and rects are mutually exclusive")
-        if self.model not in ("standard", "edge"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "edge" and self.rects:
+        if model not in ("standard", "edge"):
+            raise ValueError(f"unknown model {model!r}")
+        if model == "edge" and rects:
             raise ValueError("edge model is defined for frames only")
+        _set(self, "frames", frames)
+        _set(self, "rects", rects)
+        _set(self, "model", model)
+        _set(self, "diagonal", diagonal)
+        _set(self, "vline", vline)
+        _set(self, "hline", hline)
         ids = self.ids
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")

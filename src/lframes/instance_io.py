@@ -41,6 +41,16 @@ _HEADER_KEYWORDS = ("model", "kind", "diagonal", "vline", "hline")
 
 
 def emit_instance(inst: GeomInstance) -> str:
+    """The instance as text that ``parse_instance`` reads back exactly.
+
+    Raises ValueError for an id that would not read back as one field: an
+    empty id, or one holding whitespace (line breaks included) or ``#``.
+    """
+    ids = inst.ids
+    joined = " ".join(ids)
+    if "#" in joined or tuple(joined.split()) != ids:
+        bad = next(i for i in ids if "#" in i or i.split() != [i])
+        raise ValueError(f"id {bad!r} cannot be written: it is empty or holds whitespace or '#'")
     lines = [
         f"version {FORMAT_VERSION}",
         f"model {inst.model}",

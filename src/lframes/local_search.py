@@ -32,27 +32,26 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import Optional
 
 from .errors import NotAnchored, NotOneSided
-from .geometry import GeomInstance, is_anchored, rect_to_lframe
+from .geometry import GeomInstance, _Record, _set, is_anchored, rect_to_lframe
 from .graph_core import DominatingSet, IntersectionGraph, build_intersection_graph, greedy_mds
 
 K_WARN_LIMIT = 3
 
 
-@dataclass(frozen=True)
-class LocalSearchConfig:
+class LocalSearchConfig(_Record):
     """Swap radius k."""
 
-    k: int = 2
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int = 2):
+        if k < 1:
             raise ValueError("k must be >= 1")
+        _set(self, "k", k)
 
 
 class _SwapSearch:

@@ -39,37 +39,35 @@ codes is one of three shared tuples after a one-state step, else an
 array. So the history takes about two machine words per event and the
 marks three per mark: about 40 bytes per element on the identity, which
 steps and marks every position. The read-off sorts one list of the frame
-indices by y and by x, so both orders share their index objects, and it
-finds tied crossings next to each other in those orders.
+indices by y and by x, so both orders share their index objects, after
+a set of each coordinate column has shown that no two crossings tie.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import add, index
 
 from .errors import DegenerateOrder, NotTwoLineCrossing
-from .geometry import DominatingSet, GeomInstance
+from .geometry import DominatingSet, GeomInstance, _Record, _set
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """pi[i] is the 1-based position on line two of the i-th vertex on line one."""
 
-    pi: tuple
+    __slots__ = ("pi",)
 
-    def __post_init__(self):
-        pi = tuple(map(index, self.pi))
-        object.__setattr__(self, "pi", pi)
+    def __init__(self, pi: tuple):
+        pi = tuple(map(index, pi))
         n = len(pi)
         seen = bytearray(n + 1)
         for v in pi:
             if not 0 < v <= n or seen[v]:
                 raise ValueError("pi is not a bijection on 1..n")
             seen[v] = 1
+        _set(self, "pi", pi)
 
     @property
     def n(self) -> int:
@@ -80,7 +78,7 @@ class Permutation:
         """A permutation of ``pi``, a tuple of ints already known to be a
         bijection on 1..n, kept as it is without a second check."""
         p = object.__new__(cls)
-        object.__setattr__(p, "pi", pi)
+        _set(p, "pi", pi)
         return p
 
 
@@ -112,27 +110,22 @@ def _line_orders(inst: GeomInstance) -> tuple[tuple, list]:
                 raise NotTwoLineCrossing(f"frame {fid!r} misses the vertical line")
             if not (cy + v <= H < cy):
                 raise NotTwoLineCrossing(f"frame {fid!r} misses the horizontal line")
+    # a set tells whether a column holds a tie, reading it in record order;
+    # only a tied column is sorted again, to name its smallest tie
+    n = len(ys)
+    for col, line, axis in ((ys, "vertical", "y"), (xs, "horizontal", "x")):
+        if len(set(col)) < n:
+            s = sorted(col)
+            tie = next(a for a, b in zip(s, islice(s, 1, None)) if a == b)
+            raise DegenerateOrder(f"tied {line}-line crossings at {axis}={tie}")
     # both sorts start from the indices in record order, where each key
-    # read is a step forward in memory, and share the index objects. Tied
-    # crossings sit next to each other in a sorted order, and walking it
-    # upward meets the smallest tie first.
-    indices = list(range(len(ys)))
+    # read is a step forward in memory, and share the index objects
+    indices = list(range(n))
     order1 = tuple(sorted(indices, key=ys.__getitem__, reverse=True))
-    last = None
-    for i in reversed(order1):
-        y = ys[i]
-        if y == last:
-            raise DegenerateOrder(f"tied vertical-line crossings at y={y}")
-        last = y
     order2 = sorted(indices, key=xs.__getitem__)
     del indices
-    rank2 = [0] * len(order2)
-    last = None
+    rank2 = [0] * n
     for pos, i in enumerate(order2, 1):
-        x = xs[i]
-        if x == last:
-            raise DegenerateOrder(f"tied horizontal-line crossings at x={x}")
-        last = x
         rank2[i] = pos
     return order1, rank2
 

@@ -11,17 +11,15 @@ claimed relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Iterable, Optional
 
 from .errors import InvalidDrawing, SourceTooLarge
-from .geometry import Diagonal, GeomInstance, LFrame, Point, rotate_cw
+from .geometry import Diagonal, GeomInstance, LFrame, Point, _Record, _set, rotate_cw
 from .graph_core import IntersectionGraph, build_intersection_graph, exact_mds_size
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(_Record):
     """Links a source instance to the frame family built from it.
 
     ``kind`` names the reduction and ``source`` holds its input: the chord
@@ -32,51 +30,55 @@ class ReductionCertificate:
     domination number that satisfiability pins down).
     """
 
-    kind: str
-    source: Any
-    instance: GeomInstance
-    offset: int
+    __slots__ = ("kind", "source", "instance", "offset")
+
+    def __init__(self, kind: str, source: Any, instance: GeomInstance, offset: int):
+        _set(self, "kind", kind)
+        _set(self, "source", source)
+        _set(self, "instance", instance)
+        _set(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Record):
     """Both recomputed optima plus the verdict on the claimed offset."""
 
-    kind: str
-    source_value: int
-    reduced_value: int
-    offset: int
-    ok: bool
+    __slots__ = ("kind", "source_value", "reduced_value", "offset", "ok")
+
+    def __init__(self, kind: str, source_value: int, reduced_value: int, offset: int, ok: bool):
+        _set(self, "kind", kind)
+        _set(self, "source_value", source_value)
+        _set(self, "reduced_value", reduced_value)
+        _set(self, "offset", offset)
+        _set(self, "ok", ok)
 
 
 # -- chord diagrams ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(_Record):
     """n chords of a circle given by the cyclic order of their 2n endpoints.
 
-    ``order`` lists chord ids 1..n, each appearing exactly twice.
+    ``order`` lists chord ids 1..n, each appearing exactly twice. ``_ends``
+    maps each chord to its two positions.
     """
 
-    n: int
-    order: tuple[int, ...]
-    _ends: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "order", "_ends")
 
-    def __post_init__(self):
-        order = tuple(int(c) for c in self.order)
-        object.__setattr__(self, "order", order)
-        if self.n < 1:
+    def __init__(self, n: int, order: tuple[int, ...]):
+        order = tuple(int(c) for c in order)
+        if n < 1:
             raise ValueError("a chord diagram needs at least one chord")
-        if len(order) != 2 * self.n:
-            raise ValueError(f"expected {2 * self.n} endpoints, got {len(order)}")
+        if len(order) != 2 * n:
+            raise ValueError(f"expected {2 * n} endpoints, got {len(order)}")
         ends: dict[int, list[int]] = {}
         for pos, c in enumerate(order, start=1):
             ends.setdefault(c, []).append(pos)
-        for c in range(1, self.n + 1):
+        for c in range(1, n + 1):
             if len(ends.get(c, ())) != 2:
                 raise ValueError(f"chord {c} must appear exactly twice")
-        object.__setattr__(self, "_ends", {c: tuple(ps) for c, ps in ends.items()})
+        _set(self, "n", n)
+        _set(self, "order", order)
+        _set(self, "_ends", {c: tuple(ps) for c, ps in ends.items()})
 
     def positions(self, c: int) -> tuple[int, int]:
         """The two 1-based endpoint positions of chord c, ascending."""
@@ -146,8 +148,7 @@ def circle_certificate(cd: ChordDiagram, variant: str = "diagonal") -> Reduction
 # -- monotone rectilinear 3SAT -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClauseSpec:
+class ClauseSpec(_Record):
     """One clause of a monotone drawing.
 
     ``literals`` are variable indices (all plain for a positive clause, all
@@ -157,14 +158,12 @@ class ClauseSpec:
     contains this clause's; leave it None to have it computed.
     """
 
-    literals: tuple[int, ...]
-    positive: bool
-    legs: tuple[int, ...]
-    depth: Optional[int] = None
+    __slots__ = ("literals", "positive", "legs", "depth")
 
-    def __post_init__(self):
-        lits = tuple(int(v) for v in self.literals)
-        legs = tuple(int(p) for p in self.legs)
+    def __init__(self, literals: tuple[int, ...], positive: bool, legs: tuple[int, ...],
+                 depth: Optional[int] = None):
+        lits = tuple(int(v) for v in literals)
+        legs = tuple(int(p) for p in legs)
         if not 1 <= len(lits) <= 3:
             raise InvalidDrawing("a clause carries one to three literals")
         if len(set(lits)) != len(lits):
@@ -174,12 +173,13 @@ class ClauseSpec:
         if any(p < 1 for p in legs):
             raise InvalidDrawing("leg positions are positive integers")
         pairs = sorted(zip(lits, legs))
-        object.__setattr__(self, "literals", tuple(p[0] for p in pairs))
-        object.__setattr__(self, "legs", tuple(p[1] for p in pairs))
+        _set(self, "literals", tuple(p[0] for p in pairs))
+        _set(self, "positive", positive)
+        _set(self, "legs", tuple(p[1] for p in pairs))
+        _set(self, "depth", depth)
 
 
-@dataclass(frozen=True)
-class Monotone3SATDrawing:
+class Monotone3SATDrawing(_Record):
     """A planar rectilinear drawing of a monotone 3SAT formula.
 
     Variables sit on the x axis in index order; positive clauses live above,
@@ -187,27 +187,26 @@ class Monotone3SATDrawing:
     clause's horizontal segment and recomputes nesting depths.
     """
 
-    n_vars: int
-    clauses: tuple[ClauseSpec, ...]
+    __slots__ = ("n_vars", "clauses")
 
-    def __post_init__(self):
-        clauses = tuple(self.clauses)
-        if self.n_vars < 1:
+    def __init__(self, n_vars: int, clauses: tuple[ClauseSpec, ...]):
+        clauses = tuple(clauses)
+        if n_vars < 1:
             raise InvalidDrawing("need at least one variable")
         if not clauses:
             raise InvalidDrawing("need at least one clause")
         for c in clauses:
             for v in c.literals:
-                if not 1 <= v <= self.n_vars:
+                if not 1 <= v <= n_vars:
                     raise InvalidDrawing(f"variable {v} out of range")
         legs_all = [p for c in clauses for p in c.legs]
         if len(set(legs_all)) != len(legs_all):
             raise InvalidDrawing("leg positions must be distinct")
-        clusters = _clusters(self.n_vars, clauses)
-        for i in range(1, self.n_vars + 1):
+        clusters = _clusters(n_vars, clauses)
+        for i in range(1, n_vars + 1):
             if not clusters[i]:
                 raise InvalidDrawing(f"variable {i} appears in no clause")
-        for i in range(1, self.n_vars):
+        for i in range(1, n_vars):
             if clusters[i][-1] >= clusters[i + 1][0]:
                 raise InvalidDrawing(
                     f"leg clusters of variables {i} and {i + 1} are out of order"
@@ -245,7 +244,8 @@ class Monotone3SATDrawing:
                     f"clause {a + 1} claims depth {ca.depth}, drawing says {depth}"
                 )
             fixed.append(ClauseSpec(ca.literals, ca.positive, ca.legs, depth))
-        object.__setattr__(self, "clauses", tuple(fixed))
+        _set(self, "n_vars", n_vars)
+        _set(self, "clauses", tuple(fixed))
 
 
 def _clusters(n_vars: int, clauses: Iterable[ClauseSpec]) -> dict[int, list[int]]:

@@ -435,9 +435,9 @@ def test_two_line_commands_build_no_lframe(tmp_path):
     path = tmp_path / "t.txt"
     script = (
         "import lframes.geometry as geometry\n"
-        "def refuse(self):\n"
+        "def refuse(self, *args, **kwargs):\n"
         "    raise AssertionError('an LFrame was built')\n"
-        "geometry.LFrame.__post_init__ = refuse\n"
+        "geometry.LFrame.__init__ = refuse\n"
         "from lframes.cli import main\n"
         f"assert main(['generate', '--family', 'two-line', '--seed', '3', '--n', '200',"
         f" '--out', {str(path)!r}]) == 0\n"
@@ -609,13 +609,15 @@ def test_graph_solvers_start_without_numpy():
 
 
 def _loaded_modules(args):
-    """The lframes modules one CLI call leaves loaded, run in a fresh process."""
+    """The lframes modules one CLI call leaves loaded, by short name, run in
+    a fresh process, plus ``dataclasses`` and ``inspect`` if it loaded them."""
     script = (
         "import contextlib, io, sys\n"
         "from lframes.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('lframes.')))\n"
+        "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('lframes.')),\n"
+        "      *(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -625,20 +627,29 @@ def _loaded_modules(args):
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
+    # the record classes are plain classes, so no call loads dataclasses or
+    # the inspect module that it imports
+    std = {"dataclasses", "inspect"}
     path = tmp_path / "a.txt"
     path.write_text(emit_instance(gen_anchored_one_sided(1, 12)))
     loaded = _loaded_modules(["solve", "--in", str(path), "--algo", "greedy"])
     assert "graph_core" in loaded
-    assert not loaded & {"reductions", "exchange", "local_search", "permutation", "svg"}
+    assert not loaded & {"reductions", "exchange", "local_search", "permutation", "svg", *std}
     loaded = _loaded_modules(["verify", "--kind", "sat", "--seed", "1"])
     assert "reductions" in loaded
-    assert not loaded & {"permutation", "svg", "exchange", "local_search"}
+    assert not loaded & {"permutation", "svg", "exchange", "local_search", *std}
     loaded = _loaded_modules(["generate", "--family", "anchored-one-sided", "--seed", "1"])
-    assert not loaded & {"reductions", "graph_core"}
-    path.write_text(emit_instance(gen_two_line(1, 40)))
-    loaded = _loaded_modules(["solve", "--in", str(path), "--algo", "permutation"])
+    assert not loaded & {"reductions", "graph_core", *std}
+    two_line = tmp_path / "t.txt"
+    two_line.write_text(emit_instance(gen_two_line(1, 40)))
+    loaded = _loaded_modules(["solve", "--in", str(two_line), "--algo", "permutation"])
     assert "permutation" in loaded
-    assert not loaded & {"graph_core", "reductions", "exchange", "local_search", "svg"}
+    assert not loaded & {"graph_core", "reductions", "exchange", "local_search", "svg", *std}
+    calls = [["solve", "--in", str(path), "--algo", a] for a in ("exact", "local-search", "two-sided")]
+    calls += [["verify", "--kind", kind, "--seed", "1"] for kind in cli._VERIFY_KINDS if kind != "sat"]
+    calls.append(["render", "--in", str(path), "--exchange", "--out", str(tmp_path / "x.svg")])
+    for args in calls:
+        assert not _loaded_modules(args) & std, args
 
 
 def test_no_command_loads_numpy(tmp_path):

@@ -1,7 +1,5 @@
 """Exchange graph construction, arc drawing, crossing counts, swap checks."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,7 +123,7 @@ def test_check_local_exchange_on_built_graph():
 def test_check_local_exchange_fails_without_needed_arc():
     g = build_intersection_graph(TOP_CASE)
     h = build_exchange_graph(TOP_CASE, [1], [2])
-    broken = dataclasses.replace(h, arcs=())
+    broken = h._replace(arcs=())
     assert not check_local_exchange(broken, g)
 
 
@@ -223,4 +221,4 @@ def test_arcs_and_verdicts_match_bitmask_reference(seed, sides, drop):
     assert {(a.b, a.r): list(a.witnesses) for a in h.arcs} == reference_exchange_pairs(inst, edges, b, r)
     for arcs in (h.arcs, tuple(a for i, a in enumerate(h.arcs) if not (drop >> i) & 1)):
         want = reference_local_exchange(g.n, edges, b, r, [(a.b, a.r) for a in arcs])
-        assert check_local_exchange(dataclasses.replace(h, arcs=arcs), g) == want
+        assert check_local_exchange(h._replace(arcs=arcs), g) == want

@@ -1,6 +1,5 @@
 """Geometry predicates and the rectangle-to-frame conversion."""
 
-import dataclasses
 import random
 
 import pytest
@@ -247,8 +246,8 @@ def test_instance_holds_frame_columns():
     assert inst.frames == objs and inst.ids == ("a", "b") and inst.n == 2
     cols = GeomInstance(frames=FrameColumns(["a", "b"], [0, 4], [0, 4], [3, 1], [3, 1]))
     assert cols == inst and hash(cols) == hash(inst)
-    edge = dataclasses.replace(cols, model="edge")
+    edge = cols._replace(model="edge")
     assert edge.frames is cols.frames and edge != cols
-    moved = dataclasses.replace(inst, frames=objs[:1])
+    moved = inst._replace(frames=objs[:1])
     assert moved.frames == objs[:1] and moved.diagonal is None
     assert GeomInstance(rects=(Rect("r", Point(0, 0), Point(1, 1)),)).ids == ("r",)

@@ -1,6 +1,7 @@
 """Instance text format round trips and the report line format."""
 
 import random
+import re
 import string
 
 import pytest
@@ -104,6 +105,26 @@ def test_header_keyword_as_first_record_id(record_id):
     assert parse_instance(text) == inst
     rects = GeomInstance(rects=(Rect(record_id, Point(0, 0), Point(2, 2)),))
     assert parse_instance(emit_instance(rects)) == rects
+
+
+@pytest.mark.parametrize("bad", ["", "#a", "a#", "a b", "a\tb", "a\nb", "a\x85b", "a\u2028b",
+                                 "\x1c", "a\u00a0b"])
+def test_emit_refuses_ids_that_do_not_read_back(bad):
+    # such an id would split into several fields, turn the rest of its line
+    # into a comment or break the line, so the text would not read back
+    frames = (LFrame(bad, Point(0, 0), 3, 3), LFrame("g", Point(5, 5), 1, 1))
+    rects = (Rect("g", Point(0, 0), Point(1, 1)), Rect(bad, Point(2, 2), Point(3, 3)))
+    for inst in (GeomInstance(frames=frames), GeomInstance(rects=rects)):
+        with pytest.raises(ValueError, match=f"^id {re.escape(repr(bad))} cannot be written"):
+            emit_instance(inst)
+
+
+@pytest.mark.parametrize("good", ["version", "f_1", "\u00e9", "a\u200bb", "'\"", "-1"])
+def test_ids_of_one_field_round_trip(good):
+    frames = GeomInstance(frames=(LFrame(good, Point(0, 0), 3, 3), LFrame("g", Point(5, 5), 1, 1)))
+    rects = GeomInstance(rects=(Rect(good, Point(0, 0), Point(1, 1)),))
+    for inst in (frames, rects):
+        assert parse_instance(emit_instance(inst)) == inst
 
 
 @pytest.mark.parametrize("text, message", [

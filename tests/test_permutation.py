@@ -4,7 +4,6 @@ import bisect
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -420,7 +419,7 @@ def test_tie_messages_name_the_smallest_tie():
 def test_edge_model_rejected():
     # in the edge model frames that only cross share no grid edge, so the
     # graph is not the permutation graph and the reading must refuse it
-    inst = replace(gen_two_line(3, 30), model="edge")
+    inst = gen_two_line(3, 30)._replace(model="edge")
     assert build_intersection_graph(inst).edge_set() == set()
     for read in (two_line_vertex_order, two_line_permutation, lframes_to_permutation):
         with pytest.raises(NotTwoLineCrossing, match=r"^two-line conversion requires the standard model$"):

@@ -1,6 +1,5 @@
 """Gadget constructions: chord diagrams, monotone 3SAT, vertex cover, EDS."""
 
-import dataclasses
 import itertools
 import random
 import re
@@ -285,7 +284,7 @@ def test_gadget_checks_reject_wrong_contacts():
         LFrame("q1", Point(-40, 40), 1, 1) if f.id == "q1" else f for f in inst.frames
     )
     with pytest.raises(AssertionError, match="p1"):
-        _check_vc_neighborhoods(2, cert.source[1], dataclasses.replace(inst, frames=frames))
+        _check_vc_neighborhoods(2, cert.source[1], inst._replace(frames=frames))
     edges = ((1, 1), (2, 2))
     frames = (LFrame("e1_1", Point(-1, -1), 1, 1), LFrame("e2_2", Point(-1, -2), 1, 2))
     _check_eds_neighborhoods(edges, eds_to_epg(2, 2, edges)[0])
@@ -309,7 +308,7 @@ def test_vc_check_names_the_first_wrong_frame():
             LFrame(f.id, Point(-90, 90), 1, 1) if f.id == moved else f for f in inst.frames
         )
         with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-            _check_vc_neighborhoods(n, edges, dataclasses.replace(inst, frames=frames))
+            _check_vc_neighborhoods(n, edges, inst._replace(frames=frames))
 
 
 def test_vc_path():
@@ -481,4 +480,4 @@ def test_reach_check_counts_the_frames_the_reduction_builds():
 def test_unknown_certificate_kind():
     _, cert = eds_to_epg(1, 1, [(1, 1)])
     with pytest.raises(ValueError):
-        verify_equivalence(dataclasses.replace(cert, kind="swap"))
+        verify_equivalence(cert._replace(kind="swap"))
