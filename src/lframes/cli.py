@@ -141,8 +141,10 @@ def _solve(inst: GeomInstance, algo: str, k: int, cap: int = 32):
         from .local_search import approx_two_sided
 
         return approx_two_sided(inst, k).members, None
-    from .graph_core import build_intersection_graph, exact_mds, greedy_mds
+    from .graph_core import build_intersection_graph, check_cap, exact_mds, greedy_mds
 
+    if algo == "exact":
+        check_cap(inst.n, cap)  # before the graph, which may hold n^2 contacts
     g = build_intersection_graph(inst)
     if algo == "exact":
         return exact_mds(g, cap=cap).members, g

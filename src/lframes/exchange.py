@@ -81,18 +81,11 @@ def choose_edge_for_witness(
     """
     frames = inst.frames
     cover = {u, *g.adjacency[u]}
-    bs = [b for b in B if b in cover]
-    rs = [r for r in R if r in cover]
+    bs, rs = cover.intersection(B), cover.intersection(R)
     if not bs or not rs:
         raise ValueError(f"vertex {u} lacks covering frames on one side")
-    best = None
-    for b in sorted(bs):
-        fb = frames[b]
-        for r in sorted(rs):
-            key = (corner_dist2(fb, frames[r]), b, r)
-            if best is None or key < best:
-                best = key
-    return best[1], best[2]
+    _, b, r = min((corner_dist2(frames[b], frames[r]), b, r) for b in bs for r in rs)
+    return b, r
 
 
 def build_exchange_graph(

@@ -30,7 +30,10 @@ first use and cached. Only the exact solver turns neighborhoods into
 bitmasks, privately and per call. It finds the connected components by
 walking the CSR rows and runs branch and bound on each component's own
 masks, so the search is exponential in the size of a component, not of the
-graph; its vertex ``cap`` still counts every vertex.
+graph; its vertex ``cap`` still counts every vertex. Each search is given
+the vertices still to dominate and the vertices it may take, so the pass
+that turns an optimum into the least one searches only what its committed
+vertices leave.
 """
 
 from __future__ import annotations
@@ -299,29 +302,22 @@ def greedy_mds(g: IntersectionGraph) -> DominatingSet:
 
 def _min_ds(
     masks: Sequence[int],
-    full: int,
-    forced_in: Sequence[int],
-    excluded: int,
+    todo: int,
+    usable: int,
     ub_size: int,
     target: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
-    """Branch-and-bound minimum dominating set under constraints.
+    """Branch and bound for a least set of usable vertices dominating todo.
 
-    forced_in vertices are committed; vertices in the ``excluded`` bitmask
-    may not be used. Solutions of size >= ub_size are pruned. When
-    ``target`` is given, the search stops as soon as a solution of size
-    <= target is known. Returns the best member tuple found, or None.
+    ``todo`` is the bitmask of vertices still to dominate and ``usable`` the
+    bitmask of vertices the search may take. Solutions of size >= ub_size
+    are pruned. When ``target`` is given, the search stops as soon as a
+    solution of size <= target is known. Returns the best member tuple
+    found, or None.
     """
     n = len(masks)
-    base_cover = 0
-    for v in forced_in:
-        base_cover |= masks[v]
-    usable_mask = 0
-    for v in range(n):
-        if not (excluded >> v) & 1:
-            usable_mask |= 1 << v
     # who may dominate each vertex
-    dom = [masks[u] & usable_mask for u in range(n)]
+    dom = [m & usable for m in masks]
 
     def lower_bound(undom: int) -> int:
         # undominated vertices with pairwise disjoint dominator sets each
@@ -362,35 +358,32 @@ def _min_ds(
         cands.sort(key=lambda v: (-(masks[v] & undom).bit_count(), v))
         return cands
 
-    base = len(forced_in)
     best_size, best = ub_size, None
-    chosen = list(forced_in)
-    covered = base_cover
+    chosen: list[int] = []
+    undom = todo
     # depth-first with an explicit stack, so the depth of a solution is not
-    # bounded by the recursion limit: open_nodes[d] holds the covered mask
-    # of the node at depth d on the current path and its untried branches
+    # bounded by the recursion limit: open_nodes[d] holds the undominated
+    # mask of the node at depth d on the current path and its untried branches
     open_nodes: list = []
     while True:
-        if covered == full:
+        if not undom:
             if len(chosen) < best_size:
                 best_size, best = len(chosen), tuple(chosen)
                 if target is not None and best_size <= target:
                     return best
-        else:
-            undom = full & ~covered
-            if len(chosen) + lower_bound(undom) < best_size:
-                open_nodes.append((covered, iter(branches(undom))))
+        elif len(chosen) + lower_bound(undom) < best_size:
+            open_nodes.append((undom, iter(branches(undom))))
         while open_nodes:
-            node_cover, cands = open_nodes[-1]
+            node_undom, cands = open_nodes[-1]
             v = next(cands, None)
             if v is not None:
                 break
             open_nodes.pop()
         else:
             return best
-        del chosen[base + len(open_nodes) - 1:]
+        del chosen[len(open_nodes) - 1:]
         chosen.append(v)
-        covered = node_cover | masks[v]
+        undom = node_undom & ~masks[v]
 
 
 def check_cap(n: int, cap: int) -> None:
@@ -444,7 +437,8 @@ def _components(g: IntersectionGraph, cap: int) -> list:
 def _optimum(masks: Sequence[int], ub: tuple[int, ...]) -> tuple[int, ...]:
     """One optimal member tuple of a connected component, by branch and
     bound seeded with the dominating set ``ub``."""
-    opt = _min_ds(masks, (1 << len(masks)) - 1, (), 0, len(ub))
+    full = (1 << len(masks)) - 1
+    opt = _min_ds(masks, full, full, len(ub))
     return ub if opt is None else opt
 
 
@@ -452,27 +446,28 @@ def _least_optimum(masks: Sequence[int], opt: tuple[int, ...]) -> list[int]:
     """The lexicographically least optimum of a component, given one optimum.
 
     Commits vertices in id order, keeping a vertex exactly when some optimal
-    solution extends the committed prefix. ``witness`` is such a solution
-    that also avoids the excluded vertices, so a vertex in it is committed
-    without a search.
+    solution extends the committed prefix: a search on the residual problem
+    looks for the rest of one among the vertices not yet ruled out. A vertex
+    that no optimum extending the prefix contains is ruled out for good.
+    ``witness`` holds the vertices still to come of such a solution, so a
+    vertex in it is committed without a search.
     """
-    full = (1 << len(masks)) - 1
     m = len(opt)
     chosen: list[int] = []
-    excluded = 0
+    todo = usable = (1 << len(masks)) - 1
     witness = set(opt)
     for v in range(len(masks)):
         if len(chosen) == m:
             break
-        if v in witness:
-            chosen.append(v)
-            continue
-        sol = _min_ds(masks, full, chosen + [v], excluded, m + 1, target=m)
-        if sol is not None and len(sol) <= m:
-            chosen.append(v)
-            witness = set(sol)
-        else:
-            excluded |= 1 << v
+        if v not in witness:
+            left = m - len(chosen) - 1
+            rest = _min_ds(masks, todo & ~masks[v], usable, left + 1, target=left)
+            if rest is None:
+                usable &= ~(1 << v)
+                continue
+            witness = set(rest)
+        chosen.append(v)
+        todo &= ~masks[v]
     return chosen
 
 

@@ -9,8 +9,8 @@ likewise, drawn from the outside vertices adjacent to what it uncovers.
 Two facts keep the search small without changing the swap it returns.
 
 * **Links.** Two members are linked when they lie within distance 4 of
-  each other, that is when their distance-2 balls meet. Once the members
-  dominate, only removal sets that are connected under these links are
+  each other, that is when their distance-2 balls meet. The members
+  always dominate, and only removal sets connected under these links are
   tried. Split a removal R into parts R1 and R2 with no link between them.
   A vertex that R uncovers has all its dominators in R and they lie within
   distance 2 of each other, so they lie in one part: the uncovered set
@@ -19,8 +19,6 @@ Two facts keep the search small without changing the swap it returns.
   splits as well. From |A| < |R| it follows that |A1| < |R1| or
   |A2| < |R2|: a strictly smaller removal improves too, and the order
   reaches it first. So the first improving removal is always connected.
-  A set that does not dominate leaves the same vertices uncovered by
-  every removal, so there every member counts as linked to every other.
 * **Cached verdicts.** Whether a removal improves depends only on which
   vertices within distance 2 of it are members. A removal that fails stays
   failed until a swap removes or adds a member within distance 2 of one of
@@ -60,8 +58,8 @@ class _SwapSearch:
     ``queue`` holds the removals whose verdict is unknown, keyed (size,
     sorted tuple), which is the search order; ``pending`` holds the same
     removals, so none is queued twice. Every other connected removal of the
-    members is known to fail. Swaps are applied only to a dominating set,
-    and a swap keeps it dominating.
+    members is known to fail. The starting members must dominate, and a
+    swap keeps them dominating.
     """
 
     def __init__(self, g: IntersectionGraph, members, k: int):
@@ -72,13 +70,11 @@ class _SwapSearch:
         for s in self.members:
             for u in self.closed[s]:
                 self.count[u] += 1
-        self.undominated = {u for u, c in enumerate(self.count) if c == 0}
         self.balls = {}  # vertex -> its distance-2 ball, built on first use
         self.near = defaultdict(set)  # vertex -> members within distance 2
         self.links = {}  # member -> members within distance 4
-        if not self.undominated:
-            for s in self.members:
-                self._link(s)
+        for s in self.members:
+            self._link(s)
         self.queue = []
         self.pending = set()
         for s in self.members:  # each removal from its least member
@@ -106,9 +102,6 @@ class _SwapSearch:
         for b in self.links.pop(a):
             self.links[b].discard(a)
 
-    def _linked(self, m: int):
-        return self.members if self.undominated else self.links[m]
-
     def _levels(self, m: int, least: int):
         """Connected removals through m whose other members exceed
         ``least``, as one set of frozensets per size from 1 to k."""
@@ -118,7 +111,7 @@ class _SwapSearch:
             level = {
                 removal | {x}
                 for removal in level
-                for x in set().union(*map(self._linked, removal)) - removal
+                for x in set().union(*map(self.links.__getitem__, removal)) - removal
                 if x > least
             }
             yield level
@@ -137,7 +130,7 @@ class _SwapSearch:
         lost = Counter()
         for x in removal:
             lost.update(closed[x])
-        uncovered = self.undominated.union(u for u, c in lost.items() if c == self.count[u])
+        uncovered = {u for u, c in lost.items() if c == self.count[u]}
         if not uncovered:
             return removal, ()
         candidates = sorted({v for u in uncovered for v in closed[u] if v not in self.members})

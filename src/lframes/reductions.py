@@ -214,14 +214,15 @@ class Monotone3SATDrawing(_Record):
         # a leg strictly inside another same-side clause's span forces
         # nesting, otherwise the leg would cross that clause's horizontal
         spans = [(min(c.legs), max(c.legs)) for c in clauses]
+        depths = [0] * len(clauses)
         for a, ca in enumerate(clauses):
             for b, cb in enumerate(clauses):
                 if a == b or ca.positive != cb.positive:
                     continue
                 alo, ahi = spans[a]
                 blo, bhi = spans[b]
-                nested = blo < alo and ahi < bhi
-                if nested:
+                if blo < alo and ahi < bhi:
+                    depths[a] += 1
                     continue
                 for p in ca.legs:
                     if blo < p < bhi:
@@ -230,15 +231,7 @@ class Monotone3SATDrawing(_Record):
                             f"segment of clause {b + 1}"
                         )
         fixed = []
-        for a, ca in enumerate(clauses):
-            depth = sum(
-                1
-                for b, cb in enumerate(clauses)
-                if b != a
-                and cb.positive == ca.positive
-                and spans[b][0] < spans[a][0]
-                and spans[a][1] < spans[b][1]
-            )
+        for a, (ca, depth) in enumerate(zip(clauses, depths)):
             if ca.depth is not None and ca.depth != depth:
                 raise InvalidDrawing(
                     f"clause {a + 1} claims depth {ca.depth}, drawing says {depth}"

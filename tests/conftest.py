@@ -89,29 +89,30 @@ def reference_exact_mds(g):
             masks[v] |= 1 << u
     full = (1 << g.n) - 1
     ub = greedy_mds(g).members
-    opt = _min_ds(masks, full, (), 0, len(ub)) or ub
+    opt = _min_ds(masks, full, full, len(ub)) or ub
     m = len(opt)
     chosen = []
-    excluded = 0
+    todo = usable = full
     witness = set(opt)
     for v in range(g.n):
         if len(chosen) == m:
             break
-        if v in witness:
-            chosen.append(v)
-            continue
-        sol = _min_ds(masks, full, chosen + [v], excluded, m + 1, target=m)
-        if sol is not None and len(sol) <= m:
-            chosen.append(v)
-            witness = set(sol)
-        else:
-            excluded |= 1 << v
+        if v not in witness:
+            left = m - len(chosen) - 1
+            rest = _min_ds(masks, todo & ~masks[v], usable, left + 1, target=left)
+            if rest is None:
+                usable &= ~(1 << v)
+                continue
+            witness = set(rest)
+        chosen.append(v)
+        todo &= ~masks[v]
     return tuple(chosen)
 
 
 def is_k_locally_optimal(g, members, k):
-    """Run the library's swap search once on any member set and report
-    whether nothing improves."""
+    """Run the library's swap search once on a dominating member set and
+    report whether nothing improves. The search assumes that the members
+    dominate, as every set it is started from in the library does."""
     return _SwapSearch(g, members, k).first_improvement() is None
 
 

@@ -502,6 +502,17 @@ def test_exchange_refuses_past_cap_before_any_work(tmp_path, monkeypatch, capsys
         assert (code, out, err) == (2, "", f"error: {n} vertices exceeds cap 32\n"), args
 
 
+def test_exact_refuses_past_cap_before_building_the_graph(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a.txt"
+    run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "20",
+             "--out", str(path)], capsys)
+    monkeypatch.setattr(graph_core, "build_intersection_graph", _refuse)
+    for cmd in ("solve", "render"):
+        args = [cmd, "--in", str(path), "--algo", "exact", "--cap", "8"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (2, "", "error: 20 vertices exceeds cap 8\n"), args
+
+
 @pytest.mark.parametrize("kind, n, message", [
     ("circle-diagonal", 13, "13 chords is beyond exhaustive reach"),
     ("vc", 800, "800 vertices / 162073 frames is beyond exhaustive reach"),

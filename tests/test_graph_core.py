@@ -80,19 +80,75 @@ def test_exact_depth_is_not_bounded_by_recursion_limit():
 def test_exact_commits_witness_members_without_search(monkeypatch):
     # the phase-one optimum is the only one and holds every frame, so the
     # lexicographic pass needs no search of its own: every search is a
-    # phase-one search, with no forced vertex
+    # phase-one search, which has no target
     frames = tuple(LFrame(f"f{i}", Point(3 * i, 0), 1, 1) for i in range(40))
     g = build_intersection_graph(GeomInstance(frames=frames))
     calls = []
     min_ds = graph_core._min_ds
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return min_ds(*args, **kwargs)
 
     monkeypatch.setattr(graph_core, "_min_ds", counting)
     assert exact_mds(g, cap=40).members == tuple(range(40))
-    assert calls and all(forced_in == () for _, _, forced_in, *_ in calls)
+    assert calls and all(len(args) == 4 and not kwargs for args, kwargs in calls)
+
+
+def _bits(mask):
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
+def _least_cover(masks, todo, usable):
+    """Size of a least set of usable vertices dominating todo, by brute
+    force over the subsets of usable; None when even all of them fail."""
+    pool = _bits(usable)
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            cov = 0
+            for v in combo:
+                cov |= masks[v]
+            if todo & ~cov == 0:
+                return size
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20),
+            st.integers(0, 2**n - 1),
+            st.integers(0, 2**n - 1),
+            st.integers(0, n + 1),
+            st.integers(0, n),
+        )
+    )
+)
+def test_residual_search_matches_brute_force(case):
+    # any vertices to dominate, any vertices to take: the search the
+    # lexicographic pass runs after it has committed a prefix
+    n, pairs, todo, usable, ub, target = case
+    masks = [1 << v for v in range(n)]
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    least = _least_cover(masks, todo, usable)
+    for stop in (None, target):
+        sol = graph_core._min_ds(masks, todo, usable, ub, target=stop)
+        if least is None or least >= ub:
+            assert sol is None
+            continue
+        cov = 0
+        for v in sol:
+            cov |= masks[v]
+        assert todo & ~cov == 0 and set(sol) <= set(_bits(usable))
+        # a solution within the target ends the search, else it runs to the end
+        if stop is not None and least <= stop:
+            assert len(sol) <= stop
+        else:
+            assert len(sol) == least
 
 
 def test_greedy_stair5(stair5):
