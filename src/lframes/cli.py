@@ -15,6 +15,9 @@ record classes are plain slotted classes (see ``geometry``), so no command
 loads the standard library's class generator or the ``inspect`` module it
 needs: a call such as ``generate`` or ``verify --kind sat`` takes about
 0.09-0.13 s in all (Python 3.11, 2 vCPU), 0.01-0.02 s less than with them.
+
+``solve``, ``render`` and ``verify --kind exchange`` each hold one ``_Run``,
+so a call builds the intersection graph and runs each solver at most once.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import sys
 import time
 import warnings
+from functools import cached_property
 from pathlib import Path
 
 from .errors import LFramesError
@@ -125,53 +129,59 @@ def _write_text(path: str, text: str) -> None:
         raise LFramesError(f"cannot write {path}: {e.strerror or e}") from None
 
 
-def _solve(inst: GeomInstance, algo: str, k: int, cap: int = 32):
-    """Run one solver; returns instance-index members and the graph it built.
+class _Run:
+    """One call's instance; its graph, exact and local-search members are made once."""
 
-    The graph is None for the solvers that build no graph of the whole
-    instance (permutation, two-sided).
-    """
-    if algo == "permutation":
-        from .permutation import mds_permutation, two_line_permutation
+    def __init__(self, inst: GeomInstance, k: int, cap: int):
+        self.inst, self.k, self.cap = inst, k, cap
 
-        order1, p = two_line_permutation(inst)
-        ds = mds_permutation(p)
-        return tuple(sorted(order1[t] for t in ds.members)), None
-    if algo == "two-sided":
-        from .local_search import approx_two_sided
+    @cached_property
+    def graph(self):
+        from .graph_core import build_intersection_graph
 
-        return approx_two_sided(inst, k).members, None
-    from .graph_core import build_intersection_graph, check_cap, exact_mds, greedy_mds
+        return build_intersection_graph(self.inst)
 
-    if algo == "exact":
-        check_cap(inst.n, cap)  # before the graph, which may hold n^2 contacts
-    g = build_intersection_graph(inst)
-    if algo == "exact":
-        return exact_mds(g, cap=cap).members, g
-    if algo == "greedy":
-        return greedy_mds(g).members, g
-    if algo == "local-search":
+    @cached_property
+    def exact(self) -> tuple[int, ...]:
+        from .graph_core import check_cap, exact_mds
+
+        check_cap(self.inst.n, self.cap)  # before the graph, which may hold n^2 contacts
+        return exact_mds(self.graph, cap=self.cap).members
+
+    @cached_property
+    def local(self) -> tuple[int, ...]:
         from .local_search import LocalSearchConfig, local_search_mds
 
-        return local_search_mds(g, LocalSearchConfig(k=k)).members, g
-    raise ValueError(f"unknown algorithm {algo!r}")
+        return local_search_mds(self.graph, LocalSearchConfig(k=self.k)).members
 
+    def solve(self, algo: str) -> tuple[int, ...]:
+        """Instance-index members of one solver's dominating set."""
+        if algo == "exact":
+            return self.exact
+        if algo == "local-search":
+            return self.local
+        if algo == "greedy":
+            from .graph_core import greedy_mds
 
-def _exchange(inst: GeomInstance, k: int, cap: int):
-    """Local search against exact on one graph, and the exchange drawing
-    between their symmetric differences; returns (g, local-search members,
-    exchange graph, drawing). Callers check ``cap`` before any work."""
-    from .exchange import build_exchange_graph, draw_arcs
-    from .graph_core import build_intersection_graph, exact_mds
-    from .local_search import LocalSearchConfig, local_search_mds
+            return greedy_mds(self.graph).members
+        if algo == "two-sided":
+            from .local_search import approx_two_sided
 
-    g = build_intersection_graph(inst)
-    r_all = exact_mds(g, cap=cap).members
-    b_all = local_search_mds(g, LocalSearchConfig(k=k)).members
-    b_only = sorted(set(b_all) - set(r_all))
-    r_only = sorted(set(r_all) - set(b_all))
-    h = build_exchange_graph(inst, b_only, r_only)
-    return g, b_all, h, draw_arcs(h, inst)
+            return approx_two_sided(self.inst, self.k).members
+        if algo == "permutation":
+            from .permutation import mds_permutation, two_line_permutation
+
+            order1, p = two_line_permutation(self.inst)
+            return tuple(sorted(order1[t] for t in mds_permutation(p).members))
+        raise ValueError(f"unknown algorithm {algo!r}")
+
+    def exchange(self):
+        """Exchange graph of local search against exact, and its drawing."""
+        from .exchange import _exchange_graph, draw_arcs
+
+        r_all, b_all = set(self.exact), set(self.local)
+        h = _exchange_graph(self.inst, self.graph, sorted(b_all - r_all), sorted(r_all - b_all))
+        return h, draw_arcs(h, self.inst)
 
 
 def _cmd_generate(args) -> int:
@@ -183,12 +193,10 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read_text(args.infile))
     if args.model is not None:
-        try:
-            inst = inst._replace(model=args.model)
-        except ValueError as e:
-            raise LFramesError(str(e)) from None
+        inst = inst._replace(model=args.model)
+    run = _Run(inst, args.k, args.cap)
     t0 = time.perf_counter()
-    members, g = _solve(inst, args.algo, args.k, args.cap)
+    members = run.solve(args.algo)
     wall = time.perf_counter() - t0
 
     ratio = None
@@ -197,11 +205,9 @@ def _cmd_solve(args) -> int:
             if args.algo == "exact":  # the members are an optimum already
                 opt = len(members)
             else:
-                from .graph_core import build_intersection_graph, exact_mds_size
+                from .graph_core import exact_mds_size
 
-                if g is None:
-                    g = build_intersection_graph(inst)
-                opt = exact_mds_size(g, cap=args.oracle_cap)
+                opt = exact_mds_size(run.graph, cap=args.oracle_cap)
             ratio = 1.0 if opt == 0 else len(members) / opt
         else:
             print(f"oracle skipped: n={inst.n} exceeds cap {args.oracle_cap}",
@@ -232,12 +238,12 @@ def _cmd_verify(args) -> int:
         from .graph_core import check_cap
 
         check_cap(args.n, args.cap)  # the instance has args.n frames
-        inst = gen_anchored_one_sided(args.seed, args.n)
-        g, _, h, drawing = _exchange(inst, args.k, args.cap)
+        run = _Run(gen_anchored_one_sided(args.seed, args.n), args.k, args.cap)
+        h, drawing = run.exchange()
         crossings = count_crossings(drawing)
         m, total = len(h.arcs), len(h.B) + len(h.R)
         planar_ok = total < 3 or m <= 2 * total - 4
-        exchange_ok = check_local_exchange(h, g)
+        exchange_ok = check_local_exchange(h, run.graph)
         ok = crossings == 0 and planar_ok and exchange_ok
         fields = {
             "kind": args.kind,
@@ -270,20 +276,16 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     from .svg import render_svg
 
-    inst = parse_instance(_read_text(args.infile))
+    run = _Run(parse_instance(_read_text(args.infile)), args.k, args.cap)
     if args.exchange:
         from .graph_core import check_cap
 
-        check_cap(inst.n, args.cap)
-    solution = None
-    arcs = None
-    if args.algo is not None:
-        solution = _solve(inst, args.algo, args.k, args.cap)[0]
-    if args.exchange:
-        _, b_all, _, arcs = _exchange(inst, args.k, args.cap)
-        if solution is None:
-            solution = b_all
-    _write_text(args.out, render_svg(inst, solution, arcs))
+        check_cap(run.inst.n, args.cap)
+    solution = run.solve(args.algo) if args.algo else None
+    arcs = run.exchange()[1] if args.exchange else None
+    if solution is None and args.exchange:
+        solution = run.local
+    _write_text(args.out, render_svg(run.inst, solution, arcs))
     return 0
 
 

@@ -1,11 +1,13 @@
 """Witness arcs between two disjoint dominating sets, and their drawing.
 
 For each vertex u, the closest pair (by squared corner distance) among the
-solution frames covering u contributes an arc. Arcs are classified by how
-their endpoints meet a shared witness: from the left (corner x at most the
-witness corner x) or from below (at least). The drawing places every arc as
-one or two half-circles whose diameters lie on the diagonal, so crossing
-detection reduces to strict interval interleaving.
+solution frames covering u contributes an arc. The build and the local
+exchange check read these covers in one walk over the graph, which a
+caller may pass in. Arcs are classified by how their endpoints meet a
+shared witness: from the left (corner x at most the witness corner x) or
+from below (at least). The drawing places every arc as one or two
+half-circles whose diameters lie on the diagonal, so crossing detection
+reduces to strict interval interleaving.
 """
 
 from __future__ import annotations
@@ -66,26 +68,12 @@ class ArcDrawing(_Record):
         _set(self, "pieces", pieces)
 
 
-def choose_edge_for_witness(
-    u: int,
-    B: Iterable[int],
-    R: Iterable[int],
-    g: IntersectionGraph,
-    inst: GeomInstance,
-) -> tuple[int, int]:
-    """The covering pair of u whose corners are closest.
-
-    Candidates are members of B and R whose frames intersect u's frame (u
-    itself qualifies when it belongs to one of the sets). Ties in squared
-    distance break lexicographically on (b, r).
-    """
-    frames = inst.frames
-    cover = {u, *g.adjacency[u]}
-    bs, rs = cover.intersection(B), cover.intersection(R)
-    if not bs or not rs:
-        raise ValueError(f"vertex {u} lacks covering frames on one side")
-    _, b, r = min((corner_dist2(frames[b], frames[r]), b, r) for b in bs for r in rs)
-    return b, r
+def _covered(g: IntersectionGraph, B: frozenset, R: frozenset):
+    """Each vertex u whose closed neighborhood meets B and R, with N[u] & B, N[u] & R."""
+    for u, nbrs in enumerate(g.adjacency):
+        cover = {u, *nbrs}
+        if not (B.isdisjoint(cover) or R.isdisjoint(cover)):
+            yield u, cover & B, cover & R
 
 
 def build_exchange_graph(
@@ -93,27 +81,34 @@ def build_exchange_graph(
 ) -> ExchangeGraph:
     """Arc set {chosen pair of u : u has covering frames in both sets}.
 
+    The chosen pair of u is the b in B and r in R whose frames meet u's
+    frame (u itself counts when it belongs to a set) and whose corners are
+    closest; ties in squared distance break lexicographically on (b, r).
     Each arc is classified top if some witness sees both endpoints from the
     left, else down if some witness sees both from below, else mixed. The
     designated witness is the qualifying one with the smallest corner x,
     ties by smallest id. Raises ValueError on a rectangle instance: arcs
     join frame corners.
     """
+    return _exchange_graph(inst, build_intersection_graph(inst), B, R)
+
+
+def _exchange_graph(
+    inst: GeomInstance, g: IntersectionGraph, B: Iterable[int], R: Iterable[int]
+) -> ExchangeGraph:
+    """``build_exchange_graph`` on the instance's graph ``g``."""
     if inst.rects:
         raise ValueError("exchange graphs are defined on frame instances")
     bset, rset = frozenset(B), frozenset(R)
     if bset & rset:
         raise NotDisjoint(f"common vertices: {sorted(bset & rset)}")
-    g = build_intersection_graph(inst)
+    frames = inst.frames
     pairs: dict[tuple[int, int], list[int]] = {}
-    for u, nbrs in enumerate(g.adjacency):
-        cover = {u, *nbrs}
-        if bset.isdisjoint(cover) or rset.isdisjoint(cover):
-            continue
-        pair = choose_edge_for_witness(u, bset, rset, g, inst)
-        pairs.setdefault(pair, []).append(u)
+    for u, bs, rs in _covered(g, bset, rset):
+        _, b, r = min((corner_dist2(frames[b], frames[r]), b, r) for b in bs for r in rs)
+        pairs.setdefault((b, r), []).append(u)
 
-    xs = [f.corner.x for f in inst.frames]
+    xs = frames.x
     arcs = []
     for (b, r), ws in sorted(pairs.items()):
         top = [w for w in ws if xs[b] <= xs[w] and xs[r] <= xs[w]]
@@ -199,10 +194,5 @@ def count_crossings(drawing: ArcDrawing) -> int:
 
 def check_local_exchange(h: ExchangeGraph, g: IntersectionGraph) -> bool:
     """Every vertex covered by both sets has an arc inside its neighborhood."""
-    for u, nbrs in enumerate(g.adjacency):
-        cover = {u, *nbrs}
-        if h.B.isdisjoint(cover) or h.R.isdisjoint(cover):
-            continue
-        if not any(a.b in cover and a.r in cover for a in h.arcs):
-            return False
-    return True
+    arcs = {(a.b, a.r) for a in h.arcs}
+    return all(any((b, r) in arcs for b in bs for r in rs) for _, bs, rs in _covered(g, h.B, h.R))

@@ -119,24 +119,22 @@ def gen_chord_diagram(seed: int, n: int) -> ChordDiagram:
     return ChordDiagram(n, tuple(order))
 
 
-def gen_graph(seed: int, n: int, p: float = 0.5) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Random simple graph on vertices 1..n, each edge kept with probability p."""
+def gen_graph(seed: int, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Random simple graph on vertices 1..n, each edge kept with probability 1/2."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    edges = tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p)
+    edges = tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5)
     return n, edges
 
 
-def gen_bipartite(
-    seed: int, n_a: int, n_b: int, max_edges: int = 8
-) -> tuple[tuple[int, int], ...]:
-    """Random nonempty bipartite edge set over {1..n_a} x {1..n_b}."""
+def gen_bipartite(seed: int, n_a: int, n_b: int) -> tuple[tuple[int, int], ...]:
+    """Random bipartite edge set over {1..n_a} x {1..n_b}, of 1 to 8 edges."""
     if n_a < 1 or n_b < 1:
         raise ValueError("both sides must be nonempty")
     rng = random.Random(seed)
     # pair index p stands for (p // n_b + 1, p % n_b + 1), in row-major order
-    k = rng.randint(1, min(max_edges, n_a * n_b))
+    k = rng.randint(1, min(8, n_a * n_b))
     picks = rng.sample(range(n_a * n_b), k)
     return tuple(sorted((p // n_b + 1, p % n_b + 1) for p in picks))
 

@@ -244,13 +244,9 @@ def approx_two_sided(inst: GeomInstance, k: int) -> DominatingSet:
     diagonal, so the union of the two one-sided solutions dominates the
     whole instance.
     """
-    above, below = split_two_sided(inst)
-    index_of = {o.id: i for i, o in enumerate(inst.objects)}
-    members: set[int] = set()
-    for part in (above, below):
-        if not part.frames:
-            continue
-        sol = ptas_one_sided(part, k)
-        for v in sol.members:
-            members.add(index_of[part.frames[v].id])
+    index_of = {fid: i for i, fid in enumerate(inst.ids)}
+    members: list[int] = []
+    for part in split_two_sided(inst):  # disjoint sides, so no member repeats
+        if part.frames:
+            members += (index_of[part.ids[v]] for v in ptas_one_sided(part, k).members)
     return DominatingSet(tuple(sorted(members)))

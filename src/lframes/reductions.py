@@ -275,10 +275,12 @@ def _check_sat_embedding(d: Monotone3SATDrawing, frames: tuple[LFrame, ...]) -> 
     variable i, then one frame per clause.
     """
     for f in frames:
-        assert abs(f.hspan) == abs(f.vspan), f"unbalanced arms on {f.id}"
+        if abs(f.hspan) != abs(f.vspan):
+            raise AssertionError(f"unbalanced arms on {f.id}")
         hy = f.hseg()[0]
         _, vy0, vy1 = f.vseg()
-        assert hy == 0 or vy0 <= 0 <= vy1, f"{f.id} misses the axis"
+        if not (hy == 0 or vy0 <= 0 <= vy1):
+            raise AssertionError(f"{f.id} misses the axis")
     g = build_intersection_graph(GeomInstance(frames=frames))
     first_clause = 3 * d.n_vars - 1
     for i in range(1, d.n_vars + 1):
@@ -300,7 +302,8 @@ def _check_sat_embedding(d: Monotone3SATDrawing, frames: tuple[LFrame, ...]) -> 
         if got != [xt, xf]:
             names = sorted(frames[u].id for u in got if u not in (xt, xf))
             raise InvalidDrawing(f"anchor frame a{i} touches extra frames {names}")
-        assert xf in on_t, f"variable {i} halves do not meet"
+        if xf not in on_t:
+            raise AssertionError(f"variable {i} halves do not meet")
 
 
 def monotone3sat_to_lframes(
@@ -476,10 +479,11 @@ def _check_vc_neighborhoods(
 
     def check(v: int, want: list[int]) -> None:
         got = _row(g, v)
-        assert got == want, (
-            f"{inst.frames[v].id}: expected {sorted(inst.frames[u].id for u in want)}, "
-            f"got {sorted(inst.frames[u].id for u in got)}"
-        )
+        if got != want:
+            raise AssertionError(
+                f"{inst.frames[v].id}: expected {sorted(inst.frames[u].id for u in want)}, "
+                f"got {sorted(inst.frames[u].id for u in got)}"
+            )
 
     for i in range(1, n + 1):
         check(i - 1, incident[i] + [p + i])
@@ -544,7 +548,8 @@ def _check_eds_neighborhoods(
     g = build_intersection_graph(inst)
     for e, (i, j) in enumerate(edges):
         want = sorted(x for x in by_a[i] + by_b[j] if x != e)
-        assert _row(g, e) == want, f"edge ({i},{j}) has wrong contacts"
+        if _row(g, e) != want:
+            raise AssertionError(f"edge ({i},{j}) has wrong contacts")
 
 
 def eds_to_epg(

@@ -255,7 +255,7 @@ def test_criterion_08_eds_reduction():
     for seed in range(100):
         n_a = 1 + seed % 4
         n_b = 1 + (seed // 4) % 4
-        edges = gen_bipartite(seed, n_a, n_b, max_edges=8)
+        edges = gen_bipartite(seed, n_a, n_b)
         inst, _ = eds_to_epg(n_a, n_b, edges)
         g = build_intersection_graph(inst)
         assert exact_mds_size(g) == brute_edge_dominating_size(edges), seed

@@ -158,6 +158,50 @@ def test_solve_builds_each_graph_once(tmp_path, monkeypatch, capsys):
         assert calls.count("_line_orders") == (algo == "permutation"), algo
 
 
+def test_each_call_builds_the_graph_and_runs_each_solver_once(tmp_path, monkeypatch, capsys):
+    anchored = tmp_path / "a.txt"
+    run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "12",
+             "--out", str(anchored)], capsys)
+    two_line = tmp_path / "t.txt"
+    run_cli(["generate", "--family", "two-line", "--seed", "1", "--n", "12",
+             "--out", str(two_line)], capsys)
+    graphs, calls = [], []
+    build, exact, search = (graph_core.build_intersection_graph, graph_core.exact_mds,
+                            local_search.local_search_mds)
+
+    def counting_build(inst):
+        graphs.append(build(inst))
+        return graphs[-1]
+
+    def counting_exact(*args, **kwargs):
+        calls.append("exact_mds")
+        return exact(*args, **kwargs)
+
+    def counting_search(g, *args):
+        # two-sided searches the graphs of its sides, which it builds itself
+        if any(g is h for h in graphs):
+            calls.append("local_search_mds")
+        return search(g, *args)
+
+    monkeypatch.setattr(graph_core, "build_intersection_graph", counting_build)
+    monkeypatch.setattr(exchange, "build_intersection_graph", counting_build)
+    monkeypatch.setattr(graph_core, "exact_mds", counting_exact)
+    monkeypatch.setattr(local_search, "local_search_mds", counting_search)
+    runs = [["render", "--in", str(two_line), "--algo", "permutation"],
+            ["verify", "--kind", "exchange", "--seed", "1", "--n", "12"]]
+    for algo in (None, "exact", "greedy", "local-search", "two-sided"):
+        base = ["render", "--in", str(anchored)] + (["--algo", algo] if algo else [])
+        runs += [base, base + ["--exchange"]]
+    for args in runs:
+        graphs.clear()
+        calls.clear()
+        code, _, _ = run_cli(args, capsys)
+        assert code == 0, args
+        assert len(graphs) <= 1, args
+        assert calls.count("exact_mds") <= 1, args
+        assert calls.count("local_search_mds") <= 1, args
+
+
 def test_oracle_over_cap_builds_no_graph(tmp_path, monkeypatch, capsys):
     path = tmp_path / "t.txt"
     run_cli(["generate", "--family", "two-line", "--seed", "1", "--n", "40",

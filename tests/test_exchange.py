@@ -16,7 +16,6 @@ from lframes.exchange import (
     ArcPiece,
     build_exchange_graph,
     check_local_exchange,
-    choose_edge_for_witness,
     count_crossings,
     draw_arcs,
 )
@@ -50,8 +49,8 @@ MIXED_CASE = inst_of(
 
 
 def test_choose_edge_picks_closest_corners(hub6):
-    g = build_intersection_graph(hub6)
-    assert choose_edge_for_witness(0, [1, 4], [2, 3, 5], g, hub6) == (4, 5)
+    h = build_exchange_graph(hub6, [1, 4], [2, 3, 5])
+    assert [(a.b, a.r) for a in h.arcs if 0 in a.witnesses] == [(4, 5)]
 
 
 def test_single_arc_on_hub_instance(hub6):

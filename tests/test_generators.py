@@ -103,7 +103,7 @@ def test_graph_generator_edges_in_range():
 
 def test_bipartite_generator_bounds():
     for seed in range(10):
-        edges = gen_bipartite(seed, 3, 4, max_edges=8)
+        edges = gen_bipartite(seed, 3, 4)
         assert 1 <= len(edges) <= 8
         assert len(set(edges)) == len(edges)
         for i, j in edges:

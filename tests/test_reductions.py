@@ -3,6 +3,8 @@
 import itertools
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -290,6 +292,24 @@ def test_gadget_checks_reject_wrong_contacts():
     _check_eds_neighborhoods(edges, eds_to_epg(2, 2, edges)[0])
     with pytest.raises(AssertionError, match=r"edge \(1,1\)"):
         _check_eds_neighborhoods(edges, GeomInstance(frames=frames, model="edge"))
+
+
+def test_gadget_checks_hold_under_optimize():
+    # the checks raise AssertionError themselves, so ``python -O`` keeps them
+    script = (
+        "from lframes.geometry import LFrame, Point\n"
+        "from lframes.reductions import _check_vc_neighborhoods, vc_to_epg\n"
+        "inst, cert = vc_to_epg(2, [(1, 2)])\n"
+        "frames = tuple(LFrame('q1', Point(-40, 40), 1, 1) if f.id == 'q1' else f\n"
+        "               for f in inst.frames)\n"
+        "try:\n"
+        "    _check_vc_neighborhoods(2, cert.source[1], inst._replace(frames=frames))\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "p1: expected ['q1', 'v1'], got ['v1']\n"
 
 
 def test_vc_check_names_the_first_wrong_frame():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_is_dominating, brute_mds_size, pairwise_edges
-from lframes.cli import _solve
+from lframes.cli import _Run
 from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, Rect
 
 PROPERTY = settings(max_examples=150)
@@ -75,7 +75,7 @@ def two_line_instances(draw):
 def check(inst, algos, k):
     edges = pairwise_edges(inst)
     for algo in algos:
-        members = _solve(inst, algo, k)[0]
+        members = _Run(inst, k, 32).solve(algo)
         assert brute_is_dominating(inst.n, edges, members), algo
         if algo == "exact":
             assert len(members) == brute_mds_size(inst.n, edges)
