@@ -33,7 +33,7 @@ def main():
     g_frame = build_intersection_graph(finst)
     same = "identical" if g_rect == g_frame else "DIFFERENT"
     print(f"rectangle graph vs frame graph: {same} "
-          f"({g_rect.n} vertices, {len(g_rect.edge_set())} edges)")
+          f"({g_rect.n} vertices, {sum(map(len, g_rect.adjacency)) // 2} edges)")
 
     opt = exact_mds(g_frame)
     local = local_search_mds(g_frame, LocalSearchConfig(k=2))

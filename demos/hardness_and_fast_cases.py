@@ -43,7 +43,7 @@ def main():
     inst = circle_to_diagonal(cd)
     g = build_intersection_graph(inst)
     print(f"{cd.n} chords -> {g.n} anchored frames,"
-          f" {len(g.edge_set())} interleavings, mds {exact_mds_size(g)}")
+          f" {sum(map(len, g.adjacency)) // 2} interleavings, mds {exact_mds_size(g)}")
 
     print("-- two-line instances and permutations --")
     inst = gen_two_line(5, 40)

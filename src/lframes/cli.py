@@ -73,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     _add_cap(p)
     p.add_argument("--oracle", action="store_true",
-                   help="attach the optimal size ratio when n is small enough")
-    p.add_argument("--oracle-cap", type=_positive, default=32)
+                   help="attach the optimal size ratio when n is at most --cap")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser(
@@ -201,16 +200,16 @@ def _cmd_solve(args) -> int:
 
     ratio = None
     if args.oracle:
-        if inst.n <= args.oracle_cap:
+        if inst.n <= args.cap:
             if args.algo == "exact":  # the members are an optimum already
                 opt = len(members)
             else:
                 from .graph_core import exact_mds_size
 
-                opt = exact_mds_size(run.graph, cap=args.oracle_cap)
+                opt = exact_mds_size(run.graph, cap=args.cap)
             ratio = 1.0 if opt == 0 else len(members) / opt
         else:
-            print(f"oracle skipped: n={inst.n} exceeds cap {args.oracle_cap}",
+            print(f"oracle skipped: n={inst.n} exceeds cap {args.cap}",
                   file=sys.stderr)
 
     fields = {
@@ -277,10 +276,14 @@ def _cmd_render(args) -> int:
     from .svg import render_svg
 
     run = _Run(parse_instance(_read_text(args.infile)), args.k, args.cap)
-    if args.exchange:
+    if args.exchange:  # refuse before any graph or solver runs
         from .graph_core import check_cap
 
         check_cap(run.inst.n, args.cap)
+        if run.inst.rects:
+            raise ValueError("exchange graphs are defined on frame instances")
+        if run.inst.diagonal is None:
+            raise ValueError("instance has no diagonal")
     solution = run.solve(args.algo) if args.algo else None
     arcs = run.exchange()[1] if args.exchange else None
     if solution is None and args.exchange:

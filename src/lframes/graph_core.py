@@ -21,27 +21,24 @@ comparison small; Python integers of any size rank alike. Each contact
 found is appended to the rows of both its vertices, and storing the graph
 sorts each row and merges pairs found twice.
 
-The graph is stored as CSR arrays of the standard library's ``array``
-module: the sorted neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``,
-with 64-bit ``indptr`` and 32-bit ``indices``. Greedy, the domination
-check and the reductions' gadget checks work on the arrays; local search
-and the exchange graph read the neighbor tuples (``adjacency``), derived on
-first use and cached. Only the exact solver turns neighborhoods into
-bitmasks, privately and per call. It finds the connected components by
-walking the CSR rows and runs branch and bound on each component's own
-masks, so the search is exponential in the size of a component, not of the
-graph; its vertex ``cap`` still counts every vertex. Each search is given
-the vertices still to dominate and the vertices it may take, so the pass
-that turns an optimum into the least one searches only what its committed
-vertices leave.
+The graph is stored as one sorted neighbor tuple per vertex
+(``adjacency``), the one form that every reader uses: greedy, the
+domination check, local search, the exchange graph and the reductions'
+gadget checks. Each row list of the build is replaced by its tuple as
+soon as the tuple is made, so one row at a time is held twice. Only the
+exact solver turns neighborhoods into bitmasks, privately and per call.
+It finds the connected components by walking the rows and runs branch and
+bound on each component's own masks, so the search is exponential in the
+size of a component, not of the graph; its vertex ``cap`` still counts
+every vertex. Each search is given the vertices still to dominate and the
+vertices it may take, so the pass that turns an optimum into the least
+one searches only what its committed vertices leave.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Iterable, Optional, Sequence
@@ -51,7 +48,8 @@ from .geometry import DominatingSet, GeomInstance
 
 
 class IntersectionGraph:
-    """Static undirected graph held as CSR arrays.
+    """Static undirected graph held as ``adjacency``, the sorted neighbor
+    tuple of each vertex.
 
     ``edges`` is an iterable of vertex pairs; repeated pairs and either
     orientation are accepted.
@@ -71,7 +69,8 @@ class IntersectionGraph:
     @classmethod
     def _from_rows(cls, n: int, rows: list, labels: Sequence[str]) -> IntersectionGraph:
         """The graph in which v is adjacent to every vertex in ``rows[v]``;
-        each edge is listed in both its rows, in any order, possibly twice."""
+        each edge is listed in both its rows, in any order, possibly twice.
+        Each row list is replaced by its tuple."""
         g = cls.__new__(cls)
         g._store(n, rows, labels)
         return g
@@ -81,36 +80,20 @@ class IntersectionGraph:
         self.labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
         if len(self.labels) != n:
             raise ValueError("labels length must equal n")
-        self.indptr, self.indices = array("q", [0]), array("i")
-        for row in rows:
-            self.indices.fromlist(sorted(set(row)))
-            self.indptr.append(len(self.indices))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuple per vertex."""
-        flat, ptr = self.indices.tolist(), self.indptr
-        return tuple(tuple(flat[ptr[v]:ptr[v + 1]]) for v in range(self.n))
-
-    def edge_set(self) -> frozenset:
-        flat, ptr = self.indices.tolist(), self.indptr
-        return frozenset((v, u) for v in range(self.n) for u in flat[ptr[v]:ptr[v + 1]] if v < u)
+        for v, row in enumerate(rows):
+            rows[v] = tuple(sorted(set(row)))
+        self.adjacency = tuple(rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntersectionGraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.labels == other.labels
-            and self.indptr == other.indptr
-            and self.indices == other.indices
-        )
+        return (self.n, self.labels, self.adjacency) == (other.n, other.labels, other.adjacency)
 
     def __hash__(self):
-        return hash((self.n, self.labels, self.indices.tobytes()))
+        return hash((self.n, self.labels, self.adjacency))
 
     def __repr__(self):
-        return f"IntersectionGraph(n={self.n}, m={len(self.indices) // 2})"
+        return f"IntersectionGraph(n={self.n}, m={sum(map(len, self.adjacency)) // 2})"
 
 
 def _ranks(values: list) -> list[int]:
@@ -257,11 +240,11 @@ def build_intersection_graph(inst: GeomInstance) -> IntersectionGraph:
 
 def is_dominating(g: IntersectionGraph, members: Iterable[int]) -> bool:
     """True iff the closed neighborhoods of ``members`` cover every vertex."""
-    indptr, indices = g.indptr, g.indices
+    adj = g.adjacency
     covered = bytearray(g.n)
     for v in members:
         covered[v] = 1
-        for u in indices[indptr[v]:indptr[v + 1]]:
+        for u in adj[v]:
             covered[u] = 1
     return all(covered)
 
@@ -275,8 +258,8 @@ def greedy_mds(g: IntersectionGraph) -> DominatingSet:
     gains only fall, so the first popped entry whose gain is current is
     the rule's choice, and a stale one is pushed back with its gain.
     """
-    indptr, indices = g.indptr, g.indices
-    gain = [indptr[v + 1] - indptr[v] + 1 for v in range(g.n)]
+    adj = g.adjacency
+    gain = [len(nbrs) + 1 for nbrs in adj]
     queue = [(-c, v) for v, c in enumerate(gain)]
     heapify(queue)
     covered = bytearray(g.n)
@@ -288,14 +271,14 @@ def greedy_mds(g: IntersectionGraph) -> DominatingSet:
             heappush(queue, (-gain[v], v))
             continue
         chosen.append(v)
-        new = [u for u in indices[indptr[v]:indptr[v + 1]] if not covered[u]]
+        new = [u for u in adj[v] if not covered[u]]
         if not covered[v]:
             new.append(v)
         left -= len(new)
         for w in new:
             covered[w] = 1
             gain[w] -= 1
-            for u in indices[indptr[w]:indptr[w + 1]]:
+            for u in adj[w]:
                 gain[u] -= 1
     return DominatingSet(tuple(chosen))
 
@@ -404,7 +387,7 @@ def _components(g: IntersectionGraph, cap: int) -> list:
     they split into components.
     """
     check_cap(g.n, cap)
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    adj = g.adjacency
     in_greedy = bytearray(g.n)
     for v in greedy_mds(g).members:
         in_greedy[v] = 1
@@ -417,7 +400,7 @@ def _components(g: IntersectionGraph, cap: int) -> list:
         verts, stack = [s], [s]
         while stack:
             v = stack.pop()
-            for u in indices[indptr[v]:indptr[v + 1]]:
+            for u in adj[v]:
                 if not seen[u]:
                     seen[u] = 1
                     verts.append(u)
@@ -427,7 +410,7 @@ def _components(g: IntersectionGraph, cap: int) -> list:
         masks = []
         for i, v in enumerate(verts):
             m = 1 << i
-            for u in indices[indptr[v]:indptr[v + 1]]:
+            for u in adj[v]:
                 m |= 1 << local[u]
             masks.append(m)
         out.append((verts, masks, tuple(i for i, v in enumerate(verts) if in_greedy[v])))

@@ -263,11 +263,6 @@ def satisfiable(d: Monotone3SATDrawing) -> bool:
     return False
 
 
-def _row(g: IntersectionGraph, v: int) -> list[int]:
-    """Sorted indices of the frames that frame v touches."""
-    return g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
-
-
 def _check_sat_embedding(d: Monotone3SATDrawing, frames: tuple[LFrame, ...]) -> None:
     """Reject embeddings where a frame contact disagrees with the formula.
 
@@ -285,7 +280,7 @@ def _check_sat_embedding(d: Monotone3SATDrawing, frames: tuple[LFrame, ...]) -> 
     first_clause = 3 * d.n_vars - 1
     for i in range(1, d.n_vars + 1):
         xt, xf, a = 3 * i - 3, 3 * i - 2, 3 * i - 1
-        on_t, on_f = set(_row(g, xt)), set(_row(g, xf))
+        on_t, on_f = set(g.adjacency[xt]), set(g.adjacency[xf])
         for j, c in enumerate(d.clauses, start=1):
             member = i in c.literals
             if (first_clause + j in on_t) != (c.positive and member):
@@ -298,8 +293,8 @@ def _check_sat_embedding(d: Monotone3SATDrawing, frames: tuple[LFrame, ...]) -> 
                     f"contact between variable {i} (false side) and clause {j} "
                     f"does not match membership"
                 )
-        got = _row(g, a)
-        if got != [xt, xf]:
+        got = g.adjacency[a]
+        if got != (xt, xf):
             names = sorted(frames[u].id for u in got if u not in (xt, xf))
             raise InvalidDrawing(f"anchor frame a{i} touches extra frames {names}")
         if xf not in on_t:
@@ -477,8 +472,8 @@ def _check_vc_neighborhoods(
         by_high[j].append(e)
     g = build_intersection_graph(inst)
 
-    def check(v: int, want: list[int]) -> None:
-        got = _row(g, v)
+    def check(v: int, *want: int) -> None:
+        got = g.adjacency[v]
         if got != want:
             raise AssertionError(
                 f"{inst.frames[v].id}: expected {sorted(inst.frames[u].id for u in want)}, "
@@ -486,11 +481,11 @@ def _check_vc_neighborhoods(
             )
 
     for i in range(1, n + 1):
-        check(i - 1, incident[i] + [p + i])
-        check(p + i, [i - 1, q + i])
-        check(q + i, [p + i])
+        check(i - 1, *incident[i], p + i)
+        check(p + i, i - 1, q + i)
+        check(q + i, p + i)
     for e, (i, j) in enumerate(edges, start=n):
-        check(e, [i - 1, j - 1] + [x for x in by_high[j] if x != e])
+        check(e, i - 1, j - 1, *(x for x in by_high[j] if x != e))
 
 
 def vc_to_epg(
@@ -547,8 +542,8 @@ def _check_eds_neighborhoods(
         by_b.setdefault(j, []).append(e)
     g = build_intersection_graph(inst)
     for e, (i, j) in enumerate(edges):
-        want = sorted(x for x in by_a[i] + by_b[j] if x != e)
-        if _row(g, e) != want:
+        want = tuple(sorted(x for x in by_a[i] + by_b[j] if x != e))
+        if g.adjacency[e] != want:
             raise AssertionError(f"edge ({i},{j}) has wrong contacts")
 
 

@@ -43,6 +43,11 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def edge_set(g):
+    """The edges of an IntersectionGraph as (u, v) pairs with u < v."""
+    return frozenset((v, u) for v, nbrs in enumerate(g.adjacency) for u in nbrs if v < u)
+
+
 def closed_masks(n, edges):
     masks = [1 << v for v in range(n)]
     for u, v in edges:

@@ -222,6 +222,19 @@ def test_oracle_over_cap_builds_no_graph(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+def test_oracle_follows_cap(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "50",
+             "--out", str(path)], capsys)
+    for algo in ("exact", "greedy"):
+        code, out, err = run_cli(["solve", "--in", str(path), "--algo", algo, "--oracle",
+                                  "--cap", "50"], capsys)
+        assert code == 0
+        assert "oracle_ratio" in parse_report(out), algo
+        assert "oracle skipped" not in err
+    assert cli.main(["solve", "--in", str(path), "--oracle-cap", "50"]) == 1
+
+
 def test_exact_solves_anchored_two_sided_2000_per_component(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     run_cli(["generate", "--family", "anchored-two-sided", "--seed", "1", "--n", "2000",
@@ -392,6 +405,29 @@ def test_error_exit_code_contract(args, text, message, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (RECTS, "exchange graphs are defined on frame instances"),
+        (emit_instance(gen_two_line(1, 40)), "instance has no diagonal"),
+    ],
+    ids=["rects", "no-diagonal"],
+)
+def test_render_exchange_refuses_before_solving(text, message, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(graph_core, "build_intersection_graph", refuse)
+    monkeypatch.setattr(graph_core, "exact_mds", refuse)
+    for algo in ([], ["--algo", "local-search"], ["--algo", "exact"]):
+        code, out, err = run_cli(["render", "--in", str(path), "--exchange", "--cap", "40",
+                                  *algo], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), algo
 
 
 def _two_line_text(*records, lines="vline 0\nhline 0\n"):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     HUB6_FRAMES,
+    edge_set,
     reference_exchange_pairs,
     reference_local_exchange,
     swap_is_dominating,
@@ -199,7 +200,7 @@ def test_swaps_preserve_domination_on_generated_instances():
 def test_hub6_fixture_is_consistent():
     # the hub instance really has the adjacency the other tests rely on
     g = build_intersection_graph(GeomInstance(frames=HUB6_FRAMES, diagonal=Diagonal(20)))
-    assert g.edge_set() == {(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 5)}
+    assert edge_set(g) == {(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 5)}
     assert is_dominating(g, [0])
 
 
@@ -213,7 +214,7 @@ def test_arcs_and_verdicts_match_bitmask_reference(seed, sides, drop):
     # sides[v]: 1 puts v in B, 2 in R; bit i of drop removes arc i
     inst = gen_anchored_one_sided(seed, len(sides))
     g = build_intersection_graph(inst)
-    edges = g.edge_set()
+    edges = edge_set(g)
     b = [v for v, s in enumerate(sides) if s == 1]
     r = [v for v, s in enumerate(sides) if s == 2]
     h = build_exchange_graph(inst, b, r)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pairwise_edges, reference_greedy
-from lframes.generators import FAMILIES, gen_anchored_one_sided, gen_anchored_rects
+from conftest import edge_set, pairwise_edges, reference_greedy, traced_peak
+from lframes.generators import FAMILIES, gen_anchored_one_sided, gen_anchored_rects, gen_two_line
 from lframes.geometry import GeomInstance, LFrame, Point, Rect
 from lframes.graph_core import IntersectionGraph, build_intersection_graph, greedy_mds
 
@@ -52,7 +52,7 @@ def rects_of(specs, dx=0):
 @example(specs=[(0, 0, 4, 1), (2, 3, 1, -3)], model="standard", dx=0)  # hand on an arm
 def test_frame_sweep_matches_predicates(specs, model, dx):
     inst = GeomInstance(frames=frames_of(specs, dx), model=model)
-    assert build_intersection_graph(inst).edge_set() == pairwise_edges(inst)
+    assert edge_set(build_intersection_graph(inst)) == pairwise_edges(inst)
 
 
 @PROPERTY
@@ -65,7 +65,7 @@ def test_frame_sweep_matches_predicates(specs, model, dx):
 @example(specs=[(0, 0, 3, 3), (1, 1, 5, 1)], dx=0)  # lower-left corner of the second inside
 def test_rect_sweep_matches_predicates(specs, dx):
     inst = GeomInstance(rects=rects_of(specs, dx))
-    assert build_intersection_graph(inst).edge_set() == pairwise_edges(inst)
+    assert edge_set(build_intersection_graph(inst)) == pairwise_edges(inst)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES) + ["anchored-rects"])
@@ -74,7 +74,7 @@ def test_every_family_matches_predicates(family):
     for seed, n in itertools.product(range(4), (1, 6, 25)):
         inst = gen(seed, n)
         g = build_intersection_graph(inst)
-        assert g.edge_set() == pairwise_edges(inst), (family, seed, n)
+        assert edge_set(g) == pairwise_edges(inst), (family, seed, n)
         assert g.labels == tuple(o.id for o in inst.objects)
         # both CSR orientations, each pair once per row
         assert g == IntersectionGraph(g.n, pairwise_edges(inst), g.labels), (family, seed, n)
@@ -95,14 +95,13 @@ def test_greedy_matches_bitmask_greedy(case):
 def test_greedy_matches_bitmask_greedy_on_families(family):
     for seed in range(3):
         g = build_intersection_graph(FAMILIES[family](seed, 40))
-        assert greedy_mds(g).members == reference_greedy(g.n, g.edge_set()), seed
+        assert greedy_mds(g).members == reference_greedy(g.n, edge_set(g)), seed
 
 
-def test_greedy_derives_no_masks():
-    g = build_intersection_graph(gen_anchored_one_sided(1, 20_000))
-    ds = greedy_mds(g)
-    assert ds.size > 0
-    assert "adjacency" not in vars(g)
+def test_graph_stores_only_its_neighbor_tuples():
+    g = build_intersection_graph(gen_anchored_one_sided(1, 30))
+    assert set(vars(g)) == {"n", "labels", "adjacency"}
+    assert all(type(nbrs) is tuple for nbrs in g.adjacency)
 
 
 def test_graph_rejects_bad_edges():
@@ -116,11 +115,16 @@ def test_graph_rejects_bad_edges():
         IntersectionGraph(3, [(0, 1)], ["a", "b"])
 
 
-def test_graph_merges_pairs_into_csr_arrays():
+def test_graph_merges_pairs_into_sorted_tuples():
     g = IntersectionGraph(4, [(2, 0), (0, 2), (0, 2), (3, 0), (1, 3), (3, 1)])
-    assert g.edge_set() == {(0, 2), (0, 3), (1, 3)}
-    assert list(g.indptr) == [0, 2, 3, 4, 6]
-    assert list(g.indices) == [2, 3, 3, 0, 0, 1]
-    assert (g.indptr.typecode, g.indices.typecode) == ("q", "i")
-    built = build_intersection_graph(gen_anchored_one_sided(1, 30))
-    assert (built.indptr.typecode, built.indices.typecode) == ("q", "i")
+    assert g.adjacency == ((2, 3), (3,), (0,), (0, 1))
+    assert edge_set(g) == {(0, 2), (0, 3), (1, 3)}
+
+
+def test_dense_graph_is_held_once():
+    # the finished tuples take about 4.5 MiB; a build that held all its row
+    # lists and all the tuples at once would peak at about 8 MiB
+    inst = gen_two_line(1, 1000)
+    adjacency, peak = traced_peak(lambda: build_intersection_graph(inst).adjacency)
+    assert sum(map(len, adjacency)) == 496_712
+    assert peak < 6 * 2**20, peak

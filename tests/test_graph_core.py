@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STAIR5_EDGES, brute_is_dominating, brute_mds_size, reference_exact_mds
+from conftest import (
+    STAIR5_EDGES,
+    brute_is_dominating,
+    brute_mds_size,
+    edge_set,
+    reference_exact_mds,
+)
 from lframes.errors import TooLarge
 from lframes.generators import gen_anchored_two_sided
 from lframes.geometry import GeomInstance, LFrame, Point, Rect
@@ -31,7 +37,7 @@ def random_edges(rng, n, p):
 def test_stair5_edge_set(stair5):
     g = build_intersection_graph(stair5)
     assert g.labels == ("a", "b", "c", "d", "e")
-    assert g.edge_set() == STAIR5_EDGES
+    assert edge_set(g) == STAIR5_EDGES
 
 
 def test_is_dominating_examples(stair5):
@@ -259,8 +265,8 @@ def test_model_selects_predicate():
     frames = (LFrame("a", Point(0, 0), 3, 3), LFrame("b", Point(1, -1), 2, 3))
     std = build_intersection_graph(GeomInstance(frames=frames))
     edge = build_intersection_graph(GeomInstance(frames=frames, model="edge"))
-    assert std.edge_set() == {(0, 1)}
-    assert edge.edge_set() == set()
+    assert edge_set(std) == {(0, 1)}
+    assert edge_set(edge) == set()
 
 
 def test_rect_instance_graph():
@@ -271,7 +277,7 @@ def test_rect_instance_graph():
     )
     g = build_intersection_graph(GeomInstance(rects=rects))
     assert g.labels == ("r1", "r2", "r3")
-    assert g.edge_set() == {(0, 1)}
+    assert edge_set(g) == {(0, 1)}
 
 
 def test_graph_helpers():

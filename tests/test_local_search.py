@@ -11,6 +11,7 @@ from conftest import (
     brute_is_dominating,
     brute_mds_size,
     closed_masks,
+    edge_set,
     is_k_locally_optimal,
     reference_find_improvement,
     reference_greedy,
@@ -116,7 +117,7 @@ def test_members_match_bitmask_search_on_graphs(case, k):
 @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 3))
 def test_members_match_bitmask_search_on_one_sided(seed, n, k):
     g = build_intersection_graph(gen_anchored_one_sided(seed, n))
-    edges = g.edge_set()
+    edges = edge_set(g)
     assert local_search_mds(g, LocalSearchConfig(k=k)).members == reference_local_search(n, edges, k)
 
 
@@ -184,7 +185,7 @@ def test_local_optimality_matches_bitmask_step_on_disjoint_unions(case, subset, 
 
 def test_members_match_bitmask_search_at_n_500():
     g = build_intersection_graph(gen_anchored_one_sided(1, 500))
-    want = reference_local_search(g.n, g.edge_set(), 2)
+    want = reference_local_search(g.n, edge_set(g), 2)
     assert local_search_mds(g, LocalSearchConfig(k=2)).members == want
 
 
@@ -323,7 +324,7 @@ def test_cross_side_adjacency_needs_shared_anchor():
             for j in range(i + 1, inst.n):
                 if side[i] == side[j]:
                     continue
-                touching = (i, j) in g.edge_set()
+                touching = (i, j) in edge_set(g)
                 shared = inst.frames[i].corner == inst.frames[j].corner
                 assert touching == shared
 
@@ -334,5 +335,5 @@ def test_local_beats_or_matches_brute_on_one_sided():
         inst = gen_anchored_one_sided(seed, 7)
         g = build_intersection_graph(inst)
         ds = ptas_one_sided(inst, 2)
-        opt = brute_mds_size(g.n, g.edge_set())
+        opt = brute_mds_size(g.n, edge_set(g))
         assert opt <= ds.size <= 2 * opt

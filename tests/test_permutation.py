@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import brute_mds_size, permutation_graph, traced_peak
+from conftest import brute_mds_size, edge_set, permutation_graph, traced_peak
 from lframes import permutation as pm
 from lframes.errors import DegenerateOrder, NotTwoLineCrossing
 from lframes.generators import gen_two_line, generate
@@ -53,17 +53,17 @@ def test_permutation_validation():
 
 def test_swap_pair_is_adjacent():
     g = permutation_graph(Permutation((2, 1)))
-    assert g.edge_set() == {(0, 1)}
+    assert edge_set(g) == {(0, 1)}
 
 
 def test_identity_has_no_edges():
     g = permutation_graph(Permutation((1, 2, 3)))
-    assert g.edge_set() == set()
+    assert edge_set(g) == set()
 
 
 def test_reversal_is_complete():
     g = permutation_graph(Permutation((4, 3, 2, 1)))
-    assert len(g.edge_set()) == 6
+    assert len(edge_set(g)) == 6
 
 
 def test_nested_frames_give_identity():
@@ -71,7 +71,7 @@ def test_nested_frames_give_identity():
         LFrame("a", Point(-5, 3), 6, -4), LFrame("b", Point(-3, 2), 4, -3)
     )
     assert lframes_to_permutation(inst).pi == (1, 2)
-    assert build_intersection_graph(inst).edge_set() == set()
+    assert edge_set(build_intersection_graph(inst)) == set()
 
 
 def test_crossing_pair_gives_swap():
@@ -79,7 +79,7 @@ def test_crossing_pair_gives_swap():
         LFrame("a", Point(-5, 3), 6, -4), LFrame("b", Point(-6, 2), 7, -3)
     )
     assert lframes_to_permutation(inst).pi == (2, 1)
-    assert build_intersection_graph(inst).edge_set() == {(0, 1)}
+    assert edge_set(build_intersection_graph(inst)) == {(0, 1)}
 
 
 def test_pairwise_crossing_gives_reversal():
@@ -89,7 +89,7 @@ def test_pairwise_crossing_gives_reversal():
         two_line_frame("c", -6, 4),
     )
     assert lframes_to_permutation(inst).pi == (3, 2, 1)
-    assert len(build_intersection_graph(inst).edge_set()) == 3
+    assert len(edge_set(build_intersection_graph(inst))) == 3
 
 
 def test_mds_identity_needs_all():
@@ -118,7 +118,7 @@ def test_mds_matches_brute_force():
         g = permutation_graph(p)
         ds = mds_permutation(p)
         assert is_dominating(g, ds.members)
-        assert ds.size == brute_mds_size(n, g.edge_set())
+        assert ds.size == brute_mds_size(n, edge_set(g))
 
 
 def test_pure_python_scan_agrees():
@@ -132,7 +132,7 @@ def test_pure_python_scan_agrees():
         assert pm._scan(pi) == takes  # a list reads as the tuple does
         g = permutation_graph(Permutation(tuple(pi)))
         assert is_dominating(g, takes)
-        assert len(takes) == brute_mds_size(n, g.edge_set())
+        assert len(takes) == brute_mds_size(n, edge_set(g))
 
 
 def assert_optimal(pi):
@@ -140,7 +140,7 @@ def assert_optimal(pi):
     g = permutation_graph(p)
     ds = mds_permutation(p)
     assert is_dominating(g, ds.members), pi
-    assert ds.size == brute_mds_size(p.n, g.edge_set()), pi
+    assert ds.size == brute_mds_size(p.n, edge_set(g)), pi
 
 
 def test_mds_matches_brute_force_on_all_small_permutations():
@@ -329,9 +329,9 @@ def test_generated_instances_match_permutation_graph():
         order1 = two_line_vertex_order(inst)
         pg = permutation_graph(lframes_to_permutation(inst))
         mapped = {
-            tuple(sorted((order1[i], order1[j]))) for i, j in pg.edge_set()
+            tuple(sorted((order1[i], order1[j]))) for i, j in edge_set(pg)
         }
-        assert mapped == g.edge_set()
+        assert mapped == edge_set(g)
 
 
 def test_solution_transfers_to_frames():
@@ -420,7 +420,7 @@ def test_edge_model_rejected():
     # in the edge model frames that only cross share no grid edge, so the
     # graph is not the permutation graph and the reading must refuse it
     inst = gen_two_line(3, 30)._replace(model="edge")
-    assert build_intersection_graph(inst).edge_set() == set()
+    assert edge_set(build_intersection_graph(inst)) == set()
     for read in (two_line_vertex_order, two_line_permutation, lframes_to_permutation):
         with pytest.raises(NotTwoLineCrossing, match=r"^two-line conversion requires the standard model$"):
             read(inst)

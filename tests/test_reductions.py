@@ -12,6 +12,7 @@ from conftest import (
     brute_edge_dominating_size,
     brute_mds_size,
     brute_vertex_cover_size,
+    edge_set,
 )
 from lframes.errors import InvalidDrawing, SourceTooLarge
 from lframes.geometry import GeomInstance, LFrame, Point, lframe_intersect
@@ -128,10 +129,10 @@ def test_both_variants_match_circle_graph():
     rng = random.Random(77)
     for _ in range(25):
         cd = random_diagram(rng, rng.randint(1, 6))
-        want = circle_graph(cd).edge_set()
+        want = edge_set(circle_graph(cd))
         for build in (circle_to_diagonal, circle_to_vertical):
             g = build_intersection_graph(build(cd))
-            assert g.edge_set() == want
+            assert edge_set(g) == want
 
 
 def test_circle_certificates_verify():
@@ -246,7 +247,7 @@ def test_sat_contact_pattern():
         inst, _ = monotone3sat_to_lframes(d)
         g = build_intersection_graph(inst)
         idx = {f.id: v for v, f in enumerate(inst.frames)}
-        es = g.edge_set()
+        es = edge_set(g)
 
         def touch(u, v):
             i, j = idx[u], idx[v]
@@ -416,7 +417,7 @@ def test_eds_adjacency_is_shared_endpoint():
     for u in range(len(edges)):
         for v in range(u + 1, len(edges)):
             share = edges[u][0] == edges[v][0] or edges[u][1] == edges[v][1]
-            assert ((u, v) in g.edge_set()) == share
+            assert ((u, v) in edge_set(g)) == share
 
 
 def test_eds_validation():
@@ -449,7 +450,7 @@ def test_reduced_mds_matches_brute_on_small_instances():
     inst, _ = vc_to_epg(3, [(1, 2), (2, 3)])
     g = build_intersection_graph(inst)
     assert exact_mds_size(build_intersection_graph(inst)) == brute_mds_size(
-        g.n, g.edge_set()
+        g.n, edge_set(g)
     )
 
 
