@@ -190,11 +190,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    t0 = time.perf_counter()  # wall_time_s covers reading and parsing the file too
     inst = parse_instance(_read_text(args.infile))
     if args.model is not None:
         inst = inst._replace(model=args.model)
     run = _Run(inst, args.k, args.cap)
-    t0 = time.perf_counter()
     members = run.solve(args.algo)
     wall = time.perf_counter() - t0
 

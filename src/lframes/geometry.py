@@ -20,6 +20,7 @@ imports nothing, so the records add almost nothing to a CLI call's start-up.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple, Optional
 
@@ -116,12 +117,30 @@ class LFrame(_Record):
         return Point(self.corner.x, self.corner.y + self.vspan)
 
 
+def _column(values) -> Sequence[int]:
+    """``values`` as an ``array('q')`` when every one fits a signed 64-bit
+    word, else as a tuple. A ``q`` array is kept as it is, not copied."""
+    if type(values) is array and values.typecode == "q":
+        return values
+    if not isinstance(values, (list, tuple, array)):
+        values = tuple(values)
+    try:
+        return array("q", values)
+    except (OverflowError, TypeError):
+        return tuple(values)
+
+
 class FrameColumns(Sequence):
     """A read-only sequence of L-frames stored as five parallel columns.
 
-    ``ids`` holds the frame ids, ``x`` and ``y`` the corners, ``hspan`` and
-    ``vspan`` the signed arm lengths, each a tuple of Python ints, so
-    coordinates of any size work. Code on hot paths reads the columns;
+    ``ids`` holds the frame ids as a tuple. ``x`` and ``y`` hold the
+    corners and ``hspan`` and ``vspan`` the signed arm lengths, each as an
+    ``array('q')`` of machine words when every value of that column fits
+    in a signed 64-bit word, else as a tuple of Python ints, so
+    coordinates of any size work; the values alone decide. An array
+    given as a column is kept, not copied, and arrays are mutable, so
+    nothing may write a column once it is here: not the caller that
+    handed it over, not a reader. Code on hot paths reads the columns;
     indexing or iterating builds the ``LFrame`` objects, once, on first
     use. Two sequences are equal when they hold equal frames in the same
     order, whether columns or a tuple of ``LFrame``.
@@ -130,7 +149,8 @@ class FrameColumns(Sequence):
     __slots__ = ("ids", "x", "y", "hspan", "vspan", "_frames")
 
     def __init__(self, ids, x, y, hspan, vspan):
-        self.ids, self.x, self.y, self.hspan, self.vspan = map(tuple, (ids, x, y, hspan, vspan))
+        self.ids = tuple(ids)
+        self.x, self.y, self.hspan, self.vspan = map(_column, (x, y, hspan, vspan))
         if len({len(self.ids), len(self.x), len(self.y), len(self.hspan), len(self.vspan)}) > 1:
             raise ValueError("frame columns differ in length")
         if 0 in self.hspan or 0 in self.vspan:
@@ -168,6 +188,7 @@ class FrameColumns(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FrameColumns):
+            # equal integer columns get the same storage, so they compare equal
             return (self.ids, self.x, self.y, self.hspan, self.vspan) == (
                 other.ids, other.x, other.y, other.hspan, other.vspan)
         if isinstance(other, tuple):

@@ -18,8 +18,11 @@ Frame records are read in one pass into the integer columns of
 ``FrameColumns`` and written back from them, so neither direction builds
 an ``LFrame`` object. Records are checked in file order, so the error
 reported is the one on the earliest bad line. The text is split into
-lines a block at a time, never as one list of every line, and each
-column turns into a tuple before the next one does.
+lines a block at a time, never as one list of every line. Each record's
+four integers go straight into machine-word columns (``array('q')``),
+which ``FrameColumns`` keeps without a copy; the first value beyond 64
+bits turns the four columns into lists of Python ints from that record
+on, and ``FrameColumns`` then stores each as its values allow.
 
 Reports are one ``key value`` line per field, keys sorted
 (``format_fields``).
@@ -27,6 +30,7 @@ Reports are one ``key value`` line per field, keys sorted
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 from typing import Optional
 
@@ -114,10 +118,9 @@ def parse_instance(text: str) -> GeomInstance:
     hline: Optional[int] = None
     seen: set[str] = set()
     ids: list[str] = []
-    xs: list[int] = []
-    ys: list[int] = []
-    hspans: list[int] = []
-    vspans: list[int] = []
+    # machine-word columns until a value needs more than 64 bits, then
+    # Python-int lists from that record on
+    xs, ys, hspans, vspans = array("q"), array("q"), array("q"), array("q")
     rects: list[Rect] = []
     version_seen = False
     in_records = False
@@ -172,10 +175,17 @@ def parse_instance(text: str) -> GeomInstance:
             if kind == "frames":
                 check_spans(keyword, c, d)
                 ids.append(keyword)
-                xs.append(a)
-                ys.append(b)
-                hspans.append(c)
-                vspans.append(d)
+                try:
+                    xs.append(a)
+                    ys.append(b)
+                    hspans.append(c)
+                    vspans.append(d)
+                except OverflowError:  # the records before this one, as lists
+                    k = len(ids) - 1
+                    cols = [col[:k].tolist() for col in (xs, ys, hspans, vspans)]
+                    for col, value in zip(cols, (a, b, c, d)):
+                        col.append(value)
+                    xs, ys, hspans, vspans = cols
             else:
                 rects.append(Rect(keyword, Point(a, b), Point(c, d)))
         except ValueError as e:
@@ -183,12 +193,7 @@ def parse_instance(text: str) -> GeomInstance:
 
     if not version_seen:
         raise ParseError(1, "empty file, expected a version line")
-    # one column at a time, so no two copies of every column are alive
-    ids = tuple(ids)
-    xs = tuple(xs)
-    ys = tuple(ys)
-    hspans = tuple(hspans)
-    vspans = tuple(vspans)
+    ids = tuple(ids)  # frees the list, so one copy of the ids stays alive
     try:
         return GeomInstance(
             frames=FrameColumns(ids, xs, ys, hspans, vspans),

@@ -38,9 +38,12 @@ positions are held in machine-word arrays, and each event's row of parent
 codes is one of three shared tuples after a one-state step, else an
 array. So the history takes about two machine words per event and the
 marks three per mark: about 40 bytes per element on the identity, which
-steps and marks every position. The read-off sorts one list of the frame
-indices by y and by x, so both orders share their index objects, after
-a set of each coordinate column has shown that no two crossings tie.
+steps and marks every position. The read-off first checks, with a set
+of each coordinate column, that no two crossings tie. It then sorts the
+frame indices by x and keeps only their ranks on line two, in a
+machine-word array, before it sorts them by y into the line-one order:
+a sort keyed on a machine-word column holds a fresh int per key, so the
+two sorts must not hold their index lists at the same time.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class Permutation(_Record):
         return p
 
 
-def _line_orders(inst: GeomInstance) -> tuple[tuple, list]:
+def _line_orders(inst: GeomInstance) -> tuple[tuple, array]:
     """Frame indices in line-one order, and each frame's 1-based position
     on line two, of an instance validated as two_line_vertex_order says."""
     if inst.rects:
@@ -118,16 +121,17 @@ def _line_orders(inst: GeomInstance) -> tuple[tuple, list]:
             s = sorted(col)
             tie = next(a for a, b in zip(s, islice(s, 1, None)) if a == b)
             raise DegenerateOrder(f"tied {line}-line crossings at {axis}={tie}")
-    # both sorts start from the indices in record order, where each key
-    # read is a step forward in memory, and share the index objects
-    indices = list(range(n))
-    order1 = tuple(sorted(indices, key=ys.__getitem__, reverse=True))
-    order2 = sorted(indices, key=xs.__getitem__)
-    del indices
-    rank2 = [0] * n
+    # the x sort goes first and leaves only its ranks alive through the y
+    # sort, 32-bit while n allows: a sort keyed on an array column holds a
+    # fresh int per key, so the two sorts' lists must not overlap. Both
+    # start from the indices in record order, where each key read is a
+    # step forward in memory
+    order2 = sorted(range(n), key=xs.__getitem__)
+    rank2 = array("i" if n < 1 << 31 else "q", [0]) * n
     for pos, i in enumerate(order2, 1):
         rank2[i] = pos
-    return order1, rank2
+    del order2
+    return tuple(sorted(range(n), key=ys.__getitem__, reverse=True)), rank2
 
 
 def two_line_vertex_order(inst: GeomInstance) -> tuple:

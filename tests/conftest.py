@@ -210,6 +210,22 @@ def reference_local_exchange(n, edges, B, R, arcs):
     return True
 
 
+def reference_count_crossings(drawing):
+    """Crossing pairs of same-side pieces, comparing every pair: (a, b)
+    and (c, d) cross iff a < c < b < d or c < a < d < b."""
+    crossings = 0
+    ps = drawing.pieces
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            if ps[i].side != ps[j].side:
+                continue
+            a, b = ps[i].p0.x, ps[i].p1.x
+            c, d = ps[j].p0.x, ps[j].p1.x
+            if a < c < b < d or c < a < d < b:
+                crossings += 1
+    return crossings
+
+
 def swap_is_dominating(g, h, base_members, removed):
     """Whether (base minus removed) plus the arc neighbors of removed dominates.
 

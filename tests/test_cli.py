@@ -3,6 +3,7 @@
 import io
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -62,6 +63,23 @@ def test_solve_exact_roundtrip(tmp_path, capsys):
     assert int(fields["size"]) >= 1
     assert "wall_time_s" not in fields
     assert "wall_time_s" in err
+
+
+def test_solve_wall_time_covers_the_parse(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.txt"
+    run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "6",
+             "--out", str(path)], capsys)
+    parse = cli.parse_instance
+
+    def slow_parse(text):
+        time.sleep(0.2)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_instance", slow_parse)
+    code, _, err = run_cli(["solve", "--in", str(path), "--algo", "greedy"], capsys)
+    assert code == 0
+    (wall,) = [float(line.split()[1]) for line in err.splitlines() if line.startswith("wall_time_s ")]
+    assert wall >= 0.2
 
 
 def test_solve_all_algorithms(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     HUB6_FRAMES,
     edge_set,
+    reference_count_crossings,
     reference_exchange_pairs,
     reference_local_exchange,
     swap_is_dominating,
@@ -107,6 +108,15 @@ def test_count_crossings_nested():
 def test_count_crossings_opposite_sides():
     d = ArcDrawing((piece(1, 3, "above", 0), piece(2, 4, "below", 1)))
     assert count_crossings(d) == 0
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4), st.sampled_from(("above", "below"))),
+                max_size=40))
+def test_count_crossings_matches_every_pair(spans):
+    # small coordinates, so shared endpoints and equal pieces are common
+    d = ArcDrawing(tuple(piece(x, x + w, side, i) for i, (x, w, side) in enumerate(spans)))
+    assert count_crossings(d) == reference_count_crossings(d)
 
 
 def test_count_crossings_shared_endpoint():

@@ -1,6 +1,7 @@
 """Geometry predicates and the rectangle-to-frame conversion."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from lframes.geometry import (
     rect_to_lframe,
     rotate_cw,
 )
+from lframes.instance_io import emit_instance, parse_instance
 
 
 def frame(fid, x, y, h, v):
@@ -237,6 +239,35 @@ def test_frame_columns_read_as_frames():
         FrameColumns(["a", "b"], [0, 0], [0, 0], [1, 0], [1, 1])
     with pytest.raises(ValueError):
         FrameColumns(["a"], [0, 1], [0], [1], [1])
+
+
+WORD_MIN, WORD_MAX = -(2**63), 2**63 - 1
+
+
+def test_frame_columns_take_machine_words_when_every_value_fits():
+    cols = FrameColumns(["a", "b"], [WORD_MIN, WORD_MAX], [0, -1], [WORD_MAX, -2], [WORD_MIN, 5])
+    for col in (cols.x, cols.y, cols.hspan, cols.vspan):
+        assert type(col) is array and col.typecode == "q"
+    assert cols.x.tolist() == [WORD_MIN, WORD_MAX] and cols.ids == ("a", "b")
+    for wide in (WORD_MIN - 1, WORD_MAX + 1, 2**200):
+        cols = FrameColumns(["a", "b"], [0, 1], [wide, 2], [3, 4], [5, 6])
+        # one value outside the word keeps its column, only that one, as Python ints
+        assert cols.y == (wide, 2) and type(cols.x) is array
+        assert cols[0] == frame("a", 0, wide, 3, 5)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64),
+                          st.integers(-(2**64), 2**64).filter(bool),
+                          st.integers(-(2**64), 2**64).filter(bool)), max_size=6))
+def test_equal_frames_compare_and_hash_equal_however_built(rows):
+    objs = tuple(frame(f"f{i}", *row) for i, row in enumerate(rows))
+    cols = FrameColumns([f.id for f in objs], *([list(c) for c in zip(*rows)] or [[]] * 4))
+    parsed = parse_instance(emit_instance(GeomInstance(frames=objs))).frames
+    for built in (cols, FrameColumns.of(objs), parsed):
+        assert built == objs and built == cols and built == FrameColumns.of(objs)
+        assert hash(built) == hash(objs) == hash(cols)
+        assert GeomInstance(frames=built) == GeomInstance(frames=objs)
 
 
 def test_instance_holds_frame_columns():

@@ -3,6 +3,7 @@
 import random
 import re
 import string
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from conftest import traced_peak
 from lframes import instance_io
 from lframes.errors import ParseError, ValidationError
 from lframes.generators import FAMILIES, gen_anchored_rects, generate
-from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, Rect
+from lframes.geometry import Diagonal, FrameColumns, GeomInstance, LFrame, Point, Rect
 from lframes.instance_io import emit_instance, format_fields, instance_summary, parse_instance
 
 
@@ -203,13 +204,35 @@ def test_parse_error_line_numbers_follow_splitlines():
 
 
 def test_parse_allocates_little_beyond_what_it_keeps():
-    # the columns keep about 207 bytes a frame; lines are split a block at
-    # a time and the columns become tuples one by one
+    # the ids keep about 64 bytes a frame and the four coordinate columns,
+    # machine words written in place, 32 more; lines are split a block at
+    # a time and no column is copied
     n = 50_000
     text = emit_instance(generate("two-line", 1, n))
     inst, peak = traced_peak(parse_instance, text)
     assert inst.n == n
-    assert peak / n < 270
+    assert peak / n < 170
+
+
+def test_wide_coordinate_past_the_first_block_switches_to_python_ints():
+    # the first coordinate beyond 64 bits is a y, so the record's x is
+    # already in its column when the switch comes
+    block = instance_io._BLOCK
+    records = block // 8
+    frames = [LFrame(f"f{k}", Point(k, -k), 3 + k % 5, -1 - k % 7) for k in range(records)]
+    frames[records - 100] = LFrame("wide", Point(0, -(2**64)), 3, -1)
+    text = emit_instance(GeomInstance(frames=frames))
+    assert text.index("wide 0 -18446744073709551616 ") > block
+    cols = parse_instance(text).frames
+    assert cols == tuple(frames) == FrameColumns.of(frames)
+    assert cols.y[records - 100] == -(2**64) and type(cols.y) is tuple
+    assert type(cols.x) is array and type(cols.vspan) is array
+    # errors after the switch still name their own line
+    lineno = text.count("\n") + 1
+    with pytest.raises(ValidationError, match=r"^frame 'z': spans must be nonzero$"):
+        parse_instance(text + "z 0 0 0 3\n")
+    with pytest.raises(ParseError, match=rf"^line {lineno}: expected integer, got 'x'$"):
+        parse_instance(text + "z 0 x 3 3\n")
 
 
 def test_header_after_records_rejected():
