@@ -44,7 +44,7 @@ _EXPORTS = {
         "sat_corpus", "satisfiable", "vc_to_epg", "verify_equivalence",
     ),
     "generators": ("FAMILIES", "generate"),
-    "instance_io": ("emit_instance", "instance_summary", "parse_instance"),
+    "instance_io": ("emit_instance", "instance_summary", "parse_instance", "read_instance"),
     "svg": ("render_svg",),
 }
 

@@ -18,6 +18,8 @@ needs: a call such as ``generate`` or ``verify --kind sat`` takes about
 
 ``solve``, ``render`` and ``verify --kind exchange`` each hold one ``_Run``,
 so a call builds the intersection graph and runs each solver at most once.
+``solve`` and ``render`` read their input file, or stdin, a block at a time
+(``instance_io.read_instance``), so no call holds the file's whole text.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 from .errors import LFramesError
 from .generators import FAMILIES, gen_anchored_one_sided, generate, reduction_source
 from .geometry import GeomInstance
-from .instance_io import emit_instance, format_fields, instance_summary, parse_instance
+from .instance_io import emit_instance, format_fields, instance_summary, read_instance
 
 _ALGOS = ("exact", "greedy", "local-search", "two-sided", "permutation")
 _VERIFY_KINDS = ("circle-diagonal", "circle-vertical", "sat", "vc", "eds", "exchange")
@@ -109,11 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
+def _read_instance(path: str) -> GeomInstance:
+    """The instance in the file at ``path``, or on stdin for ``-``, read a
+    block at a time."""
     if path == "-":
-        return sys.stdin.read()
+        return read_instance(sys.stdin)
     try:
-        return Path(path).read_text()
+        with open(path) as file:
+            return read_instance(file)
     except OSError as e:
         raise LFramesError(f"cannot read {path}: {e.strerror or e}") from None
 
@@ -168,10 +173,10 @@ class _Run:
 
             return approx_two_sided(self.inst, self.k).members
         if algo == "permutation":
-            from .permutation import mds_permutation, two_line_permutation
+            from .permutation import _line_orders, _scan
 
-            order1, p = two_line_permutation(self.inst)
-            return tuple(sorted(order1[t] for t in mds_permutation(p).members))
+            order1, line2 = _line_orders(self.inst)
+            return tuple(sorted(map(order1.__getitem__, _scan(line2))))
         raise ValueError(f"unknown algorithm {algo!r}")
 
     def exchange(self):
@@ -191,7 +196,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     t0 = time.perf_counter()  # wall_time_s covers reading and parsing the file too
-    inst = parse_instance(_read_text(args.infile))
+    inst = _read_instance(args.infile)
     if args.model is not None:
         inst = inst._replace(model=args.model)
     run = _Run(inst, args.k, args.cap)
@@ -275,7 +280,7 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     from .svg import render_svg
 
-    run = _Run(parse_instance(_read_text(args.infile)), args.k, args.cap)
+    run = _Run(_read_instance(args.infile), args.k, args.cap)
     if args.exchange:  # refuse before any graph or solver runs
         from .graph_core import check_cap
 

@@ -13,12 +13,17 @@ for frames or ``id lo-x lo-y hi-x hi-y`` for rectangles:
     f1 0 12 3 3
 
 ``parse_instance(emit_instance(inst))`` reproduces ``inst`` exactly.
+``parse_instance`` takes the text as a str; ``read_instance`` takes an
+open text file, such as stdin, and gives what ``parse_instance`` gives on
+its text without ever holding that text whole.
 
 Frame records are read in one pass into the integer columns of
 ``FrameColumns`` and written back from them, so neither direction builds
 an ``LFrame`` object. Records are checked in file order, so the error
-reported is the one on the earliest bad line. The text is split into
-lines a block at a time, never as one list of every line. Each record's
+reported is the one on the earliest bad line. One parser serves both
+readers: it takes its lines from pieces of about ``_BLOCK`` characters,
+cut from the str or read from the file, each ending just after a line
+break, and never makes one list of every line. Each record's
 four integers go straight into machine-word columns (``array('q')``),
 which ``FrameColumns`` keeps without a copy; the first value beyond 64
 bits turns the four columns into lists of Python ints from that record
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Optional
+from typing import Optional, TextIO
 
 from .errors import ParseError, ValidationError
 from .geometry import Diagonal, FrameColumns, GeomInstance, Point, Rect, check_spans
@@ -86,23 +91,31 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
 _BLOCK = 1 << 16  # characters split into lines at a time
 
 
-def _blocks(text: str):
-    """Consecutive pieces of ``text``, each running to the first ``\n`` at
-    least ``_BLOCK`` characters on, or to the end."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start + _BLOCK) + 1 or end
-        yield text[start:stop]
-        start = stop
+def _blocks(source):
+    """Consecutive pieces of ``source``, a str or an open text file, of
+    about ``_BLOCK`` characters, each ending just after a line break or at
+    the end. A str is cut after the first ``\n`` at least ``_BLOCK``
+    characters on. A file's piece is ``_BLOCK`` characters read, completed
+    by ``readline``, which in the newline modes of ``open`` and of stdin
+    ends just after a ``\n``."""
+    if isinstance(source, str):
+        start, end = 0, len(source)
+        while start < end:
+            stop = source.find("\n", start + _BLOCK) + 1 or end
+            yield source[start:stop]
+            start = stop
+        return
+    while block := source.read(_BLOCK):
+        yield block + source.readline()
 
 
-def _lines(text: str):
-    """The lines of ``text``, as ``text.splitlines()`` gives them, split a
-    block at a time. Each block ends just after a ``\n``, which always ends
-    a line break (``\r\n`` is the only one of two characters), so no break
-    straddles two blocks.
+def _lines(source):
+    """The lines of ``source``, a str or an open text file, as
+    ``splitlines`` gives them for the whole text, split a block at a time.
+    Each block ends just after a line break, and a ``\r\n``, the only
+    break of two characters, is never split between two blocks.
     """
-    return chain.from_iterable(map(str.splitlines, _blocks(text)))
+    return chain.from_iterable(map(str.splitlines, _blocks(source)))
 
 
 def parse_instance(text: str) -> GeomInstance:
@@ -111,6 +124,21 @@ def parse_instance(text: str) -> GeomInstance:
     Raises ParseError for malformed syntax and ValidationError when the
     file is well formed but describes an invalid instance.
     """
+    return _parse(text)
+
+
+def read_instance(file: TextIO) -> GeomInstance:
+    """``parse_instance`` of what an open text file holds from where it
+    stands, read a block at a time, so the whole text is never held.
+
+    Raises what ``parse_instance`` raises, for the earliest bad line, and
+    what reading the file raises, such as UnicodeDecodeError for bytes
+    that do not decode, when the read gets there first.
+    """
+    return _parse(file)
+
+
+def _parse(source) -> GeomInstance:
     model = "standard"
     kind = "frames"
     diagonal: Optional[int] = None
@@ -125,7 +153,7 @@ def parse_instance(text: str) -> GeomInstance:
     version_seen = False
     in_records = False
 
-    for lineno, raw in enumerate(_lines(text), start=1):
+    for lineno, raw in enumerate(_lines(source), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue

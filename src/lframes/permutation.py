@@ -38,23 +38,30 @@ positions are held in machine-word arrays, and each event's row of parent
 codes is one of three shared tuples after a one-state step, else an
 array. So the history takes about two machine words per event and the
 marks three per mark: about 40 bytes per element on the identity, which
-steps and marks every position. The read-off first checks, with a set
-of each coordinate column, that no two crossings tie. It then sorts the
-frame indices by x and keeps only their ranks on line two, in a
-machine-word array, before it sorts them by y into the line-one order:
-a sort keyed on a machine-word column holds a fresh int per key, so the
-two sorts must not hold their index lists at the same time.
+steps and marks every position.
+
+The read-off first checks, with a set of each coordinate column, that no
+two crossings tie. It then sorts the frame indices once, by y, into the
+line-one order, kept as a machine-word array. Line two is not ranked: the
+scan only compares values, so any distinct positive integers in the order
+of the crossings give the positions their ranks 1..n give. Line two is
+read as the x values in line-one order, shifted to start at 1, in a
+machine-word column when they fit one (``geometry._column``). The scan
+takes its sentinels from the largest value. Only ``two_line_permutation``,
+whose ``Permutation`` holds ranks, ranks line two, by one sort of plain
+ints value * n + position.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from itertools import compress, count, islice, repeat
-from operator import add, index
+from operator import add, index, mul
 
 from .errors import DegenerateOrder, NotTwoLineCrossing
-from .geometry import DominatingSet, GeomInstance, _Record, _set
+from .geometry import DominatingSet, GeomInstance, _column, _Record, _set
 
 
 class Permutation(_Record):
@@ -85,9 +92,11 @@ class Permutation(_Record):
         return p
 
 
-def _line_orders(inst: GeomInstance) -> tuple[tuple, array]:
-    """Frame indices in line-one order, and each frame's 1-based position
-    on line two, of an instance validated as two_line_vertex_order says."""
+def _line_orders(inst: GeomInstance) -> tuple[array, Sequence[int]]:
+    """Frame indices in line-one order, as a machine-word array, and line
+    two read in that order: distinct positive integers, ordered as the
+    frames' positions on line two, of an instance validated as
+    two_line_vertex_order says. ``_scan`` takes them as they are."""
     if inst.rects:
         raise NotTwoLineCrossing("two-line conversion requires a frame instance")
     if inst.model != "standard":
@@ -121,17 +130,14 @@ def _line_orders(inst: GeomInstance) -> tuple[tuple, array]:
             s = sorted(col)
             tie = next(a for a, b in zip(s, islice(s, 1, None)) if a == b)
             raise DegenerateOrder(f"tied {line}-line crossings at {axis}={tie}")
-    # the x sort goes first and leaves only its ranks alive through the y
-    # sort, 32-bit while n allows: a sort keyed on an array column holds a
-    # fresh int per key, so the two sorts' lists must not overlap. Both
-    # start from the indices in record order, where each key read is a
-    # step forward in memory
-    order2 = sorted(range(n), key=xs.__getitem__)
-    rank2 = array("i" if n < 1 << 31 else "q", [0]) * n
-    for pos, i in enumerate(order2, 1):
-        rank2[i] = pos
-    del order2
-    return tuple(sorted(range(n), key=ys.__getitem__, reverse=True)), rank2
+    # one sort, by y, from the indices in record order, where each key read
+    # is a step forward in memory; its list of index objects goes as soon
+    # as the order is in machine words. Line two is read in that order as
+    # the x values themselves, shifted to start at 1: the scan only
+    # compares them, so no second sort ranks them
+    order1 = array("i" if n < 1 << 31 else "q", sorted(range(n), key=ys.__getitem__, reverse=True))
+    shift = 1 - min(xs, default=0)
+    return order1, _column(map(shift.__add__, map(xs.__getitem__, order1)))
 
 
 def two_line_vertex_order(inst: GeomInstance) -> tuple:
@@ -144,7 +150,7 @@ def two_line_vertex_order(inst: GeomInstance) -> tuple:
     name the first offending frame in record order, then the smallest tied
     y, then the smallest tied x.
     """
-    return _line_orders(inst)[0]
+    return tuple(_line_orders(inst)[0])
 
 
 def two_line_permutation(inst: GeomInstance) -> tuple[tuple, Permutation]:
@@ -155,8 +161,16 @@ def two_line_permutation(inst: GeomInstance) -> tuple[tuple, Permutation]:
     the frames intersect. Position t of the permutation is frame
     ``order[t]``.
     """
-    order1, rank2 = _line_orders(inst)
-    return order1, Permutation._of(tuple(map(rank2.__getitem__, order1)))
+    order1, line2 = _line_orders(inst)
+    # line two's ranks from one sort of value * n + position: plain ints,
+    # with no index objects and no key list beside them
+    n = len(line2)
+    keys = sorted(map(add, map(mul, line2, repeat(n)), count()))
+    rank = array("q", [0]) * n
+    for pos, key in enumerate(keys, 1):
+        rank[key % n] = pos
+    del keys, line2
+    return tuple(order1), Permutation._of(tuple(rank))
 
 
 def lframes_to_permutation(inst: GeomInstance) -> Permutation:
@@ -289,24 +303,28 @@ def _hot_edges(front, inff):
 
 def _scan(pi) -> list:
     """0-based positions of one minimum dominating set of the inversion
-    graph of pi (a sequence of the values 1..n).
+    graph of pi, a sequence of distinct positive integers. Only their order
+    is compared, so the positions are those the ranks 1..n give.
 
-    Sentinels: M = 0 below / n+1 above every remaining value, F = n+2 for
-    "nothing pending"; a pending F below every remaining value can never be
-    cleared, so that state is dropped. Only events are stepped: suffix
-    minima and maxima, whose sentinel bounds move, and positions whose value
-    is hot (see _hot_edges). Between events the frontier and its state
-    indices stay as they are, every state skipping, so a parent row is kept
-    per event only.
+    Sentinels, from the largest value t: M = 0 below / t+1 above every
+    remaining value, F = t+2 for "nothing pending"; a pending F below every
+    remaining value can never be cleared, so that state is dropped. Only
+    events are stepped: suffix minima and maxima, whose sentinel bounds
+    move, and positions whose value is hot (see _hot_edges). Between events
+    the frontier and its state indices stay as they are, every state
+    skipping, so a parent row is kept per event only.
     """
     n = len(pi)
-    big, inff, huge = n + 1, n + 2, n + 3
+    top = max(pi, default=0)
+    big, inff, huge = top + 1, top + 2, top + 3
     # one reverse pass marks the suffix minima and maxima, each with the
-    # least and greatest value after it, in three machine-word columns;
-    # between two marks these bounds stay put, so the bounds after any
-    # position are those after the next mark, and before the first mark
-    # they bound every value
-    marks, los, his = array("q"), array("q"), array("q")
+    # least and greatest value after it, in three machine-word columns
+    # (the bounds in lists once huge needs more than 64 bits); between two
+    # marks these bounds stay put, so the bounds after any position are
+    # those after the next mark, and before the first mark they bound
+    # every value
+    marks = array("q")
+    los, his = (array("q"), array("q")) if huge < 1 << 63 else ([], [])
     lo, hi = huge, 0
     for p, v in zip(range(n - 1, -1, -1), reversed(pi)):
         if not lo < v < hi:

@@ -1,6 +1,8 @@
 """Command line behavior: subcommands, exit codes, byte stability."""
 
+import codecs
 import io
+import locale
 import subprocess
 import sys
 import time
@@ -69,13 +71,13 @@ def test_solve_wall_time_covers_the_parse(tmp_path, monkeypatch, capsys):
     path = tmp_path / "inst.txt"
     run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "6",
              "--out", str(path)], capsys)
-    parse = cli.parse_instance
+    read = cli.read_instance
 
-    def slow_parse(text):
+    def slow_read(file):
         time.sleep(0.2)
-        return parse(text)
+        return read(file)
 
-    monkeypatch.setattr(cli, "parse_instance", slow_parse)
+    monkeypatch.setattr(cli, "read_instance", slow_read)
     code, _, err = run_cli(["solve", "--in", str(path), "--algo", "greedy"], capsys)
     assert code == 0
     (wall,) = [float(line.split()[1]) for line in err.splitlines() if line.startswith("wall_time_s ")]
@@ -368,6 +370,37 @@ def test_missing_input_file_is_exit_2(tmp_path):
         assert res.returncode == 2, args
         assert res.stderr.startswith("error: cannot read"), res.stderr
         assert "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+                    reason="the message names the UTF-8 codec")
+def test_undecodable_input_file_is_exit_2(tmp_path, capsys):
+    # the file is decoded as it is read: the decoder's message counts its
+    # position from the start of the chunk it was decoding, and a bad
+    # record before the bad bytes is reported first
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"version 1\nf1 0 0 3 3\n\xff\n")
+    code, out, err = run_cli(["solve", "--in", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 21: invalid start byte\n"
+    records = "".join(f"f{k} {k} 0 3 3\n" for k in range(2, 20_000))
+    path.write_bytes(b"version 1\nf1 0 0 3 x\n" + records.encode() + b"\xff\n")
+    code, out, err = run_cli(["solve", "--in", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: expected integer, got 'x'\n"
+
+
+def test_stdin_reads_as_the_file_does(tmp_path):
+    # more than one block, through a real stdin
+    path = tmp_path / "t.txt"
+    path.write_text(emit_instance(gen_two_line(3, 3000)))
+    args = [sys.executable, "-m", "lframes.cli", "solve", "--algo", "permutation", "--in"]
+    by_path = subprocess.run(args + [str(path)], capture_output=True, text=True)
+    with open(path) as file:
+        by_stdin = subprocess.run(args + ["-"], stdin=file, capture_output=True, text=True)
+    assert by_path.returncode == by_stdin.returncode == 0
+    assert by_stdin.stdout == by_path.stdout
+    assert parse_report(by_stdin.stdout)["n"] == "3000"
 
 
 def test_unwritable_output_is_exit_2(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Instance text format round trips and the report line format."""
 
+import io
 import random
 import re
 import string
+import sys
 from array import array
 
 import pytest
@@ -10,11 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from lframes import instance_io
+from lframes import cli, instance_io
 from lframes.errors import ParseError, ValidationError
 from lframes.generators import FAMILIES, gen_anchored_rects, generate
 from lframes.geometry import Diagonal, FrameColumns, GeomInstance, LFrame, Point, Rect
-from lframes.instance_io import emit_instance, format_fields, instance_summary, parse_instance
+from lframes.instance_io import (
+    emit_instance,
+    format_fields,
+    instance_summary,
+    parse_instance,
+    read_instance,
+)
 
 
 def test_parse_minimal_frame():
@@ -181,26 +189,87 @@ def _mixed_break_text(rng, records, bad_at=None):
     return "".join(parts)
 
 
+def _text_file(text, newline):
+    """``text`` as an open text file in one newline mode: None translates
+    ``\r\n`` and ``\r`` as ``open(path)`` does, ``"\n"`` translates
+    nothing and splits at ``\n`` only, as stdin does on POSIX."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+
+
+def _read_ways(text, tmp_path, monkeypatch):
+    """Calls that each read ``text`` one way: parsed as a str, and read by
+    the CLI from a file by path and from stdin."""
+    path = tmp_path / "inst.txt"
+    path.write_bytes(text.encode())
+
+    def stdin():
+        monkeypatch.setattr(sys, "stdin", _text_file(text, "\n"))
+        return cli._read_instance("-")
+
+    return {
+        "str": lambda: parse_instance(text),
+        "path": lambda: cli._read_instance(str(path)),
+        "stdin": stdin,
+    }
+
+
 def test_lines_are_those_of_splitlines(monkeypatch):
-    # blocks of any size end just after a \n, so no line break is split
+    # blocks of any size end just after a line break, so none is split,
+    # whether they are cut from a str or read from a file in either newline
+    # mode the CLI reads in
     text = _mixed_break_text(random.Random(8), 400) + "f9 0 0 3 3"  # no final break
     for block in (1, 2, 3, 5, 8, 13, 40, 10**6):
         monkeypatch.setattr(instance_io, "_BLOCK", block)
         for t in (text, text[:-10], ""):
             assert list(instance_io._lines(t)) == t.splitlines(), block
+            for newline in (None, "\n"):
+                lines = instance_io._lines(_text_file(t, newline))
+                assert list(lines) == t.splitlines(), (block, newline)
 
 
-def test_parse_error_line_numbers_follow_splitlines():
-    # the bad record sits more than one block in, behind every kind of line break
+def test_files_and_stdin_read_as_the_text_parses(tmp_path, monkeypatch):
+    text = _mixed_break_text(random.Random(10), 300)
+    assert all(b in text for b in LINE_BREAKS)
+    inst = parse_instance(text)
+    assert inst.n > 100
+    for block in (1, 7, 64, 10**6):
+        monkeypatch.setattr(instance_io, "_BLOCK", block)
+        for way, read in _read_ways(text, tmp_path, monkeypatch).items():
+            assert read() == inst, (block, way)
+
+
+def test_parse_error_line_numbers_follow_splitlines(tmp_path, monkeypatch):
+    # the bad record sits more than one block in, behind every kind of line
+    # break, and each way of reading names the same line
     block = instance_io._BLOCK
     text = _mixed_break_text(random.Random(9), block // 4, 3 * block // 2)
     assert text.index("bad 0 0 3 x") > block
     assert all(b in text for b in LINE_BREAKS)
     lineno = text.splitlines().index("bad 0 0 3 x") + 1
-    with pytest.raises(ParseError) as err:
-        parse_instance(text)
-    assert err.value.lineno == lineno
-    assert str(err.value) == f"line {lineno}: expected integer, got 'x'"
+    for way, read in _read_ways(text, tmp_path, monkeypatch).items():
+        with pytest.raises(ParseError) as err:
+            read()
+        assert err.value.lineno == lineno, way
+        assert str(err.value) == f"line {lineno}: expected integer, got 'x'", way
+
+
+def test_reading_a_file_never_holds_its_whole_text(tmp_path):
+    # a file is read a block at a time, so reading it peaks where parsing
+    # its text does, at about 149 bytes a frame; the text takes 32 bytes a
+    # frame more, so a read that held it whole would pass 180
+    n = 50_000
+    text = emit_instance(generate("two-line", 1, n))
+    assert len(text) / n > 30
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+
+    def read():
+        with open(path) as file:
+            return read_instance(file)
+
+    inst, peak = traced_peak(read)
+    assert inst.n == n
+    assert peak / n < 165
 
 
 def test_parse_allocates_little_beyond_what_it_keeps():

@@ -3,16 +3,19 @@
 import bisect
 import itertools
 import random
+from array import array
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_mds_size, edge_set, permutation_graph, traced_peak
 from lframes import permutation as pm
 from lframes.errors import DegenerateOrder, NotTwoLineCrossing
 from lframes.generators import gen_two_line, generate
-from lframes.geometry import GeomInstance, LFrame, Point
+from lframes.geometry import FrameColumns, GeomInstance, LFrame, Point, _column
 from lframes.graph_core import build_intersection_graph, is_dominating
 from lframes.instance_io import emit_instance, parse_instance
 from lframes.permutation import (
@@ -213,6 +216,52 @@ def test_scan_on_long_forced_and_quiet_runs(monkeypatch):
         stepped.clear()
         assert pm._scan(quiet) == [n - 1]
         assert stepped == [n, 2, n - 1, 1]
+
+
+def ranks(values):
+    """The 1-based rank of each value among ``values``, in their order."""
+    out = [0] * len(values)
+    for r, i in enumerate(sorted(range(len(values)), key=values.__getitem__), 1):
+        out[i] = r
+    return tuple(out)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.lists(st.integers(-40, 40), unique=True, max_size=25),
+                 st.lists(st.integers(-2**70, 2**70), unique=True, max_size=25)))
+@example([2**63 - 3, 1, 3, 2])  # fits a machine word; its sentinels do not
+@example([-(2**63), 2**63 - 1, 0, -1])  # raw values fit, shifted ones do not
+def test_scan_reads_any_distinct_positive_values_as_their_ranks(raw):
+    # the scan only compares values: raw coordinates shifted to start at 1,
+    # in a machine-word column or, past 64 bits, a tuple, give the
+    # positions their ranks give
+    shifted = _column([v - min(raw) + 1 for v in raw] if raw else [])
+    assert type(shifted) is (array if max(shifted, default=0) < 2**63 else tuple)
+    assert pm._scan(shifted) == pm._scan(ranks(shifted))
+
+
+def test_line_two_is_the_shifted_x_values_in_line_one_order():
+    inst = gen_two_line(5, 60)
+    fr = inst.frames
+    order1, line2 = pm._line_orders(inst)
+    assert type(order1) is array and order1.typecode in "iq"
+    assert type(line2) is array and line2.typecode == "q"
+    assert list(line2) == [fr.x[i] - min(fr.x) + 1 for i in order1]
+    order, p = two_line_permutation(inst)
+    assert order == tuple(order1) == two_line_vertex_order(inst)
+    assert p.pi == ranks(line2)
+    # moving the leftmost frame 2**64 further left keeps both orders, but
+    # its line-two value no longer fits a machine word
+    left = min(range(len(fr)), key=fr.x.__getitem__)
+    xs, hs = list(fr.x), list(fr.hspan)
+    xs[left] -= 2**64
+    hs[left] += 2**64
+    wide = inst._replace(frames=FrameColumns(fr.ids, xs, fr.y, hs, fr.vspan))
+    order1_wide, line2_wide = pm._line_orders(wide)
+    assert order1_wide == order1
+    assert type(line2_wide) is tuple and max(line2_wide) > 2**64
+    assert two_line_permutation(wide) == (order, p)
+    assert pm._scan(line2_wide) == pm._scan(line2) == list(mds_permutation(p).members)
 
 
 def frontier_corpus():
@@ -427,8 +476,10 @@ def test_edge_model_rejected():
 
 
 def test_read_off_allocates_little_beyond_what_it_keeps():
-    # the order and the permutation keep about 76 bytes a frame; the two
-    # sorts share their index objects, so the peak stays close to that
+    # the order and the permutation keep about 76 bytes a frame. One sort
+    # by y leaves only a machine-word array of the line-one order, and the
+    # ranks of line two come from one sort of plain ints with no key list,
+    # so the peak stays close to that (92 bytes a frame traced)
     n = 50_000
     inst = parse_instance(emit_instance(generate("two-line", 1, n)))
     (order1, p), peak = traced_peak(two_line_permutation, inst)
