@@ -23,11 +23,13 @@ an ``LFrame`` object. Records are checked in file order, so the error
 reported is the one on the earliest bad line. One parser serves both
 readers: it takes its lines from pieces of about ``_BLOCK`` characters,
 cut from the str or read from the file, each ending just after a line
-break, and never makes one list of every line. Each record's
-four integers go straight into machine-word columns (``array('q')``),
-which ``FrameColumns`` keeps without a copy; the first value beyond 64
-bits turns the four columns into lists of Python ints from that record
-on, and ``FrameColumns`` then stores each as its values allow.
+break, and never makes one list of every line. The records after the
+header run through a loop of their own, which cuts a comment off only a
+line holding ``#``, unpacks five fields and checks the spans inline. Its
+integers go into machine-word columns (``array('q')``), which
+``FrameColumns`` keeps without a copy; the first value beyond 64 bits
+turns the four columns into lists of Python ints from that record on,
+and ``FrameColumns`` then stores each as its values allow.
 
 Reports are one ``key value`` line per field, keys sorted
 (``format_fields``).
@@ -40,7 +42,7 @@ from itertools import chain
 from typing import Optional, TextIO
 
 from .errors import ParseError, ValidationError
-from .geometry import Diagonal, FrameColumns, GeomInstance, Point, Rect, check_spans
+from .geometry import Diagonal, FrameColumns, GeomInstance, Point, Rect
 
 FORMAT_VERSION = 1
 
@@ -145,15 +147,11 @@ def _parse(source) -> GeomInstance:
     vline: Optional[int] = None
     hline: Optional[int] = None
     seen: set[str] = set()
-    ids: list[str] = []
-    # machine-word columns until a value needs more than 64 bits, then
-    # Python-int lists from that record on
-    xs, ys, hspans, vspans = array("q"), array("q"), array("q"), array("q")
-    rects: list[Rect] = []
     version_seen = False
-    in_records = False
 
-    for lineno, raw in enumerate(_lines(source), start=1):
+    lines = enumerate(_lines(source), start=1)
+    records = lines  # what the header leaves: nothing, unless a record ends it
+    for lineno, raw in lines:
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -170,57 +168,69 @@ def _parse(source) -> GeomInstance:
             continue
 
         # a header keyword followed by four fields is a record with that id
-        if not in_records and keyword in _HEADER_KEYWORDS and len(rest) != 4:
-            if keyword in seen:
-                raise ParseError(lineno, f"duplicate {keyword} declaration")
-            if len(rest) != 1:
-                raise ParseError(lineno, f"{keyword} takes one field")
-            seen.add(keyword)
-            if keyword == "model":
-                if rest[0] not in _MODELS:
-                    raise ValidationError(f"unknown model {rest[0]!r}")
-                model = rest[0]
-            elif keyword == "kind":
-                if rest[0] not in _KINDS:
-                    raise ValidationError(f"unknown record kind {rest[0]!r}")
-                kind = rest[0]
-            elif keyword == "diagonal":
-                diagonal = _ints(rest, lineno)[0]
-            elif keyword == "vline":
-                vline = _ints(rest, lineno)[0]
-            else:
-                hline = _ints(rest, lineno)[0]
-            continue
-
-        in_records = True
-        if len(rest) != 4:
-            raise ParseError(lineno, "record takes an id and four integers")
-        try:
-            a, b, c, d = map(int, rest)
-        except ValueError:
-            a, b, c, d = _ints(rest, lineno)  # raises, naming the first bad field
-        try:
-            if kind == "frames":
-                check_spans(keyword, c, d)
-                ids.append(keyword)
-                try:
-                    xs.append(a)
-                    ys.append(b)
-                    hspans.append(c)
-                    vspans.append(d)
-                except OverflowError:  # the records before this one, as lists
-                    k = len(ids) - 1
-                    cols = [col[:k].tolist() for col in (xs, ys, hspans, vspans)]
-                    for col, value in zip(cols, (a, b, c, d)):
-                        col.append(value)
-                    xs, ys, hspans, vspans = cols
-            else:
-                rects.append(Rect(keyword, Point(a, b), Point(c, d)))
-        except ValueError as e:
-            raise ValidationError(str(e)) from None
+        if keyword not in _HEADER_KEYWORDS or len(rest) == 4:
+            records = chain(((lineno, raw),), lines)
+            break
+        if keyword in seen:
+            raise ParseError(lineno, f"duplicate {keyword} declaration")
+        if len(rest) != 1:
+            raise ParseError(lineno, f"{keyword} takes one field")
+        seen.add(keyword)
+        if keyword == "model":
+            if rest[0] not in _MODELS:
+                raise ValidationError(f"unknown model {rest[0]!r}")
+            model = rest[0]
+        elif keyword == "kind":
+            if rest[0] not in _KINDS:
+                raise ValidationError(f"unknown record kind {rest[0]!r}")
+            kind = rest[0]
+        elif keyword == "diagonal":
+            diagonal = _ints(rest, lineno)[0]
+        elif keyword == "vline":
+            vline = _ints(rest, lineno)[0]
+        else:
+            hline = _ints(rest, lineno)[0]
 
     if not version_seen:
         raise ParseError(1, "empty file, expected a version line")
+    ids: list[str] = []
+    # machine-word columns until a value needs more than 64 bits, then
+    # Python-int lists from that record on
+    xs, ys, hspans, vspans = array("q"), array("q"), array("q"), array("q")
+    rects: list[Rect] = []
+    frames = kind == "frames"
+    for lineno, line in records:
+        if "#" in line:
+            line = line[:line.index("#")]
+        try:
+            fid, a, b, c, d = line.split()
+        except ValueError:
+            if not line.split():
+                continue
+            raise ParseError(lineno, "record takes an id and four integers") from None
+        try:
+            a, b, c, d = int(a), int(b), int(c), int(d)
+        except ValueError:
+            _ints([a, b, c, d], lineno)  # raises, naming the first bad field
+        if not frames:
+            try:
+                rects.append(Rect(fid, Point(a, b), Point(c, d)))
+            except ValueError as e:
+                raise ValidationError(str(e)) from None
+            continue
+        if not (c and d):
+            raise ValidationError(f"frame {fid!r}: spans must be nonzero")
+        ids.append(fid)
+        try:
+            xs.append(a)
+            ys.append(b)
+            hspans.append(c)
+            vspans.append(d)
+        except OverflowError:  # this record and those before it, as lists
+            k = len(ids) - 1
+            xs, ys, hspans, vspans = [col[:k].tolist() + [value] for col, value
+                                      in zip((xs, ys, hspans, vspans), (a, b, c, d))]
+
     ids = tuple(ids)  # frees the list, so one copy of the ids stays alive
     try:
         return GeomInstance(

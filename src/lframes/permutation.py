@@ -18,9 +18,11 @@ minimum nor a suffix maximum, and lies outside a "hot" set of value
 intervals read off the frontier, leaves the frontier and every state's
 history unchanged, so it is not stepped: the next event is found by
 bisecting each value against the hot intervals in a pipeline of C-level
-iterators, and only events are stepped (in plain Python integers). The
-frontier is re-sorted and pruned after every step, which the
-quiet-position test relies on.
+iterators, and only events are stepped (in plain Python integers). A
+step sorts every state's skip and take by (count asc, M desc, F desc)
+and keeps each unless a kept one has M and F at least as large, found by
+bisecting the staircase of kept (M, F) points. So the frontier stays
+sorted and Pareto-pruned, which the quiet-position test relies on.
 
 Every frontier holds a state with nothing pending (F = inf): the initial
 state has it, a take from such a state keeps it and is never dropped, and
@@ -178,30 +180,6 @@ def lframes_to_permutation(inst: GeomInstance) -> Permutation:
     return two_line_permutation(inst)[1]
 
 
-class _Staircase:
-    """Pareto-maximal (M, F) points: M strictly descending, F strictly
-    ascending, kept as two ascending lists (-M and F) for bisection."""
-
-    __slots__ = ("neg_m", "fs")
-
-    def __init__(self):
-        self.neg_m = []
-        self.fs = []
-
-    def insert(self, m: int, f: int) -> bool:
-        """Add (m, f) unless a point with M >= m and F >= f is present;
-        drop the points it dominates. Returns whether it was added."""
-        neg_m, fs = self.neg_m, self.fs
-        i = bisect_right(neg_m, -m)  # points [0, i) have M >= m
-        if i and fs[i - 1] >= f:
-            return False
-        lo = i - 1 if i and neg_m[i - 1] == -m else i
-        hi = bisect_right(fs, f, lo)
-        neg_m[lo:hi] = [-m]
-        fs[lo:hi] = [f]
-        return True
-
-
 _SKIP, _TAKE, _BOTH = (0,), (1,), (0, 1)  # the parent codes of one-state steps
 
 
@@ -222,31 +200,40 @@ def _step(front, v, smin, smax, big, inff):
             return [(c + 1, 0, inff)], _TAKE
         m = 0 if m < smin else big if m > smax else m
         return [(c, m, min(v, smax + 1)), (c + 1, v if v <= smax else big, inff)], _BOTH
-    cands = []
-    for s, (c, m, f) in enumerate(front):
-        skip = (c, m, v if m < v < f else f, 2 * s)
-        take = (c + 1, m if m > v else v, inff if v < f else f, 2 * s + 1)
-        for c2, m2, f2, code in (skip, take):
-            if f2 != inff:
-                if f2 < smin:  # the pending value can no longer be covered
-                    continue
-                if f2 > smax:
-                    f2 = smax + 1
-            if m2 < smin:
-                m2 = 0
-            elif m2 > smax:
-                m2 = big
-            cands.append((c2, -m2, -f2, code))
+    nv = 0 if v < smin else -big if v > smax else -v  # v as a collapsed -M
+    cands = []  # (count, -M, -F, code), M and F collapsed
+    for code, (c, m, f) in zip(count(0, 2), front):
+        nm = 0 if m < smin else -big if m > smax else -m
+        # skip keeps M and leaves v pending when M < v < F; a pending value
+        # below every later one can no longer be covered
+        g = v if m < v < f else f
+        if g == inff:
+            cands.append((c, nm, -inff, code))
+        elif g >= smin:
+            cands.append((c, nm, -g if g <= smax else -smax - 1, code))
+        # take raises M to v and clears F when v < F
+        if v < f:
+            cands.append((c + 1, nm if m > v else nv, -inff, code + 1))
+        elif f >= smin:
+            cands.append((c + 1, nm if m > v else nv, -f if f <= smax else -smax - 1, code + 1))
     cands.sort()
     # In this order no candidate is dominated by a later one except its
     # duplicate, so keeping exactly the candidates that no earlier kept one
-    # dominates (count <=, M >=, F >=) leaves the Pareto frontier.
-    kept = _Staircase()
+    # dominates (count <=, M >=, F >=) leaves the Pareto frontier. The kept
+    # points' staircase: M falling as F rises, as ascending lists -M and F.
+    neg_m, fs = [], []
     new, codes = [], []
     for c, nm, nf, code in cands:
-        if kept.insert(-nm, -nf):
-            new.append((c, -nm, -nf))
-            codes.append(code)
+        f = -nf
+        i = bisect_right(neg_m, nm)  # points [0, i) have M >= -nm
+        if i and fs[i - 1] >= f:
+            continue
+        lo = i - 1 if i and neg_m[i - 1] == nm else i
+        hi = bisect_right(fs, f, lo)  # points [lo, hi) are dominated
+        neg_m[lo:hi] = [nm]
+        fs[lo:hi] = [f]
+        new.append((c, -nm, f))
+        codes.append(code)
     return new, array("q", codes)
 
 
