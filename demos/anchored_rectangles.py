@@ -25,7 +25,7 @@ def main():
 
     rinst = gen_anchored_rects(args.seed, args.n)
     print(f"generated {len(rinst.rects)} rectangles on diagonal "
-          f"x + y = {rinst.diagonal.d}")
+          f"x + y = {rinst.diagonal}")
 
     frames = tuple(rect_to_lframe(r, rinst.diagonal) for r in rinst.rects)
     finst = GeomInstance(frames=frames, diagonal=rinst.diagonal)

@@ -17,7 +17,7 @@ _EXPORTS = {
         "ParseError", "SourceTooLarge", "TooLarge", "ValidationError",
     ),
     "geometry": (
-        "Diagonal", "DominatingSet", "FrameColumns", "GeomInstance", "LFrame", "Point", "Rect",
+        "DominatingSet", "FrameColumns", "GeomInstance", "LFrame", "Point", "Rect",
         "is_anchored", "lframe_intersect", "rect_intersect", "rect_to_lframe", "rotate_cw",
     ),
     "epg": ("epg_intersect",),
@@ -30,7 +30,7 @@ _EXPORTS = {
         "split_two_sided",
     ),
     "exchange": (
-        "Arc", "ArcDrawing", "ArcPiece", "ExchangeGraph", "build_exchange_graph",
+        "Arc", "ArcPiece", "ExchangeGraph", "build_exchange_graph",
         "check_local_exchange", "count_crossings", "draw_arcs",
     ),
     "permutation": (

@@ -14,7 +14,7 @@ first use, so ``python -m lframes.cli`` loads nothing else up front. The
 record classes are plain slotted classes (see ``geometry``), so no command
 loads the standard library's class generator or the ``inspect`` module it
 needs: a call such as ``generate`` or ``verify --kind sat`` takes about
-0.09-0.13 s in all (Python 3.11, 2 vCPU), 0.01-0.02 s less than with them.
+0.09-0.13 s in all (Python 3.11, 2 vCPU).
 
 ``solve``, ``render`` and ``verify --kind exchange`` each hold one ``_Run``,
 so a call builds the intersection graph and runs each solver at most once.

@@ -62,15 +62,6 @@ class ArcPiece(_Record):
         _set(self, "arc_index", arc_index)
 
 
-class ArcDrawing(_Record):
-    """The half circles drawing an exchange graph's arcs."""
-
-    __slots__ = ("pieces",)
-
-    def __init__(self, pieces: tuple[ArcPiece, ...]):
-        _set(self, "pieces", pieces)
-
-
 def _covered(g: IntersectionGraph, B: frozenset, R: frozenset):
     """Each vertex u whose closed neighborhood meets B and R, with N[u] & B, N[u] & R."""
     for u, nbrs in enumerate(g.adjacency):
@@ -130,7 +121,7 @@ def _exchange_graph(
     return ExchangeGraph(bset, rset, tuple(arcs))
 
 
-def draw_arcs(h: ExchangeGraph, inst: GeomInstance) -> ArcDrawing:
+def draw_arcs(h: ExchangeGraph, inst: GeomInstance) -> tuple[ArcPiece, ...]:
     """Half-circle drawing: top arcs above the diagonal, down arcs below,
     mixed arcs as an upper piece into the witness corner and a lower piece
     out of it.
@@ -138,7 +129,8 @@ def draw_arcs(h: ExchangeGraph, inst: GeomInstance) -> ArcDrawing:
     Raises DegeneratePosition when two involved corners share an
     x-coordinate (the drawing assumes general position on the line).
     """
-    if inst.diagonal is None:
+    d = inst.diagonal
+    if d is None:
         raise ValueError("instance has no diagonal")
     frames = inst.frames
     involved = set()
@@ -149,7 +141,7 @@ def draw_arcs(h: ExchangeGraph, inst: GeomInstance) -> ArcDrawing:
     seen_x: dict[int, int] = {}
     for v in involved:
         c = frames[v].corner
-        if not inst.diagonal.contains(c):
+        if c.x + c.y != d:
             raise ValueError(f"corner of frame {frames[v].id!r} is off the diagonal")
         if c.x in seen_x and seen_x[c.x] != v:
             raise DegeneratePosition(
@@ -173,10 +165,10 @@ def draw_arcs(h: ExchangeGraph, inst: GeomInstance) -> ArcDrawing:
             left, right = (a.b, a.r) if a.mixed_orientation == "b_left" else (a.r, a.b)
             pieces.append(span(left, a.witness, "above", idx))
             pieces.append(span(a.witness, right, "below", idx))
-    return ArcDrawing(tuple(pieces))
+    return tuple(pieces)
 
 
-def count_crossings(drawing: ArcDrawing) -> int:
+def count_crossings(pieces: tuple[ArcPiece, ...]) -> int:
     """Crossing pairs among same-side pieces by strict interval interleaving.
 
     Pieces sharing an endpoint do not cross; opposite-side pieces can only
@@ -188,7 +180,7 @@ def count_crossings(drawing: ArcDrawing) -> int:
     """
     crossings = 0
     for side in ("above", "below"):
-        spans = sorted((p.p0.x, p.p1.x) for p in drawing.pieces if p.side == side)
+        spans = sorted((p.p0.x, p.p1.x) for p in pieces if p.side == side)
         ends = sorted({d for _, d in spans})
         tree = [0] * (len(ends) + 1)  # tree[i] counts a span of ranks ending at i - 1
         for c, group in groupby(spans, key=itemgetter(0)):

@@ -15,7 +15,7 @@ import random
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
-from .geometry import Diagonal, FrameColumns, GeomInstance, Point, Rect
+from .geometry import FrameColumns, GeomInstance, Point, Rect
 
 if TYPE_CHECKING:  # the reduction families import reductions when they run
     from .reductions import ChordDiagram, ReductionCertificate
@@ -46,7 +46,7 @@ def gen_anchored_one_sided(seed: int, n: int, side: str = "above") -> GeomInstan
         hs.append(sgn * rng.randint(1, _ARM_MAX))
         vs.append(sgn * rng.randint(1, _ARM_MAX))
     frames = FrameColumns(_frame_ids(n), xs, [d - x for x in xs], hs, vs)
-    return GeomInstance(frames=frames, diagonal=Diagonal(d))
+    return GeomInstance(frames=frames, diagonal=d)
 
 
 def _two_sided_anchors(rng: random.Random, n: int, d: int) -> list[tuple[bool, int]]:
@@ -81,7 +81,7 @@ def gen_anchored_two_sided(seed: int, n: int) -> GeomInstance:
         hs.append(sgn * rng.randint(1, _ARM_MAX))
         vs.append(sgn * rng.randint(1, _ARM_MAX))
     frames = FrameColumns(_frame_ids(n), xs, [d - x for x in xs], hs, vs)
-    return GeomInstance(frames=frames, diagonal=Diagonal(d))
+    return GeomInstance(frames=frames, diagonal=d)
 
 
 def gen_anchored_rects(seed: int, n: int) -> GeomInstance:
@@ -104,7 +104,7 @@ def gen_anchored_rects(seed: int, n: int) -> GeomInstance:
         else:
             lo, hi = Point(x - w, d - x - h), Point(x, d - x)
         rects.append(Rect(f"r{i + 1}", lo, hi))
-    return GeomInstance(rects=tuple(rects), diagonal=Diagonal(d))
+    return GeomInstance(rects=tuple(rects), diagonal=d)
 
 
 def gen_chord_diagram(seed: int, n: int) -> ChordDiagram:

@@ -1,5 +1,5 @@
-"""Exact integer geometry: L-frames, rectangles, reference lines, predicates,
-and the solvers' result type, ``DominatingSet``.
+"""Exact integer geometry: L-frames, rectangles, instances with their
+reference lines, predicates, and the solvers' result type, ``DominatingSet``.
 
 Everything here is pure integer arithmetic on closed segments. There is no
 floating point anywhere; distance comparisons use squared distances.
@@ -20,6 +20,7 @@ imports nothing, so the records add almost nothing to a CLI call's start-up.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple, Optional
@@ -27,6 +28,17 @@ from typing import NamedTuple, Optional
 from .errors import NotAnchored
 
 _set = object.__setattr__  # stores a field of a record in its __init__
+
+# the reference lines of an instance: x + y = diagonal, x = vline, y = hline
+_LINES = ("diagonal", "vline", "hline")
+
+
+def _integer(value, what: str = "coordinate") -> int:
+    """``value`` as an int (``operator.index``), else ValueError naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class _Record:
@@ -119,7 +131,8 @@ class LFrame(_Record):
 
 def _column(values) -> Sequence[int]:
     """``values`` as an ``array('q')`` when every one fits a signed 64-bit
-    word, else as a tuple. A ``q`` array is kept as it is, not copied."""
+    word, else as a tuple of ints. A ``q`` array is kept as it is, not
+    copied. Raises ValueError for a value that is not an integer."""
     if type(values) is array and values.typecode == "q":
         return values
     if not isinstance(values, (list, tuple, array)):
@@ -127,7 +140,7 @@ def _column(values) -> Sequence[int]:
     try:
         return array("q", values)
     except (OverflowError, TypeError):
-        return tuple(values)
+        return tuple(map(_integer, values))
 
 
 class FrameColumns(Sequence):
@@ -203,29 +216,18 @@ class FrameColumns(Sequence):
 
 
 class Rect(_Record):
-    """Closed axis-parallel rectangle, lo strictly southwest of hi."""
+    """Closed axis-parallel rectangle with integer corners, lo strictly
+    southwest of hi."""
 
     __slots__ = ("id", "lo", "hi")
 
     def __init__(self, id: str, lo: Point, hi: Point):
-        lo, hi = Point(*lo), Point(*hi)
+        lo, hi = Point(*map(_integer, lo)), Point(*map(_integer, hi))
         if not (lo.x < hi.x and lo.y < hi.y):
             raise ValueError(f"rect {id!r}: degenerate")
         _set(self, "id", id)
         _set(self, "lo", lo)
         _set(self, "hi", hi)
-
-
-class Diagonal(_Record):
-    """The line {(x, y) : x + y = d}, slope -1."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, d: int):
-        _set(self, "d", d)
-
-    def contains(self, p: Point) -> bool:
-        return p.x + p.y == self.d
 
 
 class DominatingSet(_Record):
@@ -246,7 +248,10 @@ class GeomInstance(_Record):
 
     ``model`` selects the adjacency predicate: "standard" means nonempty
     point intersection, "edge" means sharing a unit grid edge. Frames and
-    rectangles are mutually exclusive.
+    rectangles are mutually exclusive. The three reference lines are each
+    None or an int: the diagonal x + y = ``diagonal``, the vertical line
+    x = ``vline`` and the horizontal line y = ``hline``. Any other value
+    raises ValueError.
 
     Frames are held as integer columns (``FrameColumns``): ``frames`` may
     be given as columns or as any iterable of ``LFrame``, and reads back as
@@ -261,7 +266,7 @@ class GeomInstance(_Record):
         frames: Sequence[LFrame] = (),
         rects: tuple[Rect, ...] = (),
         model: str = "standard",
-        diagonal: Optional[Diagonal] = None,
+        diagonal: Optional[int] = None,
         vline: Optional[int] = None,
         hline: Optional[int] = None,
     ):
@@ -277,9 +282,8 @@ class GeomInstance(_Record):
         _set(self, "frames", frames)
         _set(self, "rects", rects)
         _set(self, "model", model)
-        _set(self, "diagonal", diagonal)
-        _set(self, "vline", vline)
-        _set(self, "hline", hline)
+        for name, line in zip(_LINES, (diagonal, vline, hline)):
+            _set(self, name, None if line is None else _integer(line, name))
         ids = self.ids
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")
@@ -330,8 +334,9 @@ def rect_intersect(a: Rect, b: Rect) -> bool:
     )
 
 
-def rect_to_lframe(r: Rect, diag: Diagonal) -> LFrame:
-    """Replace a diagonal-anchored rectangle by the equivalent L-frame.
+def rect_to_lframe(r: Rect, d: int) -> LFrame:
+    """Replace a rectangle anchored at the diagonal x + y = d by the
+    equivalent L-frame.
 
     The rectangle must meet the diagonal in exactly one corner. The result
     keeps the two sides incident to that corner (the boundary facing the
@@ -345,15 +350,16 @@ def rect_to_lframe(r: Rect, diag: Diagonal) -> LFrame:
     hi_sum = r.hi.x + r.hi.y
     w = r.hi.x - r.lo.x
     h = r.hi.y - r.lo.y
-    if diag.d == lo_sum:
+    if d == lo_sum:
         return LFrame(r.id, r.lo, w, h)
-    if diag.d == hi_sum:
+    if d == hi_sum:
         return LFrame(r.id, r.hi, -w, -h)
-    raise NotAnchored(f"rect {r.id!r} is not anchored at x+y={diag.d}")
+    raise NotAnchored(f"rect {r.id!r} is not anchored at x+y={d}")
 
 
-def is_anchored(f: LFrame, diag: Diagonal, side: str) -> bool:
-    """True iff f's corner lies on the diagonal and f opens into ``side``.
+def is_anchored(f: LFrame, d: int, side: str) -> bool:
+    """True iff f's corner lies on the diagonal x + y = d and f opens into
+    ``side``.
 
     side="above" means both arms point into the open halfplane x+y > d
     (positive spans); side="below" means both point into x+y < d. This is
@@ -363,7 +369,7 @@ def is_anchored(f: LFrame, diag: Diagonal, side: str) -> bool:
     """
     if side not in ("above", "below"):
         raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-    if not diag.contains(f.corner):
+    if f.corner.x + f.corner.y != d:
         return False
     if side == "above":
         return f.hspan > 0 and f.vspan > 0

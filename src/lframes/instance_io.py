@@ -39,16 +39,16 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Optional, TextIO
+from typing import TextIO
 
 from .errors import ParseError, ValidationError
-from .geometry import Diagonal, FrameColumns, GeomInstance, Point, Rect
+from .geometry import _LINES, FrameColumns, GeomInstance, Point, Rect
 
 FORMAT_VERSION = 1
 
 _MODELS = ("standard", "edge")
 _KINDS = ("frames", "rects")
-_HEADER_KEYWORDS = ("model", "kind", "diagonal", "vline", "hline")
+_HEADER_KEYWORDS = ("model", "kind", *_LINES)
 
 
 def emit_instance(inst: GeomInstance) -> str:
@@ -67,12 +67,9 @@ def emit_instance(inst: GeomInstance) -> str:
         f"model {inst.model}",
         f"kind {'rects' if inst.rects else 'frames'}",
     ]
-    if inst.diagonal is not None:
-        lines.append(f"diagonal {inst.diagonal.d}")
-    if inst.vline is not None:
-        lines.append(f"vline {inst.vline}")
-    if inst.hline is not None:
-        lines.append(f"hline {inst.hline}")
+    for name in _LINES:
+        if (line := getattr(inst, name)) is not None:
+            lines.append(f"{name} {line}")
     fr = inst.frames
     lines += map("{} {} {} {} {}".format, fr.ids, fr.x, fr.y, fr.hspan, fr.vspan)
     for r in inst.rects:
@@ -143,9 +140,7 @@ def read_instance(file: TextIO) -> GeomInstance:
 def _parse(source) -> GeomInstance:
     model = "standard"
     kind = "frames"
-    diagonal: Optional[int] = None
-    vline: Optional[int] = None
-    hline: Optional[int] = None
+    ref_lines: dict[str, int] = {}  # the declared reference lines
     seen: set[str] = set()
     version_seen = False
 
@@ -184,12 +179,8 @@ def _parse(source) -> GeomInstance:
             if rest[0] not in _KINDS:
                 raise ValidationError(f"unknown record kind {rest[0]!r}")
             kind = rest[0]
-        elif keyword == "diagonal":
-            diagonal = _ints(rest, lineno)[0]
-        elif keyword == "vline":
-            vline = _ints(rest, lineno)[0]
         else:
-            hline = _ints(rest, lineno)[0]
+            ref_lines[keyword] = _ints(rest, lineno)[0]
 
     if not version_seen:
         raise ParseError(1, "empty file, expected a version line")
@@ -237,9 +228,7 @@ def _parse(source) -> GeomInstance:
             frames=FrameColumns(ids, xs, ys, hspans, vspans),
             rects=rects,
             model=model,
-            diagonal=None if diagonal is None else Diagonal(diagonal),
-            vline=vline,
-            hline=hline,
+            **ref_lines,
         )
     except ValueError as e:
         raise ValidationError(str(e)) from None
@@ -249,12 +238,9 @@ def instance_summary(inst: GeomInstance) -> str:
     """Compact one-token-pair description used in reports."""
     kind = "rects" if inst.rects else "frames"
     parts = [f"{kind}={inst.n}", f"model={inst.model}"]
-    if inst.diagonal is not None:
-        parts.append(f"diagonal={inst.diagonal.d}")
-    if inst.vline is not None:
-        parts.append(f"vline={inst.vline}")
-    if inst.hline is not None:
-        parts.append(f"hline={inst.hline}")
+    for name in _LINES:
+        if (line := getattr(inst, name)) is not None:
+            parts.append(f"{name}={line}")
     return " ".join(parts)
 
 

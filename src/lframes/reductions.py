@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Any, Iterable, Optional
 
 from .errors import InvalidDrawing, SourceTooLarge
-from .geometry import Diagonal, GeomInstance, LFrame, Point, _Record, _set, rotate_cw
+from .geometry import GeomInstance, LFrame, Point, _Record, _set, rotate_cw
 from .graph_core import IntersectionGraph, build_intersection_graph, exact_mds_size
 
 
@@ -116,7 +116,7 @@ def circle_to_diagonal(cd: ChordDiagram) -> GeomInstance:
     for c in range(1, cd.n + 1):
         j, k = cd.positions(c)
         frames.append(LFrame(f"c{c}", Point(m - k, j), k - j, k - j))
-    return GeomInstance(frames=tuple(frames), diagonal=Diagonal(m))
+    return GeomInstance(frames=tuple(frames), diagonal=m)
 
 
 def circle_to_vertical(cd: ChordDiagram) -> GeomInstance:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from .geometry import GeomInstance
 
 if TYPE_CHECKING:  # annotations only: drawing an instance loads no exchange code
-    from .exchange import ArcDrawing
+    from .exchange import ArcPiece
 
 _SCALE = 20.0
 _PAD = 30.0
@@ -56,7 +56,7 @@ class _Canvas:
         )
 
 
-def _bounds(inst: GeomInstance, arcs: Optional[ArcDrawing]) -> tuple[float, float, float, float]:
+def _bounds(inst: GeomInstance, arcs: Optional[tuple[ArcPiece, ...]]) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
     for f in inst.frames:
@@ -67,7 +67,7 @@ def _bounds(inst: GeomInstance, arcs: Optional[ArcDrawing]) -> tuple[float, floa
         xs.extend((r.lo.x, r.hi.x))
         ys.extend((r.lo.y, r.hi.y))
     if arcs is not None:
-        for piece in arcs.pieces:
+        for piece in arcs:
             half = (piece.p1.x - piece.p0.x) / 2.0
             mx = (piece.p0.x + piece.p1.x) / 2.0
             my = (piece.p0.y + piece.p1.y) / 2.0
@@ -80,8 +80,7 @@ def _bounds(inst: GeomInstance, arcs: Optional[ArcDrawing]) -> tuple[float, floa
 
 def _ref_lines(inst: GeomInstance, cv: _Canvas) -> list[str]:
     out = []
-    if inst.diagonal is not None:
-        d = inst.diagonal.d
+    if (d := inst.diagonal) is not None:
         xlo = max(cv.xlo, d - cv.yhi)
         xhi = min(cv.xhi, d - cv.ylo)
         if xlo <= xhi:
@@ -96,7 +95,7 @@ def _ref_lines(inst: GeomInstance, cv: _Canvas) -> list[str]:
 def render_svg(
     inst: GeomInstance,
     solution: Optional[Iterable[int]] = None,
-    arcs: Optional[ArcDrawing] = None,
+    arcs: Optional[tuple[ArcPiece, ...]] = None,
 ) -> str:
     """Render the instance, an optional solution, and optional arcs.
 
@@ -136,7 +135,7 @@ def render_svg(
         )
 
     if arcs is not None:
-        for piece in arcs.pieces:
+        for piece in arcs:
             (x1, y1), (x2, y2) = (
                 cv.pt(piece.p0.x, piece.p0.y),
                 cv.pt(piece.p1.x, piece.p1.y),

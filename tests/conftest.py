@@ -15,7 +15,7 @@ import pytest
 from hypothesis import settings
 
 from lframes.epg import epg_intersect
-from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, lframe_intersect, rect_intersect
+from lframes.geometry import GeomInstance, LFrame, Point, lframe_intersect, rect_intersect
 from lframes.graph_core import IntersectionGraph, _min_ds, greedy_mds, is_dominating
 from lframes.local_search import _SwapSearch
 
@@ -210,11 +210,10 @@ def reference_local_exchange(n, edges, B, R, arcs):
     return True
 
 
-def reference_count_crossings(drawing):
+def reference_count_crossings(ps):
     """Crossing pairs of same-side pieces, comparing every pair: (a, b)
     and (c, d) cross iff a < c < b < d or c < a < d < b."""
     crossings = 0
-    ps = drawing.pieces
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
             if ps[i].side != ps[j].side:
@@ -353,9 +352,9 @@ HUB6_FRAMES = (
 
 @pytest.fixture
 def stair5():
-    return GeomInstance(frames=STAIR5_FRAMES, diagonal=Diagonal(20))
+    return GeomInstance(frames=STAIR5_FRAMES, diagonal=20)
 
 
 @pytest.fixture
 def hub6():
-    return GeomInstance(frames=HUB6_FRAMES, diagonal=Diagonal(20))
+    return GeomInstance(frames=HUB6_FRAMES, diagonal=20)

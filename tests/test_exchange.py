@@ -14,7 +14,6 @@ from conftest import (
 )
 from lframes.errors import DegeneratePosition, NotDisjoint
 from lframes.exchange import (
-    ArcDrawing,
     ArcPiece,
     build_exchange_graph,
     check_local_exchange,
@@ -22,13 +21,13 @@ from lframes.exchange import (
     draw_arcs,
 )
 from lframes.generators import gen_anchored_one_sided
-from lframes.geometry import Diagonal, GeomInstance, LFrame, Point
+from lframes.geometry import GeomInstance, LFrame, Point
 from lframes.graph_core import build_intersection_graph, exact_mds, is_dominating
 from lframes.local_search import LocalSearchConfig, local_search_mds
 
 
 def inst_of(*frames):
-    return GeomInstance(frames=frames, diagonal=Diagonal(20))
+    return GeomInstance(frames=frames, diagonal=20)
 
 
 # Three-frame fixtures exercising each arc class. The first frame is the
@@ -61,7 +60,7 @@ def test_single_arc_on_hub_instance(hub6):
     arc = h.arcs[0]
     assert (arc.b, arc.r, arc.cls) == (1, 2, "top")
     drawing = draw_arcs(h, hub6)
-    assert [(p.p0, p.p1, p.side) for p in drawing.pieces] == [
+    assert [(p.p0, p.p1, p.side) for p in drawing] == [
         (Point(1, 19), Point(4, 16), "above")
     ]
     assert count_crossings(drawing) == 0
@@ -85,7 +84,7 @@ def test_mixed_classification_and_pieces():
     assert (arc.b, arc.r, arc.cls, arc.witness) == (1, 2, "mixed", 0)
     assert arc.mixed_orientation == "b_left"
     drawing = draw_arcs(h, MIXED_CASE)
-    assert [(p.p0, p.p1, p.side) for p in drawing.pieces] == [
+    assert [(p.p0, p.p1, p.side) for p in drawing] == [
         (Point(3, 17), Point(5, 15), "above"),
         (Point(5, 15), Point(8, 12), "below"),
     ]
@@ -96,17 +95,17 @@ def piece(x0, x1, side, idx):
 
 
 def test_count_crossings_interleaved():
-    d = ArcDrawing((piece(1, 3, "above", 0), piece(2, 4, "above", 1)))
+    d = (piece(1, 3, "above", 0), piece(2, 4, "above", 1))
     assert count_crossings(d) == 1
 
 
 def test_count_crossings_nested():
-    d = ArcDrawing((piece(1, 4, "above", 0), piece(2, 3, "above", 1)))
+    d = (piece(1, 4, "above", 0), piece(2, 3, "above", 1))
     assert count_crossings(d) == 0
 
 
 def test_count_crossings_opposite_sides():
-    d = ArcDrawing((piece(1, 3, "above", 0), piece(2, 4, "below", 1)))
+    d = (piece(1, 3, "above", 0), piece(2, 4, "below", 1))
     assert count_crossings(d) == 0
 
 
@@ -115,12 +114,12 @@ def test_count_crossings_opposite_sides():
                 max_size=40))
 def test_count_crossings_matches_every_pair(spans):
     # small coordinates, so shared endpoints and equal pieces are common
-    d = ArcDrawing(tuple(piece(x, x + w, side, i) for i, (x, w, side) in enumerate(spans)))
+    d = tuple(piece(x, x + w, side, i) for i, (x, w, side) in enumerate(spans))
     assert count_crossings(d) == reference_count_crossings(d)
 
 
 def test_count_crossings_shared_endpoint():
-    d = ArcDrawing((piece(1, 3, "above", 0), piece(3, 5, "above", 1)))
+    d = (piece(1, 3, "above", 0), piece(3, 5, "above", 1))
     assert count_crossings(d) == 0
 
 
@@ -209,7 +208,7 @@ def test_swaps_preserve_domination_on_generated_instances():
 
 def test_hub6_fixture_is_consistent():
     # the hub instance really has the adjacency the other tests rely on
-    g = build_intersection_graph(GeomInstance(frames=HUB6_FRAMES, diagonal=Diagonal(20)))
+    g = build_intersection_graph(GeomInstance(frames=HUB6_FRAMES, diagonal=20))
     assert edge_set(g) == {(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 5)}
     assert is_dominating(g, [0])
 

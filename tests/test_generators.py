@@ -75,7 +75,7 @@ def test_rect_family_is_anchored():
         inst = gen_anchored_rects(seed, 8)
         d = inst.diagonal
         for r in inst.rects:
-            corners_on_line = (r.lo.x + r.lo.y == d.d) + (r.hi.x + r.hi.y == d.d)
+            corners_on_line = (r.lo.x + r.lo.y == d) + (r.hi.x + r.hi.y == d)
             assert corners_on_line == 1
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lframes.errors import NotAnchored
 from lframes.generators import gen_anchored_rects
 from lframes.geometry import (
-    Diagonal,
     FrameColumns,
     GeomInstance,
     LFrame,
@@ -111,25 +110,25 @@ def test_rect_intersect_matches_pointset_reference(a, b):
 
 def test_rect_above_keeps_sides_at_anchored_corner():
     r = Rect("r1", Point(1, 1), Point(3, 4))
-    assert rect_to_lframe(r, Diagonal(2)) == frame("r1", 1, 1, 2, 3)
+    assert rect_to_lframe(r, 2) == frame("r1", 1, 1, 2, 3)
 
 
 def test_rect_below_keeps_sides_at_anchored_corner():
     r = Rect("r2", Point(2, -5), Point(4, -2))
-    assert rect_to_lframe(r, Diagonal(2)) == frame("r2", 4, -2, -2, -3)
+    assert rect_to_lframe(r, 2) == frame("r2", 4, -2, -2, -3)
 
 
 def test_rect_not_touching_raises():
     r = Rect("r3", Point(1, 1), Point(3, 4))
     with pytest.raises(NotAnchored):
-        rect_to_lframe(r, Diagonal(100))
+        rect_to_lframe(r, 100)
 
 
 def test_rect_cut_by_line_raises():
     # the line passes between lo and hi, through the box interior
     r = Rect("r4", Point(0, 0), Point(2, 2))
     with pytest.raises(NotAnchored):
-        rect_to_lframe(r, Diagonal(2))
+        rect_to_lframe(r, 2)
 
 
 def test_conversion_preserves_pairwise_intersection():
@@ -145,33 +144,33 @@ def test_conversion_preserves_pairwise_intersection():
 
 def test_is_anchored_above():
     f = frame("f", 3, 7, 2, 5)
-    assert is_anchored(f, Diagonal(10), "above")
-    assert not is_anchored(f, Diagonal(10), "below")
+    assert is_anchored(f, 10, "above")
+    assert not is_anchored(f, 10, "below")
 
 
 def test_is_anchored_below():
     f = frame("f", 3, 7, -2, -5)
-    assert is_anchored(f, Diagonal(10), "below")
-    assert not is_anchored(f, Diagonal(10), "above")
+    assert is_anchored(f, 10, "below")
+    assert not is_anchored(f, 10, "above")
 
 
 def test_is_anchored_corner_off_line():
     f = frame("f", 3, 6, 2, 5)
-    assert not is_anchored(f, Diagonal(10), "above")
-    assert not is_anchored(f, Diagonal(10), "below")
+    assert not is_anchored(f, 10, "above")
+    assert not is_anchored(f, 10, "below")
 
 
 def test_is_anchored_mixed_spans():
     # corner on the line but arms straddle it
     f = frame("f", 3, 7, 2, -5)
-    assert not is_anchored(f, Diagonal(10), "above")
-    assert not is_anchored(f, Diagonal(10), "below")
+    assert not is_anchored(f, 10, "above")
+    assert not is_anchored(f, 10, "below")
 
 
 def test_is_anchored_bad_side():
     f = frame("f", 3, 7, 2, 5)
     with pytest.raises(ValueError):
-        is_anchored(f, Diagonal(10), "left")
+        is_anchored(f, 10, "left")
 
 
 def test_corner_dist2_examples():
@@ -225,6 +224,43 @@ def test_instance_validation():
         GeomInstance(rects=(r,), model="edge")
     with pytest.raises(ValueError):
         GeomInstance(frames=(f, frame("f", 1, 1, 2, 2)))
+
+
+@pytest.mark.parametrize("line", ["diagonal", "vline", "hline"])
+def test_reference_line_must_be_an_integer(line):
+    for value in (5.0, "5"):
+        with pytest.raises(ValueError, match=rf"^{line} must be an integer, got {value!r}$"):
+            GeomInstance(frames=(frame("f", 0, 0, 3, 3),), **{line: value})
+    assert getattr(GeomInstance(**{line: 2**70}), line) == 2**70
+
+
+def test_int_diagonal_reads_back_and_drives_the_anchored_paths():
+    from lframes.exchange import build_exchange_graph, draw_arcs
+    from lframes.local_search import anchoring_side, split_two_sided
+
+    frames = (frame("w", 2, 3, 4, 3), frame("b", 1, 4, 3, 1), frame("r", 4, 1, 1, 4))
+    inst = GeomInstance(frames=frames, diagonal=5, vline=-7, hline=9)
+    assert (inst.diagonal, inst.vline, inst.hline) == (5, -7, 9)
+    assert emit_instance(inst).splitlines()[3:6] == ["diagonal 5", "vline -7", "hline 9"]
+    assert parse_instance(emit_instance(inst)) == inst
+    assert anchoring_side(inst) == "above"
+    above, below = split_two_sided(inst)
+    assert above.frames == frames and above.diagonal == 5 and not below.frames
+    pieces = draw_arcs(build_exchange_graph(inst, [1], [2]), inst)
+    assert [(p.p0, p.p1, p.side) for p in pieces] == [(Point(1, 4), Point(4, 1), "above")]
+
+
+def test_coordinates_must_be_integers():
+    # a kept non-integer would be emitted as text that parse_instance refuses
+    with pytest.raises(ValueError, match=r"^coordinate must be an integer, got 0\.5$"):
+        GeomInstance(frames=(LFrame("a", Point(0.5, 0), 2, 3),))
+    with pytest.raises(ValueError, match=r"^coordinate must be an integer, got '3'$"):
+        FrameColumns(["a"], ["3"], [1], [1], [1])
+    with pytest.raises(ValueError, match=r"^coordinate must be an integer, got 2\.5$"):
+        FrameColumns(["a", "b"], [0, 2**70], [0, 0], [1, 2.5], [1, 1])
+    with pytest.raises(ValueError, match=r"^coordinate must be an integer, got 3\.0$"):
+        Rect("r", Point(0, 0), Point(3.0, 4))
+    assert Rect("r", (0, 0), [True, 2**70]).hi == Point(1, 2**70)
 
 
 def test_frame_columns_read_as_frames():

@@ -15,7 +15,7 @@ from conftest import traced_peak
 from lframes import cli, instance_io
 from lframes.errors import ParseError, ValidationError
 from lframes.generators import FAMILIES, gen_anchored_rects, generate
-from lframes.geometry import Diagonal, FrameColumns, GeomInstance, LFrame, Point, Rect
+from lframes.geometry import FrameColumns, GeomInstance, LFrame, Point, Rect
 from lframes.instance_io import (
     emit_instance,
     format_fields,
@@ -51,7 +51,7 @@ def test_emit_frame_instance():
 
 
 def test_emit_rect_instance_with_diagonal():
-    inst = GeomInstance(rects=(Rect("r1", Point(1, 1), Point(3, 4)),), diagonal=Diagonal(2))
+    inst = GeomInstance(rects=(Rect("r1", Point(1, 1), Point(3, 4)),), diagonal=2)
     assert emit_instance(inst) == (
         "version 1\nmodel standard\nkind rects\ndiagonal 2\nr1 1 1 3 4\n"
     )
@@ -79,7 +79,7 @@ big = st.integers(-(2**70), 2**70)
 def instances(draw):
     names = draw(st.lists(ids, unique=True, max_size=8))
     lines = {
-        "diagonal": draw(st.none() | big.map(Diagonal)),
+        "diagonal": draw(st.none() | big),
         "vline": draw(st.none() | big),
         "hline": draw(st.none() | big),
     }
@@ -108,7 +108,7 @@ def test_round_trip_generated_instances(inst):
 @pytest.mark.parametrize("record_id", ["kind", "vline"])
 def test_header_keyword_as_first_record_id(record_id):
     frames = (LFrame(record_id, Point(0, 0), 3, 3), LFrame("f2", Point(1, 1), 2, 2))
-    inst = GeomInstance(frames=frames, diagonal=Diagonal(0), vline=5)
+    inst = GeomInstance(frames=frames, diagonal=0, vline=5)
     text = emit_instance(inst)
     assert f"\n{record_id} 0 0 3 3\n" in text
     assert parse_instance(text) == inst
@@ -341,7 +341,7 @@ def test_edge_model_with_rects_rejected():
 
 
 def test_instance_summary():
-    inst = GeomInstance(rects=(Rect("r1", Point(1, 1), Point(3, 4)),), diagonal=Diagonal(2))
+    inst = GeomInstance(rects=(Rect("r1", Point(1, 1), Point(3, 4)),), diagonal=2)
     assert instance_summary(inst) == "rects=1 model=standard diagonal=2"
     two_line = GeomInstance(
         frames=(LFrame("a", Point(-5, 3), 6, -4),), model="edge", vline=0, hline=0

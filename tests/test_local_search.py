@@ -19,7 +19,7 @@ from conftest import (
 )
 from lframes.errors import NotAnchored, NotOneSided
 from lframes.generators import gen_anchored_one_sided, gen_anchored_two_sided
-from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, is_anchored
+from lframes.geometry import GeomInstance, LFrame, Point, is_anchored
 from lframes.graph_core import (
     IntersectionGraph,
     build_intersection_graph,
@@ -214,7 +214,7 @@ def test_sizes_at_n_2000(gen, k, size):
 
 
 def test_anchoring_side():
-    d = Diagonal(10)
+    d = 10
     above = GeomInstance(frames=(anchored_above("a", 2, 10, 3, 3),), diagonal=d)
     below = GeomInstance(frames=(anchored_below("b", 2, 10, 3, 3),), diagonal=d)
     mixed = GeomInstance(
@@ -229,13 +229,13 @@ def test_anchoring_side():
 
 def test_ptas_disjoint_frames():
     frames = tuple(anchored_above(f"f{i}", 5 * i, 20, 4, 4) for i in range(4))
-    inst = GeomInstance(frames=frames, diagonal=Diagonal(20))
+    inst = GeomInstance(frames=frames, diagonal=20)
     assert ptas_one_sided(inst, 2).size == 4
 
 
 def test_ptas_all_intersecting():
     frames = tuple(anchored_above(f"f{i}", i, 10, 10, 10) for i in range(4))
-    inst = GeomInstance(frames=frames, diagonal=Diagonal(10))
+    inst = GeomInstance(frames=frames, diagonal=10)
     assert ptas_one_sided(inst, 2).size == 1
 
 
@@ -251,7 +251,7 @@ def test_ptas_generated_instance_golden():
 def test_ptas_rejects_mixed_sides():
     inst = GeomInstance(
         frames=(anchored_above("a", 2, 10, 3, 3), anchored_below("b", 4, 10, 3, 3)),
-        diagonal=Diagonal(10),
+        diagonal=10,
     )
     with pytest.raises(NotOneSided):
         ptas_one_sided(inst, 2)
@@ -264,7 +264,7 @@ def test_split_two_sided():
             anchored_below("b", 4, 10, 3, 3),
             anchored_above("c", 6, 10, 2, 2),
         ),
-        diagonal=Diagonal(10),
+        diagonal=10,
     )
     above, below = split_two_sided(inst)
     assert [f.id for f in above.frames] == ["a", "c"]
@@ -273,7 +273,7 @@ def test_split_two_sided():
 
 def test_split_rejects_unanchored():
     inst = GeomInstance(
-        frames=(LFrame("a", Point(0, 0), 3, 3),), diagonal=Diagonal(10)
+        frames=(LFrame("a", Point(0, 0), 3, 3),), diagonal=10
     )
     with pytest.raises(NotAnchored):
         split_two_sided(inst)
@@ -289,7 +289,7 @@ def test_two_sided_above_only_equals_one_sided():
 def test_two_sided_disjoint_pair():
     inst = GeomInstance(
         frames=(anchored_above("a", 0, 10, 3, 3), anchored_below("b", 5, 10, 3, 3)),
-        diagonal=Diagonal(10),
+        diagonal=10,
     )
     assert approx_two_sided(inst, 2).members == (0, 1)
 

@@ -110,8 +110,7 @@ def outcome(read):
         fr = inst.frames
         kind = "frames" if fr else None
         records = list(zip(fr.ids, fr.x, fr.y, fr.hspan, fr.vspan))
-    diagonal = None if inst.diagonal is None else inst.diagonal.d
-    return ("ok", inst.model, diagonal, inst.vline, inst.hline, kind, records)
+    return ("ok", inst.model, inst.diagonal, inst.vline, inst.hline, kind, records)
 
 
 # values on both sides of the signed 64-bit range and of 2**64

@@ -9,8 +9,8 @@ import pickle
 import pytest
 
 from lframes.errors import InvalidDrawing
-from lframes.exchange import Arc, ArcDrawing, ArcPiece, ExchangeGraph
-from lframes.geometry import Diagonal, DominatingSet, GeomInstance, LFrame, Point, Rect
+from lframes.exchange import Arc, ArcPiece, ExchangeGraph
+from lframes.geometry import DominatingSet, GeomInstance, LFrame, Point, Rect
 from lframes.local_search import LocalSearchConfig
 from lframes.permutation import Permutation
 from lframes.reductions import (
@@ -22,7 +22,7 @@ from lframes.reductions import (
 )
 
 _frame = LFrame("a", Point(0, 0), 3, -2)
-_inst = GeomInstance(frames=(_frame,), diagonal=Diagonal(0))
+_inst = GeomInstance(frames=(_frame,), diagonal=0)
 _chords = ChordDiagram(2, (1, 2, 1, 2))
 _arc = Arc(0, 1, 2, "mixed", (2, 3), "b_left")
 _piece = ArcPiece(Point(0, 1), Point(2, -1), "above", 0)
@@ -34,7 +34,6 @@ RECORDS = [
      ({"hspan": 0}, ValueError, r"^frame 'a': spans must be nonzero$")),
     (Rect("r", Point(0, 0), Point(2, 3)), ("id", "lo", "hi"),
      ({"hi": Point(0, 5)}, ValueError, r"^rect 'r': degenerate$")),
-    (Diagonal(5), ("d",), None),
     (DominatingSet((3, 1)), ("members",), ({"members": None}, TypeError, None)),
     (_inst, ("frames", "rects", "model", "diagonal", "vline", "hline"),
      ({"model": "loose"}, ValueError, r"^unknown model 'loose'$")),
@@ -44,7 +43,6 @@ RECORDS = [
     (_arc, ("b", "r", "witness", "cls", "witnesses", "mixed_orientation"), None),
     (ExchangeGraph(frozenset({0}), frozenset({1}), (_arc,)), ("B", "R", "arcs"), None),
     (_piece, ("p0", "p1", "side", "arc_index"), None),
-    (ArcDrawing((_piece,)), ("pieces",), None),
     (ReductionCertificate("circle-diagonal", _chords, _inst, 0),
      ("kind", "source", "instance", "offset"), None),
     (EquivalenceReport("sat", 2, 3, 1, True),
@@ -63,7 +61,7 @@ def record(request):
 
 
 def test_every_record_class_is_listed():
-    assert len({type(r) for r, _, _ in RECORDS}) == 16
+    assert len({type(r) for r, _, _ in RECORDS}) == 14
 
 
 def test_fields_construct_positionally_and_by_keyword(record):

@@ -93,7 +93,7 @@ def test_interleave_examples():
 def test_interleaved_pair_to_diagonal():
     cd = ChordDiagram(2, (1, 2, 1, 2))
     inst = circle_to_diagonal(cd)
-    assert inst.diagonal.d == 5
+    assert inst.diagonal == 5
     c1, c2 = inst.frames
     assert c1 == LFrame("c1", Point(2, 1), 2, 2)
     assert c2 == LFrame("c2", Point(1, 2), 2, 2)

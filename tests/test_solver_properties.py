@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_is_dominating, brute_mds_size, pairwise_edges
 from lframes.cli import _Run
-from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, Rect
+from lframes.geometry import GeomInstance, LFrame, Point, Rect
 
 PROPERTY = settings(max_examples=150)
 
@@ -47,13 +47,13 @@ def anchored_instances(draw):
             LFrame(f"f{i}", Point(x, D - x), w if up else -w, h if up else -h)
             for i, (up, x, w, h) in enumerate(specs)
         ]
-        return GeomInstance(frames=frames, diagonal=Diagonal(D))
+        return GeomInstance(frames=frames, diagonal=D)
     rects = [
         Rect(f"r{i}", Point(x, D - x), Point(x + w, D - x + h)) if up
         else Rect(f"r{i}", Point(x - w, D - x - h), Point(x, D - x))
         for i, (up, x, w, h) in enumerate(specs)
     ]
-    return GeomInstance(rects=rects, diagonal=Diagonal(D))
+    return GeomInstance(rects=rects, diagonal=D)
 
 
 @st.composite

@@ -4,11 +4,11 @@ from xml.dom import minidom
 
 from conftest import HUB6_FRAMES
 from lframes.exchange import build_exchange_graph, draw_arcs
-from lframes.geometry import Diagonal, GeomInstance, LFrame, Point, Rect
+from lframes.geometry import GeomInstance, LFrame, Point, Rect
 from lframes.svg import render_svg
 
 
-HUB6 = GeomInstance(frames=HUB6_FRAMES, diagonal=Diagonal(20))
+HUB6 = GeomInstance(frames=HUB6_FRAMES, diagonal=20)
 
 
 def test_empty_instance_draws_axes_only():
@@ -52,11 +52,11 @@ def test_mixed_arc_renders_two_paths():
             LFrame("b", Point(3, 17), 3, 1),
             LFrame("r", Point(8, 12), 1, 4),
         ),
-        diagonal=Diagonal(20),
+        diagonal=20,
     )
     h = build_exchange_graph(inst, [1], [2])
     drawing = draw_arcs(h, inst)
-    assert len(drawing.pieces) == 2
+    assert len(drawing) == 2
     s = render_svg(inst, arcs=drawing)
     assert s.count("<path") == 2
 
