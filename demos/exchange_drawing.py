@@ -36,7 +36,7 @@ def main():
     print(f"local solution {len(blue)} vertices, optimum {len(red)},"
           f" symmetric difference {len(b_only)} + {len(r_only)}")
 
-    h = build_exchange_graph(inst, b_only, r_only)
+    h = build_exchange_graph(inst, b_only, r_only, g)
     drawing = draw_arcs(h, inst)
     print(f"exchange graph: {len(h.arcs)} arcs,"
           f" {count_crossings(drawing)} crossings in the drawing")

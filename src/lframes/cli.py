@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .errors import LFramesError
 from .generators import FAMILIES, gen_anchored_one_sided, generate, reduction_source
-from .geometry import GeomInstance
+from .geometry import _MODELS, GeomInstance
 from .instance_io import emit_instance, format_fields, instance_summary, read_instance
 
 _ALGOS = ("exact", "greedy", "local-search", "two-sided", "permutation")
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--algo", choices=_ALGOS, default="exact")
     p.add_argument("--k", type=_positive, default=2)
-    p.add_argument("--model", choices=("standard", "edge"))
+    p.add_argument("--model", choices=_MODELS)
     p.add_argument("--seed", type=int)
     _add_cap(p)
     p.add_argument("--oracle", action="store_true",
@@ -181,10 +181,10 @@ class _Run:
 
     def exchange(self):
         """Exchange graph of local search against exact, and its drawing."""
-        from .exchange import _exchange_graph, draw_arcs
+        from .exchange import build_exchange_graph, draw_arcs
 
         r_all, b_all = set(self.exact), set(self.local)
-        h = _exchange_graph(self.inst, self.graph, sorted(b_all - r_all), sorted(r_all - b_all))
+        h = build_exchange_graph(self.inst, sorted(b_all - r_all), sorted(r_all - b_all), self.graph)
         return h, draw_arcs(h, self.inst)
 
 

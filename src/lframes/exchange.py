@@ -3,11 +3,12 @@
 For each vertex u, the closest pair (by squared corner distance) among the
 solution frames covering u contributes an arc. The build and the local
 exchange check read these covers in one walk over the graph, which a
-caller may pass in. Arcs are classified by how their endpoints meet a
-shared witness: from the left (corner x at most the witness corner x) or
-from below (at least). The drawing places every arc as one or two
-half-circles whose diameters lie on the diagonal, so crossing detection
-reduces to strict interval interleaving.
+caller may pass in. The build and the drawing read the corners from the
+frame columns, so neither builds an ``LFrame``. Arcs are classified by
+how their endpoints meet a shared witness: from the left (corner x at
+most the witness corner x) or from below (at least). The drawing places
+every arc as one or two half-circles whose diameters lie on the
+diagonal, so crossing detection reduces to strict interval interleaving.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, NotDisjoint
-from .geometry import GeomInstance, Point, _Record, _set, corner_dist2
+from .geometry import GeomInstance, Point, _Record, _set
 from .graph_core import IntersectionGraph, build_intersection_graph
 
 
@@ -62,6 +63,16 @@ class ArcPiece(_Record):
         _set(self, "arc_index", arc_index)
 
 
+def _vertices(inst: GeomInstance, members: Iterable[int]) -> frozenset:
+    """``members`` as a frozenset. Raises ValueError naming the first one
+    that is not a vertex index of ``inst``, an int in range(inst.n)."""
+    members, n = tuple(members), inst.n
+    for v in members:
+        if type(v) is not int or not 0 <= v < n:
+            raise ValueError(f"member {v!r} is not a vertex of the instance")
+    return frozenset(members)
+
+
 def _covered(g: IntersectionGraph, B: frozenset, R: frozenset):
     """Each vertex u whose closed neighborhood meets B and R, with N[u] & B, N[u] & R."""
     for u, nbrs in enumerate(g.adjacency):
@@ -71,7 +82,8 @@ def _covered(g: IntersectionGraph, B: frozenset, R: frozenset):
 
 
 def build_exchange_graph(
-    inst: GeomInstance, B: Iterable[int], R: Iterable[int]
+    inst: GeomInstance, B: Iterable[int], R: Iterable[int],
+    g: Optional[IntersectionGraph] = None,
 ) -> ExchangeGraph:
     """Arc set {chosen pair of u : u has covering frames in both sets}.
 
@@ -81,28 +93,25 @@ def build_exchange_graph(
     Each arc is classified top if some witness sees both endpoints from the
     left, else down if some witness sees both from below, else mixed. The
     designated witness is the qualifying one with the smallest corner x,
-    ties by smallest id. Raises ValueError on a rectangle instance: arcs
-    join frame corners.
+    ties by smallest id. ``g`` is the instance's intersection graph, built
+    here when none is given. Raises ValueError on a rectangle instance
+    (arcs join frame corners) and for a member that is not a vertex index
+    of the instance, and NotDisjoint when B and R share a vertex, all
+    before any graph is built.
     """
-    return _exchange_graph(inst, build_intersection_graph(inst), B, R)
-
-
-def _exchange_graph(
-    inst: GeomInstance, g: IntersectionGraph, B: Iterable[int], R: Iterable[int]
-) -> ExchangeGraph:
-    """``build_exchange_graph`` on the instance's graph ``g``."""
     if inst.rects:
         raise ValueError("exchange graphs are defined on frame instances")
-    bset, rset = frozenset(B), frozenset(R)
+    bset, rset = _vertices(inst, B), _vertices(inst, R)
     if bset & rset:
         raise NotDisjoint(f"common vertices: {sorted(bset & rset)}")
-    frames = inst.frames
+    if g is None:
+        g = build_intersection_graph(inst)
+    xs, ys = inst.frames.x, inst.frames.y
     pairs: dict[tuple[int, int], list[int]] = {}
     for u, bs, rs in _covered(g, bset, rset):
-        _, b, r = min((corner_dist2(frames[b], frames[r]), b, r) for b in bs for r in rs)
+        _, b, r = min(((xs[b] - xs[r]) ** 2 + (ys[b] - ys[r]) ** 2, b, r) for b in bs for r in rs)
         pairs.setdefault((b, r), []).append(u)
 
-    xs = frames.x
     arcs = []
     for (b, r), ws in sorted(pairs.items()):
         top = [w for w in ws if xs[b] <= xs[w] and xs[r] <= xs[w]]
@@ -132,7 +141,7 @@ def draw_arcs(h: ExchangeGraph, inst: GeomInstance) -> tuple[ArcPiece, ...]:
     d = inst.diagonal
     if d is None:
         raise ValueError("instance has no diagonal")
-    frames = inst.frames
+    xs, ys, ids = inst.frames.x, inst.frames.y, inst.ids
     involved = set()
     for a in h.arcs:
         involved.update((a.b, a.r))
@@ -140,20 +149,17 @@ def draw_arcs(h: ExchangeGraph, inst: GeomInstance) -> tuple[ArcPiece, ...]:
             involved.add(a.witness)
     seen_x: dict[int, int] = {}
     for v in involved:
-        c = frames[v].corner
-        if c.x + c.y != d:
-            raise ValueError(f"corner of frame {frames[v].id!r} is off the diagonal")
-        if c.x in seen_x and seen_x[c.x] != v:
-            raise DegeneratePosition(
-                f"frames {frames[seen_x[c.x]].id!r} and {frames[v].id!r} share corner x"
-            )
-        seen_x[c.x] = v
+        x = xs[v]
+        if x + ys[v] != d:
+            raise ValueError(f"corner of frame {ids[v]!r} is off the diagonal")
+        if x in seen_x and seen_x[x] != v:
+            raise DegeneratePosition(f"frames {ids[seen_x[x]]!r} and {ids[v]!r} share corner x")
+        seen_x[x] = v
 
     def span(u: int, v: int, side: str, idx: int) -> ArcPiece:
-        p, q = frames[u].corner, frames[v].corner
-        if p.x > q.x:
-            p, q = q, p
-        return ArcPiece(p, q, side, idx)
+        if xs[u] > xs[v]:
+            u, v = v, u
+        return ArcPiece(Point(xs[u], ys[u]), Point(xs[v], ys[v]), side, idx)
 
     pieces = []
     for idx, a in enumerate(h.arcs):

@@ -32,6 +32,9 @@ _set = object.__setattr__  # stores a field of a record in its __init__
 # the reference lines of an instance: x + y = diagonal, x = vline, y = hline
 _LINES = ("diagonal", "vline", "hline")
 
+# the adjacency models: "standard" (a shared point), "edge" (a shared unit grid edge)
+_MODELS = ("standard", "edge")
+
 
 def _integer(value, what: str = "coordinate") -> int:
     """``value`` as an int (``operator.index``), else ValueError naming ``what``."""
@@ -275,7 +278,7 @@ class GeomInstance(_Record):
         rects = tuple(rects)
         if frames and rects:
             raise ValueError("frames and rects are mutually exclusive")
-        if model not in ("standard", "edge"):
+        if model not in _MODELS:
             raise ValueError(f"unknown model {model!r}")
         if model == "edge" and rects:
             raise ValueError("edge model is defined for frames only")
@@ -374,13 +377,6 @@ def is_anchored(f: LFrame, d: int, side: str) -> bool:
     if side == "above":
         return f.hspan > 0 and f.vspan > 0
     return f.hspan < 0 and f.vspan < 0
-
-
-def corner_dist2(a: LFrame, b: LFrame) -> int:
-    """Squared Euclidean distance between the two corners."""
-    dx = a.corner.x - b.corner.x
-    dy = a.corner.y - b.corner.y
-    return dx * dx + dy * dy
 
 
 def rotate_cw(f: LFrame) -> LFrame:

@@ -42,11 +42,10 @@ from itertools import chain
 from typing import TextIO
 
 from .errors import ParseError, ValidationError
-from .geometry import _LINES, FrameColumns, GeomInstance, Point, Rect
+from .geometry import _LINES, _MODELS, FrameColumns, GeomInstance, Point, Rect
 
 FORMAT_VERSION = 1
 
-_MODELS = ("standard", "edge")
 _KINDS = ("frames", "rects")
 _HEADER_KEYWORDS = ("model", "kind", *_LINES)
 

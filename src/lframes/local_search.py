@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import NotAnchored, NotOneSided
-from .geometry import GeomInstance, _Record, _set, is_anchored, rect_to_lframe
+from .geometry import GeomInstance, _integer, _Record, _set, is_anchored, rect_to_lframe
 from .graph_core import DominatingSet, IntersectionGraph, build_intersection_graph, greedy_mds
 
 K_WARN_LIMIT = 3
@@ -47,6 +47,7 @@ class LocalSearchConfig(_Record):
     __slots__ = ("k",)
 
     def __init__(self, k: int = 2):
+        k = _integer(k, "k")
         if k < 1:
             raise ValueError("k must be >= 1")
         _set(self, "k", k)

@@ -12,10 +12,10 @@ claimed relation.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 from .errors import InvalidDrawing, SourceTooLarge
-from .geometry import GeomInstance, LFrame, Point, _Record, _set, rotate_cw
+from .geometry import GeomInstance, LFrame, Point, _integer, _Record, _set, rotate_cw
 from .graph_core import IntersectionGraph, build_intersection_graph, exact_mds_size
 
 
@@ -65,7 +65,8 @@ class ChordDiagram(_Record):
     __slots__ = ("n", "order", "_ends")
 
     def __init__(self, n: int, order: tuple[int, ...]):
-        order = tuple(int(c) for c in order)
+        n = _integer(n, "chord count")
+        order = tuple(_integer(c, "chord") for c in order)
         if n < 1:
             raise ValueError("a chord diagram needs at least one chord")
         if len(order) != 2 * n:
@@ -154,16 +155,14 @@ class ClauseSpec(_Record):
     ``literals`` are variable indices (all plain for a positive clause, all
     negated for a negative one); ``legs`` gives the x position where each
     literal's vertical connection meets its variable, one per literal.
-    ``depth`` is the number of same-side clauses whose leg span strictly
-    contains this clause's; leave it None to have it computed.
+    Both are integers; the pairs are stored sorted by literal.
     """
 
-    __slots__ = ("literals", "positive", "legs", "depth")
+    __slots__ = ("literals", "positive", "legs")
 
-    def __init__(self, literals: tuple[int, ...], positive: bool, legs: tuple[int, ...],
-                 depth: Optional[int] = None):
-        lits = tuple(int(v) for v in literals)
-        legs = tuple(int(p) for p in legs)
+    def __init__(self, literals: tuple[int, ...], positive: bool, legs: tuple[int, ...]):
+        lits = tuple(_integer(v, "literal") for v in literals)
+        legs = tuple(_integer(p, "leg position") for p in legs)
         if not 1 <= len(lits) <= 3:
             raise InvalidDrawing("a clause carries one to three literals")
         if len(set(lits)) != len(lits):
@@ -176,7 +175,6 @@ class ClauseSpec(_Record):
         _set(self, "literals", tuple(p[0] for p in pairs))
         _set(self, "positive", positive)
         _set(self, "legs", tuple(p[1] for p in pairs))
-        _set(self, "depth", depth)
 
 
 class Monotone3SATDrawing(_Record):
@@ -184,12 +182,14 @@ class Monotone3SATDrawing(_Record):
 
     Variables sit on the x axis in index order; positive clauses live above,
     negative below. Validation rejects drawings whose legs would cross a
-    clause's horizontal segment and recomputes nesting depths.
+    clause's horizontal segment; a clause whose leg span lies strictly
+    inside another same-side clause's span nests under it.
     """
 
     __slots__ = ("n_vars", "clauses")
 
     def __init__(self, n_vars: int, clauses: tuple[ClauseSpec, ...]):
+        n_vars = _integer(n_vars, "variable count")
         clauses = tuple(clauses)
         if n_vars < 1:
             raise InvalidDrawing("need at least one variable")
@@ -214,15 +214,11 @@ class Monotone3SATDrawing(_Record):
         # a leg strictly inside another same-side clause's span forces
         # nesting, otherwise the leg would cross that clause's horizontal
         spans = [(min(c.legs), max(c.legs)) for c in clauses]
-        depths = [0] * len(clauses)
         for a, ca in enumerate(clauses):
+            alo, ahi = spans[a]
             for b, cb in enumerate(clauses):
-                if a == b or ca.positive != cb.positive:
-                    continue
-                alo, ahi = spans[a]
                 blo, bhi = spans[b]
-                if blo < alo and ahi < bhi:
-                    depths[a] += 1
+                if a == b or ca.positive != cb.positive or blo < alo and ahi < bhi:
                     continue
                 for p in ca.legs:
                     if blo < p < bhi:
@@ -230,15 +226,8 @@ class Monotone3SATDrawing(_Record):
                             f"a leg of clause {a + 1} crosses the horizontal "
                             f"segment of clause {b + 1}"
                         )
-        fixed = []
-        for a, (ca, depth) in enumerate(zip(clauses, depths)):
-            if ca.depth is not None and ca.depth != depth:
-                raise InvalidDrawing(
-                    f"clause {a + 1} claims depth {ca.depth}, drawing says {depth}"
-                )
-            fixed.append(ClauseSpec(ca.literals, ca.positive, ca.legs, depth))
         _set(self, "n_vars", n_vars)
-        _set(self, "clauses", tuple(fixed))
+        _set(self, "clauses", clauses)
 
 
 def _clusters(n_vars: int, clauses: Iterable[ClauseSpec]) -> dict[int, list[int]]:
@@ -440,7 +429,7 @@ def sat_corpus() -> tuple[Monotone3SATDrawing, ...]:
 def _norm_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     out = []
     for i, j in edges:
-        i, j = int(i), int(j)
+        i, j = _integer(i, "edge endpoint"), _integer(j, "edge endpoint")
         if i == j:
             raise ValueError(f"self-loop at {i}")
         if not (1 <= i <= n and 1 <= j <= n):
@@ -498,6 +487,7 @@ def vc_to_epg(
     pendant pair p_i, q_i hangs off each v_i so that every dominating set
     spends one path per vertex before it starts covering edge paths.
     """
+    n = _integer(n, "vertex count")
     if n < 1:
         raise ValueError("need at least one vertex")
     es = _norm_edges(n, edges)
@@ -558,12 +548,13 @@ def eds_to_epg(
     meets in single points at most. Domination in the resulting graph is
     exactly edge domination, so the offset is zero.
     """
+    n_a, n_b = _integer(n_a, "vertex count"), _integer(n_b, "vertex count")
     if n_a < 1 or n_b < 1:
         raise ValueError("both sides need at least one vertex")
     seen = set()
     es = []
     for i, j in edges:
-        i, j = int(i), int(j)
+        i, j = _integer(i, "edge endpoint"), _integer(j, "edge endpoint")
         if not (1 <= i <= n_a and 1 <= j <= n_b):
             raise ValueError(f"edge ({i},{j}) out of range")
         if (i, j) in seen:

@@ -11,6 +11,7 @@ import pytest
 
 import lframes.cli as cli
 import lframes.exchange as exchange
+import lframes.geometry as geometry
 import lframes.graph_core as graph_core
 import lframes.local_search as local_search
 import lframes.permutation as permutation
@@ -631,6 +632,20 @@ def test_exchange_refuses_past_cap_before_any_work(tmp_path, monkeypatch, capsys
                     (["render", "--in", str(path), "--exchange", "--algo", "greedy"], 40)):
         code, out, err = run_cli(args, capsys)
         assert (code, out, err) == (2, "", f"error: {n} vertices exceeds cap 32\n"), args
+
+
+def test_verify_exchange_reads_the_frame_columns(monkeypatch, capsys):
+    built = []
+    init = geometry.LFrame.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(geometry.LFrame, "__init__", counting_init)
+    code, out, _ = run_cli(["verify", "--kind", "exchange", "--seed", "1", "--n", "60",
+                            "--cap", "60"], capsys)
+    assert (code, parse_report(out)["arcs"], built) == (0, "6", [])
 
 
 def test_exact_refuses_past_cap_before_building_the_graph(tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from conftest import (
     reference_local_exchange,
     swap_is_dominating,
 )
+import lframes.exchange as exchange
 from lframes.errors import DegeneratePosition, NotDisjoint
 from lframes.exchange import (
     ArcPiece,
@@ -20,7 +21,7 @@ from lframes.exchange import (
     count_crossings,
     draw_arcs,
 )
-from lframes.generators import gen_anchored_one_sided
+from lframes.generators import gen_anchored_one_sided, gen_anchored_rects
 from lframes.geometry import GeomInstance, LFrame, Point
 from lframes.graph_core import build_intersection_graph, exact_mds, is_dominating
 from lframes.local_search import LocalSearchConfig, local_search_mds
@@ -149,9 +150,42 @@ def test_swap_full_b_side():
     assert swap_is_dominating(g, h, [1], [1])
 
 
-def test_overlapping_sides_rejected():
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The size of each graph the exchange module builds."""
+    calls = []
+    build = exchange.build_intersection_graph
+
+    def counting_build(inst):
+        calls.append(inst.n)
+        return build(inst)
+
+    monkeypatch.setattr(exchange, "build_intersection_graph", counting_build)
+    return calls
+
+
+def test_overlapping_sides_rejected(graph_builds):
     with pytest.raises(NotDisjoint):
         build_exchange_graph(TOP_CASE, [1], [1, 2])
+    assert graph_builds == []
+
+
+def test_rectangle_instance_rejected_before_the_graph(graph_builds):
+    with pytest.raises(ValueError, match="^exchange graphs are defined on frame instances$"):
+        build_exchange_graph(gen_anchored_rects(1, 2000), [0], [1])
+    assert graph_builds == []
+
+
+@pytest.mark.parametrize("b, bad", [([999, 0], "999"), ([0, -1], "-1"), ([1.5], "1.5"), ([True], "True")])
+def test_members_that_are_not_vertices_rejected(graph_builds, b, bad):
+    inst = gen_anchored_one_sided(1, 12)
+    with pytest.raises(ValueError, match=f"^member {bad} is not a vertex of the instance$"):
+        build_exchange_graph(inst, b, [1])
+    with pytest.raises(ValueError, match=f"^member {bad} is not a vertex of the instance$"):
+        build_exchange_graph(inst, [2], b)
+    assert graph_builds == []
+    build_exchange_graph(inst, [0], [1])
+    assert len(graph_builds) == 1
 
 
 def test_shared_corner_x_rejected():
@@ -226,7 +260,8 @@ def test_arcs_and_verdicts_match_bitmask_reference(seed, sides, drop):
     edges = edge_set(g)
     b = [v for v, s in enumerate(sides) if s == 1]
     r = [v for v, s in enumerate(sides) if s == 2]
-    h = build_exchange_graph(inst, b, r)
+    h = build_exchange_graph(inst, b, r, g)
+    assert h == build_exchange_graph(inst, b, r)
     assert {(a.b, a.r): list(a.witnesses) for a in h.arcs} == reference_exchange_pairs(inst, edges, b, r)
     for arcs in (h.arcs, tuple(a for i, a in enumerate(h.arcs) if not (drop >> i) & 1)):
         want = reference_local_exchange(g.n, edges, b, r, [(a.b, a.r) for a in arcs])

@@ -15,7 +15,6 @@ from lframes.geometry import (
     LFrame,
     Point,
     Rect,
-    corner_dist2,
     is_anchored,
     lframe_intersect,
     rect_intersect,
@@ -171,16 +170,6 @@ def test_is_anchored_bad_side():
     f = frame("f", 3, 7, 2, 5)
     with pytest.raises(ValueError):
         is_anchored(f, 10, "left")
-
-
-def test_corner_dist2_examples():
-    a = frame("a", 0, 0, 1, 1)
-    b = frame("b", 3, 4, 1, 1)
-    assert corner_dist2(a, b) == 25
-    assert corner_dist2(a, a) == 0
-    c = frame("c", 1, 2, 1, 1)
-    d = frame("d", 4, 6, 1, 1)
-    assert corner_dist2(c, d) == 25
 
 
 def test_rotate_cw_four_times_is_identity():

@@ -71,6 +71,11 @@ def test_config_validation():
         LocalSearchConfig(k=0)
 
 
+def test_config_refuses_a_non_integer_k():
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
+        LocalSearchConfig(2.0)
+
+
 def test_large_k_warns():
     with pytest.warns(UserWarning):
         local_search_mds(STAR, LocalSearchConfig(k=4))

@@ -48,7 +48,7 @@ RECORDS = [
     (EquivalenceReport("sat", 2, 3, 1, True),
      ("kind", "source_value", "reduced_value", "offset", "ok"), None),
     (_chords, ("n", "order"), ({"n": 3}, ValueError, r"^expected 6 endpoints, got 4$")),
-    (ClauseSpec((2, 1), True, (5, 3)), ("literals", "positive", "legs", "depth"),
+    (ClauseSpec((2, 1), True, (5, 3)), ("literals", "positive", "legs"),
      ({"legs": (1,)}, InvalidDrawing, r"^one leg position per literal$")),
     (Monotone3SATDrawing(1, (ClauseSpec((1,), True, (1,)),)), ("n_vars", "clauses"),
      ({"n_vars": 0}, InvalidDrawing, r"^need at least one variable$")),

@@ -56,6 +56,16 @@ def test_diagram_validation():
         ChordDiagram(2, (1, 1, 1, 2))
 
 
+@pytest.mark.parametrize("n, order, message", [
+    (2, (1, 2.7, 1, 2), "chord must be an integer, got 2.7"),
+    (2, ("1", "2", "1", "2"), "chord must be an integer, got '1'"),
+    (2.0, (1, 2, 1, 2), "chord count must be an integer, got 2.0"),
+])
+def test_diagram_refuses_non_integers(n, order, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ChordDiagram(n, order)
+
+
 def test_positions_match_list_reference():
     rng = random.Random(11)
     for n in (1, 2, 3, 8, 50, 400):
@@ -163,6 +173,17 @@ def test_clause_validation():
         ClauseSpec((1,), True, (0,))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ClauseSpec((1.9,), True, (3,)), "literal must be an integer, got 1.9"),
+    (lambda: ClauseSpec((1,), True, (3.5,)), "leg position must be an integer, got 3.5"),
+    (lambda: Monotone3SATDrawing(1.0, (ClauseSpec((1,), True, (1,)),)),
+     "variable count must be an integer, got 1.0"),
+])
+def test_drawing_refuses_non_integers(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_drawing_validation():
     c1 = ClauseSpec((1,), True, (1,))
     with pytest.raises(InvalidDrawing):
@@ -187,25 +208,12 @@ def test_drawing_rejects_leg_through_horizontal():
         Monotone3SATDrawing(3, bad)
 
 
-def test_drawing_rejects_wrong_depth_claim():
-    cs = (
-        ClauseSpec((1, 2), True, (1, 4), depth=0),
-        ClauseSpec((1, 2), True, (2, 3), depth=0),  # actually nested once
-    )
-    with pytest.raises(InvalidDrawing):
-        Monotone3SATDrawing(2, cs)
-
-
 def test_drawing_accepts_nesting_and_computes_depth():
-    d = Monotone3SATDrawing(
-        2,
-        (
-            ClauseSpec((1, 2), True, (1, 4)),
-            ClauseSpec((1, 2), True, (2, 3)),
-        ),
+    clauses = (
+        ClauseSpec((1, 2), True, (1, 4)),
+        ClauseSpec((1, 2), True, (2, 3)),  # nested inside the first
     )
-    assert d.clauses[0].depth == 0
-    assert d.clauses[1].depth == 1
+    assert Monotone3SATDrawing(2, clauses).clauses == clauses
 
 
 def test_corpus_satisfiability_pattern():
@@ -382,6 +390,15 @@ def test_vc_edge_validation():
         vc_to_epg(0, [])
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(1, 2.9)], "edge endpoint must be an integer, got 2.9"),
+    (3.0, [(1, 2)], "vertex count must be an integer, got 3.0"),
+])
+def test_vc_refuses_non_integers(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        vc_to_epg(n, edges)
+
+
 def test_vc_certificate_verifies():
     for n, edges in ((3, [(1, 2), (2, 3)]), (4, [(1, 2), (1, 3), (1, 4)]), (2, [])):
         _, cert = vc_to_epg(n, edges)
@@ -429,6 +446,16 @@ def test_eds_validation():
         eds_to_epg(1, 1, [(1, 1), (1, 1)])
     with pytest.raises(ValueError):
         eds_to_epg(1, 1, [])
+
+
+@pytest.mark.parametrize("n_a, n_b, edges, message", [
+    (2, 2, [(1, 2.5)], "edge endpoint must be an integer, got 2.5"),
+    (2.0, 2.0, [(1, 2)], "vertex count must be an integer, got 2.0"),
+    (2, 2.0, [(1, 2)], "vertex count must be an integer, got 2.0"),
+])
+def test_eds_refuses_non_integers(n_a, n_b, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        eds_to_epg(n_a, n_b, edges)
 
 
 def test_eds_certificate_verifies():
