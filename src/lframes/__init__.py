@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "DegenerateOrder", "DegeneratePosition", "InvalidDrawing", "LFramesError",
-        "NotAnchored", "NotDisjoint", "NotOneSided", "NotTwoLineCrossing",
+        "NotAnchored", "NotDisjoint", "NotTwoLineCrossing",
         "ParseError", "SourceTooLarge", "TooLarge", "ValidationError",
     ),
     "geometry": (
@@ -26,16 +26,14 @@ _EXPORTS = {
         "greedy_mds", "is_dominating",
     ),
     "local_search": (
-        "LocalSearchConfig", "approx_two_sided", "local_search_mds", "ptas_one_sided",
-        "split_two_sided",
+        "LocalSearchConfig", "approx_two_sided", "local_search_mds", "split_two_sided",
     ),
     "exchange": (
         "Arc", "ArcPiece", "ExchangeGraph", "build_exchange_graph",
         "check_local_exchange", "count_crossings", "draw_arcs",
     ),
     "permutation": (
-        "Permutation", "lframes_to_permutation", "mds_permutation", "two_line_permutation",
-        "two_line_vertex_order",
+        "Permutation", "lframes_to_permutation", "mds_permutation", "two_line_vertex_order",
     ),
     "reductions": (
         "ChordDiagram", "ClauseSpec", "EquivalenceReport", "Monotone3SATDrawing",

@@ -9,10 +9,6 @@ class NotAnchored(LFramesError):
     """Object does not meet the diagonal in the anchored configuration."""
 
 
-class NotOneSided(LFramesError):
-    """Instance mixes anchoring sides or contains unanchored frames."""
-
-
 class NotDisjoint(LFramesError):
     """The two solution sets overlap; caller must disjointify first."""
 

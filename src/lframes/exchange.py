@@ -54,13 +54,12 @@ class ArcPiece(_Record):
     """Half circle with diameter endpoints on the diagonal, p0.x < p1.x;
     ``side`` is "above" or "below"."""
 
-    __slots__ = ("p0", "p1", "side", "arc_index")
+    __slots__ = ("p0", "p1", "side")
 
-    def __init__(self, p0: Point, p1: Point, side: str, arc_index: int):
+    def __init__(self, p0: Point, p1: Point, side: str):
         _set(self, "p0", p0)
         _set(self, "p1", p1)
         _set(self, "side", side)
-        _set(self, "arc_index", arc_index)
 
 
 def _vertices(inst: GeomInstance, members: Iterable[int]) -> frozenset:
@@ -156,21 +155,21 @@ def draw_arcs(h: ExchangeGraph, inst: GeomInstance) -> tuple[ArcPiece, ...]:
             raise DegeneratePosition(f"frames {ids[seen_x[x]]!r} and {ids[v]!r} share corner x")
         seen_x[x] = v
 
-    def span(u: int, v: int, side: str, idx: int) -> ArcPiece:
+    def span(u: int, v: int, side: str) -> ArcPiece:
         if xs[u] > xs[v]:
             u, v = v, u
-        return ArcPiece(Point(xs[u], ys[u]), Point(xs[v], ys[v]), side, idx)
+        return ArcPiece(Point(xs[u], ys[u]), Point(xs[v], ys[v]), side)
 
     pieces = []
-    for idx, a in enumerate(h.arcs):
+    for a in h.arcs:
         if a.cls == "top":
-            pieces.append(span(a.b, a.r, "above", idx))
+            pieces.append(span(a.b, a.r, "above"))
         elif a.cls == "down":
-            pieces.append(span(a.b, a.r, "below", idx))
+            pieces.append(span(a.b, a.r, "below"))
         else:
             left, right = (a.b, a.r) if a.mixed_orientation == "b_left" else (a.r, a.b)
-            pieces.append(span(left, a.witness, "above", idx))
-            pieces.append(span(a.witness, right, "below", idx))
+            pieces.append(span(left, a.witness, "above"))
+            pieces.append(span(a.witness, right, "below"))
     return tuple(pieces)
 
 

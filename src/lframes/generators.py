@@ -31,20 +31,17 @@ def _anchor_xs(rng: random.Random, count: int, d: int) -> list[int]:
     return rng.sample(range(d + 1), count)
 
 
-def gen_anchored_one_sided(seed: int, n: int, side: str = "above") -> GeomInstance:
-    """Frames with corners on the diagonal x + y = d, all arms on one side."""
+def gen_anchored_one_sided(seed: int, n: int) -> GeomInstance:
+    """Frames with corners on the diagonal x + y = d, all arms above it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if side not in ("above", "below"):
-        raise ValueError(f"unknown side {side!r}")
     rng = random.Random(seed)
     d = max(2 * n, 12)
-    sgn = 1 if side == "above" else -1
     xs = _anchor_xs(rng, n, d)
     hs, vs = [], []
     for _ in xs:
-        hs.append(sgn * rng.randint(1, _ARM_MAX))
-        vs.append(sgn * rng.randint(1, _ARM_MAX))
+        hs.append(rng.randint(1, _ARM_MAX))
+        vs.append(rng.randint(1, _ARM_MAX))
     frames = FrameColumns(_frame_ids(n), xs, [d - x for x in xs], hs, vs)
     return GeomInstance(frames=frames, diagonal=d)
 

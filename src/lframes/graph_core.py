@@ -1,9 +1,10 @@
 """Intersection graphs, domination checks, greedy and exact solvers.
 
-Vertices are integers 0..n-1 in instance order; labels carry the object
-ids. ``build_intersection_graph`` reports only the contacts that exist,
-with the sort-and-sweep passes of the axis-parallel case of Bentley and
-Ottmann, in O((n + m) log n) time for n objects and m contacts:
+Vertices are integers 0..n-1 in instance order, and the instance's
+``ids`` name them. ``build_intersection_graph`` reports only the contacts
+that exist, with the sort-and-sweep passes of the axis-parallel case of
+Bentley and Ottmann, in O((n + m) log n) time for n objects and m
+contacts:
 
 * collinear arms (frames, both models): arms sorted by (line, low end);
   an arm meets exactly the later arms of its line whose low end is at most
@@ -55,7 +56,7 @@ class IntersectionGraph:
     orientation are accepted.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         rows = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
@@ -64,22 +65,19 @@ class IntersectionGraph:
                 raise ValueError("edge endpoint out of range")
             rows[u].append(v)
             rows[v].append(u)
-        self._store(n, rows, labels)
+        self._store(n, rows)
 
     @classmethod
-    def _from_rows(cls, n: int, rows: list, labels: Sequence[str]) -> IntersectionGraph:
+    def _from_rows(cls, n: int, rows: list) -> IntersectionGraph:
         """The graph in which v is adjacent to every vertex in ``rows[v]``;
         each edge is listed in both its rows, in any order, possibly twice.
         Each row list is replaced by its tuple."""
         g = cls.__new__(cls)
-        g._store(n, rows, labels)
+        g._store(n, rows)
         return g
 
-    def _store(self, n: int, rows: list, labels: Optional[Sequence[str]]) -> None:
+    def _store(self, n: int, rows: list) -> None:
         self.n = n
-        self.labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
-        if len(self.labels) != n:
-            raise ValueError("labels length must equal n")
         for v, row in enumerate(rows):
             rows[v] = tuple(sorted(set(row)))
         self.adjacency = tuple(rows)
@@ -87,10 +85,10 @@ class IntersectionGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntersectionGraph):
             return NotImplemented
-        return (self.n, self.labels, self.adjacency) == (other.n, other.labels, other.adjacency)
+        return (self.n, self.adjacency) == (other.n, other.adjacency)
 
     def __hash__(self):
-        return hash((self.n, self.labels, self.adjacency))
+        return hash((self.n, self.adjacency))
 
     def __repr__(self):
         return f"IntersectionGraph(n={self.n}, m={sum(map(len, self.adjacency)) // 2})"
@@ -235,14 +233,17 @@ def build_intersection_graph(inst: GeomInstance) -> IntersectionGraph:
         _frame_contacts(fr.x, fr.y, fr.hspan, fr.vspan, inst.model == "edge", rows)
     elif inst.rects:
         _rect_contacts(inst.rects, rows)
-    return IntersectionGraph._from_rows(inst.n, rows, inst.ids)
+    return IntersectionGraph._from_rows(inst.n, rows)
 
 
 def is_dominating(g: IntersectionGraph, members: Iterable[int]) -> bool:
-    """True iff the closed neighborhoods of ``members`` cover every vertex."""
-    adj = g.adjacency
-    covered = bytearray(g.n)
+    """True iff the closed neighborhoods of ``members`` cover every vertex.
+    Raises ValueError on a member that is not an int in range(g.n)."""
+    adj, n = g.adjacency, g.n
+    covered = bytearray(n)
     for v in members:
+        if type(v) is not int or not 0 <= v < n:
+            raise ValueError(f"member {v!r} is not a vertex of the graph")
         covered[v] = 1
         for u in adj[v]:
             covered[u] = 1

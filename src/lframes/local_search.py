@@ -1,4 +1,4 @@
-"""Local-search solver and the anchored one-sided / two-sided drivers.
+"""Local-search solver and the anchored two-sided driver.
 
 k-swap local search removes at most k members and adds strictly fewer
 outside vertices, keeping the set dominating; the first improving swap in
@@ -32,9 +32,8 @@ import warnings
 from collections import Counter, defaultdict
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Optional
 
-from .errors import NotAnchored, NotOneSided
+from .errors import NotAnchored
 from .geometry import GeomInstance, _integer, _Record, _set, is_anchored, rect_to_lframe
 from .graph_core import DominatingSet, IntersectionGraph, build_intersection_graph, greedy_mds
 
@@ -190,31 +189,6 @@ def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchC
     return DominatingSet(tuple(search.members))
 
 
-def anchoring_side(inst: GeomInstance) -> Optional[str]:
-    """The common anchoring side of all frames, or None if mixed/unanchored."""
-    if inst.diagonal is None or not inst.frames:
-        return None
-    for side in ("above", "below"):
-        if all(is_anchored(f, inst.diagonal, side) for f in inst.frames):
-            return side
-    return None
-
-
-def ptas_one_sided(inst: GeomInstance, k: int) -> DominatingSet:
-    """Local search on an instance anchored entirely on one diagonal side.
-
-    Larger k trades time for solution quality; the swap structure of
-    one-sided anchored instances is what makes this a principled
-    approximation rather than a heuristic.
-    """
-    if anchoring_side(inst) is None:
-        raise NotOneSided(
-            "every frame must be anchored at the diagonal on one common side"
-        )
-    g = build_intersection_graph(inst)
-    return local_search_mds(g, LocalSearchConfig(k=k))
-
-
 def split_two_sided(inst: GeomInstance) -> tuple[GeomInstance, GeomInstance]:
     """Partition an anchored instance into its above-side and below-side parts.
 
@@ -239,15 +213,16 @@ def split_two_sided(inst: GeomInstance) -> tuple[GeomInstance, GeomInstance]:
 
 
 def approx_two_sided(inst: GeomInstance, k: int) -> DominatingSet:
-    """Solve each anchoring side separately and return the union.
+    """k-swap local search on each anchoring side separately, and the union.
 
     Frames from opposite sides can only touch at a shared corner on the
     diagonal, so the union of the two one-sided solutions dominates the
-    whole instance.
+    whole instance. A one-sided instance is the case with one side empty.
     """
     index_of = {fid: i for i, fid in enumerate(inst.ids)}
     members: list[int] = []
     for part in split_two_sided(inst):  # disjoint sides, so no member repeats
         if part.frames:
-            members += (index_of[part.ids[v]] for v in ptas_one_sided(part, k).members)
+            ds = local_search_mds(build_intersection_graph(part), LocalSearchConfig(k=k))
+            members += (index_of[part.ids[v]] for v in ds.members)
     return DominatingSet(tuple(sorted(members)))

@@ -49,7 +49,7 @@ scan only compares values, so any distinct positive integers in the order
 of the crossings give the positions their ranks 1..n give. Line two is
 read as the x values in line-one order, shifted to start at 1, in a
 machine-word column when they fit one (``geometry._column``). The scan
-takes its sentinels from the largest value. Only ``two_line_permutation``,
+takes its sentinels from the largest value. Only ``lframes_to_permutation``,
 whose ``Permutation`` holds ranks, ranks line two, by one sort of plain
 ints value * n + position.
 """
@@ -155,15 +155,15 @@ def two_line_vertex_order(inst: GeomInstance) -> tuple:
     return tuple(_line_orders(inst)[0])
 
 
-def two_line_permutation(inst: GeomInstance) -> tuple[tuple, Permutation]:
-    """The line-one vertex order and the permutation read off in that order.
+def lframes_to_permutation(inst: GeomInstance) -> Permutation:
+    """Read a two-line instance off as a permutation.
 
     Line one is the vertical line read top to bottom, line two the
     horizontal line read left to right; crossings swap order exactly when
     the frames intersect. Position t of the permutation is frame
-    ``order[t]``.
+    ``two_line_vertex_order(inst)[t]``.
     """
-    order1, line2 = _line_orders(inst)
+    line2 = _line_orders(inst)[1]
     # line two's ranks from one sort of value * n + position: plain ints,
     # with no index objects and no key list beside them
     n = len(line2)
@@ -172,12 +172,7 @@ def two_line_permutation(inst: GeomInstance) -> tuple[tuple, Permutation]:
     for pos, key in enumerate(keys, 1):
         rank[key % n] = pos
     del keys, line2
-    return tuple(order1), Permutation._of(tuple(rank))
-
-
-def lframes_to_permutation(inst: GeomInstance) -> Permutation:
-    """Read a two-line instance off as a permutation (see two_line_permutation)."""
-    return two_line_permutation(inst)[1]
+    return Permutation._of(tuple(rank))
 
 
 _SKIP, _TAKE, _BOTH = (0,), (1,), (0, 1)  # the parent codes of one-state steps

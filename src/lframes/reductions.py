@@ -94,14 +94,15 @@ def chords_interleave(cd: ChordDiagram, a: int, b: int) -> bool:
 
 
 def circle_graph(cd: ChordDiagram) -> IntersectionGraph:
-    """Interleaving graph of the diagram; labels match the frame ids."""
+    """Interleaving graph of the diagram: vertex c - 1 is chord c, the
+    frame with id ``c{c}`` in either reduced instance."""
     edges = [
         (a - 1, b - 1)
         for a in range(1, cd.n + 1)
         for b in range(a + 1, cd.n + 1)
         if chords_interleave(cd, a, b)
     ]
-    return IntersectionGraph(cd.n, edges, [f"c{c}" for c in range(1, cd.n + 1)])
+    return IntersectionGraph(cd.n, edges)
 
 
 def circle_to_diagonal(cd: ChordDiagram) -> GeomInstance:
@@ -155,7 +156,8 @@ class ClauseSpec(_Record):
     ``literals`` are variable indices (all plain for a positive clause, all
     negated for a negative one); ``legs`` gives the x position where each
     literal's vertical connection meets its variable, one per literal.
-    Both are integers; the pairs are stored sorted by literal.
+    Both are integers; the pairs are stored sorted by literal. ``positive``
+    is a bool.
     """
 
     __slots__ = ("literals", "positive", "legs")
@@ -163,6 +165,8 @@ class ClauseSpec(_Record):
     def __init__(self, literals: tuple[int, ...], positive: bool, legs: tuple[int, ...]):
         lits = tuple(_integer(v, "literal") for v in literals)
         legs = tuple(_integer(p, "leg position") for p in legs)
+        if type(positive) is not bool:
+            raise ValueError(f"positive must be a bool, got {positive!r}")
         if not 1 <= len(lits) <= 3:
             raise InvalidDrawing("a clause carries one to three literals")
         if len(set(lits)) != len(lits):

@@ -281,7 +281,7 @@ def permutation_graph(p):
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if p.pi[i] > p.pi[j]
     ]
-    return IntersectionGraph(n, edges, tuple(str(i + 1) for i in range(n)))
+    return IntersectionGraph(n, edges)
 
 
 def parse_report(text):

@@ -49,7 +49,6 @@ from lframes.local_search import (
     LocalSearchConfig,
     approx_two_sided,
     local_search_mds,
-    ptas_one_sided,
     split_two_sided,
 )
 from lframes.permutation import (
@@ -136,10 +135,10 @@ def test_criterion_04_two_sided_union_bound():
         side_total = 0
         for part in (above, below):
             if part.frames:
-                side_total += ptas_one_sided(part, 2).size
+                side_total += approx_two_sided(part, 2).size
         assert union.size <= side_total, seed
         if above.frames:
-            side_size = ptas_one_sided(above, 2).size
+            side_size = approx_two_sided(above, 2).size
             side_opt = exact_mds(build_intersection_graph(above)).size
             ratio = Fraction(side_size, side_opt)
             assert ratio <= GOLDEN_SIDE_RATIO, seed

@@ -91,22 +91,22 @@ def test_mixed_classification_and_pieces():
     ]
 
 
-def piece(x0, x1, side, idx):
-    return ArcPiece(Point(x0, 0), Point(x1, 0), side, idx)
+def piece(x0, x1, side):
+    return ArcPiece(Point(x0, 0), Point(x1, 0), side)
 
 
 def test_count_crossings_interleaved():
-    d = (piece(1, 3, "above", 0), piece(2, 4, "above", 1))
+    d = (piece(1, 3, "above"), piece(2, 4, "above"))
     assert count_crossings(d) == 1
 
 
 def test_count_crossings_nested():
-    d = (piece(1, 4, "above", 0), piece(2, 3, "above", 1))
+    d = (piece(1, 4, "above"), piece(2, 3, "above"))
     assert count_crossings(d) == 0
 
 
 def test_count_crossings_opposite_sides():
-    d = (piece(1, 3, "above", 0), piece(2, 4, "below", 1))
+    d = (piece(1, 3, "above"), piece(2, 4, "below"))
     assert count_crossings(d) == 0
 
 
@@ -115,12 +115,12 @@ def test_count_crossings_opposite_sides():
                 max_size=40))
 def test_count_crossings_matches_every_pair(spans):
     # small coordinates, so shared endpoints and equal pieces are common
-    d = tuple(piece(x, x + w, side, i) for i, (x, w, side) in enumerate(spans))
+    d = tuple(piece(x, x + w, side) for x, w, side in spans)
     assert count_crossings(d) == reference_count_crossings(d)
 
 
 def test_count_crossings_shared_endpoint():
-    d = (piece(1, 3, "above", 0), piece(3, 5, "above", 1))
+    d = (piece(1, 3, "above"), piece(3, 5, "above"))
     assert count_crossings(d) == 0
 
 

@@ -17,7 +17,6 @@ from lframes.generators import (
     reduction_certificate,
 )
 from lframes.geometry import is_anchored
-from lframes.local_search import anchoring_side
 from lframes.permutation import two_line_vertex_order
 
 
@@ -54,11 +53,9 @@ def test_large_seed():
 
 def test_one_sided_all_above():
     for seed in range(10):
-        inst = gen_anchored_one_sided(seed, 9, side="above")
+        inst = gen_anchored_one_sided(seed, 9)
         assert inst.n == 9
-        assert anchoring_side(inst) == "above"
-    below = gen_anchored_one_sided(3, 5, side="below")
-    assert anchoring_side(below) == "below"
+        assert all(is_anchored(f, inst.diagonal, "above") for f in inst.frames)
 
 
 def test_two_sided_every_frame_anchored():

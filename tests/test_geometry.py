@@ -225,14 +225,14 @@ def test_reference_line_must_be_an_integer(line):
 
 def test_int_diagonal_reads_back_and_drives_the_anchored_paths():
     from lframes.exchange import build_exchange_graph, draw_arcs
-    from lframes.local_search import anchoring_side, split_two_sided
+    from lframes.local_search import split_two_sided
 
     frames = (frame("w", 2, 3, 4, 3), frame("b", 1, 4, 3, 1), frame("r", 4, 1, 1, 4))
     inst = GeomInstance(frames=frames, diagonal=5, vline=-7, hline=9)
     assert (inst.diagonal, inst.vline, inst.hline) == (5, -7, 9)
     assert emit_instance(inst).splitlines()[3:6] == ["diagonal 5", "vline -7", "hline 9"]
     assert parse_instance(emit_instance(inst)) == inst
-    assert anchoring_side(inst) == "above"
+    assert all(is_anchored(f, inst.diagonal, "above") for f in inst.frames)
     above, below = split_two_sided(inst)
     assert above.frames == frames and above.diagonal == 5 and not below.frames
     pieces = draw_arcs(build_exchange_graph(inst, [1], [2]), inst)

@@ -75,9 +75,8 @@ def test_every_family_matches_predicates(family):
         inst = gen(seed, n)
         g = build_intersection_graph(inst)
         assert edge_set(g) == pairwise_edges(inst), (family, seed, n)
-        assert g.labels == tuple(o.id for o in inst.objects)
         # both CSR orientations, each pair once per row
-        assert g == IntersectionGraph(g.n, pairwise_edges(inst), g.labels), (family, seed, n)
+        assert g == IntersectionGraph(g.n, pairwise_edges(inst)), (family, seed, n)
 
 
 @PROPERTY
@@ -100,7 +99,7 @@ def test_greedy_matches_bitmask_greedy_on_families(family):
 
 def test_graph_stores_only_its_neighbor_tuples():
     g = build_intersection_graph(gen_anchored_one_sided(1, 30))
-    assert set(vars(g)) == {"n", "labels", "adjacency"}
+    assert set(vars(g)) == {"n", "adjacency"}
     assert all(type(nbrs) is tuple for nbrs in g.adjacency)
 
 
@@ -111,8 +110,6 @@ def test_graph_rejects_bad_edges():
         IntersectionGraph(3, [(0, 3)])
     with pytest.raises(ValueError, match="^edge endpoint out of range$"):
         IntersectionGraph(3, [(-1, 2)])
-    with pytest.raises(ValueError, match="^labels length must equal n$"):
-        IntersectionGraph(3, [(0, 1)], ["a", "b"])
 
 
 def test_graph_merges_pairs_into_sorted_tuples():

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -36,7 +37,6 @@ def random_edges(rng, n, p):
 
 def test_stair5_edge_set(stair5):
     g = build_intersection_graph(stair5)
-    assert g.labels == ("a", "b", "c", "d", "e")
     assert edge_set(g) == STAIR5_EDGES
 
 
@@ -45,6 +45,16 @@ def test_is_dominating_examples(stair5):
     assert is_dominating(g, [0, 2])
     assert not is_dominating(g, [])
     assert is_dominating(g, range(5))
+
+
+@pytest.mark.parametrize("member", [-1, 3, True, 1.0, "0"])
+def test_is_dominating_refuses_non_vertices(member):
+    # a negative index would read another vertex's row, a bool passes as 0 or 1
+    g = IntersectionGraph(3, [(0, 1)])
+    with pytest.raises(ValueError, match=rf"^member {re.escape(repr(member))} is not a vertex of the graph$"):
+        is_dominating(g, [0, member])
+    assert not is_dominating(g, [0])
+    assert is_dominating(g, [0, 2])
 
 
 def test_exact_stair5(stair5):
@@ -276,7 +286,6 @@ def test_rect_instance_graph():
         Rect("r3", Point(5, 5), Point(6, 6)),
     )
     g = build_intersection_graph(GeomInstance(rects=rects))
-    assert g.labels == ("r1", "r2", "r3")
     assert edge_set(g) == {(0, 1)}
 
 

@@ -1,4 +1,4 @@
-"""Local-search solver and the one-sided / two-sided anchored drivers."""
+"""Local-search solver and the anchored two-sided driver."""
 
 import hashlib
 import random
@@ -17,7 +17,7 @@ from conftest import (
     reference_greedy,
     reference_local_search,
 )
-from lframes.errors import NotAnchored, NotOneSided
+from lframes.errors import NotAnchored
 from lframes.generators import gen_anchored_one_sided, gen_anchored_two_sided
 from lframes.geometry import GeomInstance, LFrame, Point, is_anchored
 from lframes.graph_core import (
@@ -29,10 +29,8 @@ from lframes.graph_core import (
 )
 from lframes.local_search import (
     LocalSearchConfig,
-    anchoring_side,
     approx_two_sided,
     local_search_mds,
-    ptas_one_sided,
     split_two_sided,
 )
 
@@ -218,48 +216,25 @@ def test_sizes_at_n_2000(gen, k, size):
     assert digest[:16] == MEMBER_DIGESTS[gen.__name__, k]
 
 
-def test_anchoring_side():
-    d = 10
-    above = GeomInstance(frames=(anchored_above("a", 2, 10, 3, 3),), diagonal=d)
-    below = GeomInstance(frames=(anchored_below("b", 2, 10, 3, 3),), diagonal=d)
-    mixed = GeomInstance(
-        frames=(anchored_above("a", 2, 10, 3, 3), anchored_below("b", 4, 10, 3, 3)),
-        diagonal=d,
-    )
-    assert anchoring_side(above) == "above"
-    assert anchoring_side(below) == "below"
-    assert anchoring_side(mixed) is None
-    assert anchoring_side(GeomInstance()) is None
-
-
 def test_ptas_disjoint_frames():
     frames = tuple(anchored_above(f"f{i}", 5 * i, 20, 4, 4) for i in range(4))
     inst = GeomInstance(frames=frames, diagonal=20)
-    assert ptas_one_sided(inst, 2).size == 4
+    assert approx_two_sided(inst, 2).size == 4
 
 
 def test_ptas_all_intersecting():
     frames = tuple(anchored_above(f"f{i}", i, 10, 10, 10) for i in range(4))
     inst = GeomInstance(frames=frames, diagonal=10)
-    assert ptas_one_sided(inst, 2).size == 1
+    assert approx_two_sided(inst, 2).size == 1
 
 
 def test_ptas_generated_instance_golden():
     inst = gen_anchored_one_sided(12, 12)
-    ds = ptas_one_sided(inst, 2)
+    ds = approx_two_sided(inst, 2)
     g = build_intersection_graph(inst)
     assert is_dominating(g, ds.members)
     assert ds.size == 3
     assert exact_mds(g).size == 3
-
-
-def test_ptas_rejects_mixed_sides():
-    inst = GeomInstance(
-        frames=(anchored_above("a", 2, 10, 3, 3), anchored_below("b", 4, 10, 3, 3)),
-        diagonal=10,
-    )
-    with pytest.raises(NotOneSided):
-        ptas_one_sided(inst, 2)
 
 
 def test_split_two_sided():
@@ -288,7 +263,8 @@ def test_split_rejects_unanchored():
 
 def test_two_sided_above_only_equals_one_sided():
     inst = gen_anchored_one_sided(3, 8)
-    assert approx_two_sided(inst, 2).members == ptas_one_sided(inst, 2).members
+    g = build_intersection_graph(inst)
+    assert approx_two_sided(inst, 2).members == local_search_mds(g, LocalSearchConfig(k=2)).members
 
 
 def test_two_sided_disjoint_pair():
@@ -316,7 +292,7 @@ def test_two_sided_size_bound():
         total = 0
         for part in (above, below):
             if part.frames:
-                total += ptas_one_sided(part, 2).size
+                total += approx_two_sided(part, 2).size
         assert approx_two_sided(inst, 2).size <= total
 
 
@@ -339,6 +315,6 @@ def test_local_beats_or_matches_brute_on_one_sided():
     for seed in range(25):
         inst = gen_anchored_one_sided(seed, 7)
         g = build_intersection_graph(inst)
-        ds = ptas_one_sided(inst, 2)
+        ds = approx_two_sided(inst, 2)
         opt = brute_mds_size(g.n, edge_set(g))
         assert opt <= ds.size <= 2 * opt

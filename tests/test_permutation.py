@@ -22,7 +22,6 @@ from lframes.permutation import (
     Permutation,
     lframes_to_permutation,
     mds_permutation,
-    two_line_permutation,
     two_line_vertex_order,
 )
 
@@ -247,8 +246,8 @@ def test_line_two_is_the_shifted_x_values_in_line_one_order():
     assert type(order1) is array and order1.typecode in "iq"
     assert type(line2) is array and line2.typecode == "q"
     assert list(line2) == [fr.x[i] - min(fr.x) + 1 for i in order1]
-    order, p = two_line_permutation(inst)
-    assert order == tuple(order1) == two_line_vertex_order(inst)
+    order, p = two_line_vertex_order(inst), lframes_to_permutation(inst)
+    assert order == tuple(order1)
     assert p.pi == ranks(line2)
     # moving the leftmost frame 2**64 further left keeps both orders, but
     # its line-two value no longer fits a machine word
@@ -260,7 +259,7 @@ def test_line_two_is_the_shifted_x_values_in_line_one_order():
     order1_wide, line2_wide = pm._line_orders(wide)
     assert order1_wide == order1
     assert type(line2_wide) is tuple and max(line2_wide) > 2**64
-    assert two_line_permutation(wide) == (order, p)
+    assert (two_line_vertex_order(wide), lframes_to_permutation(wide)) == (order, p)
     assert pm._scan(line2_wide) == pm._scan(line2) == list(mds_permutation(p).members)
 
 
@@ -441,7 +440,7 @@ def test_tie_messages_name_the_smallest_tie():
         two_line_vertex_order(inst)
     inst = GeomInstance(frames=[frame(k, x, 10 + k) for k, x in enumerate(xs)], vline=0, hline=0)
     with pytest.raises(DegenerateOrder, match=r"^tied horizontal-line crossings at x=-60$"):
-        two_line_permutation(inst)
+        lframes_to_permutation(inst)
 
     rng = random.Random(12)
     for _ in range(300):
@@ -470,22 +469,21 @@ def test_edge_model_rejected():
     # graph is not the permutation graph and the reading must refuse it
     inst = gen_two_line(3, 30)._replace(model="edge")
     assert edge_set(build_intersection_graph(inst)) == set()
-    for read in (two_line_vertex_order, two_line_permutation, lframes_to_permutation):
+    for read in (two_line_vertex_order, lframes_to_permutation):
         with pytest.raises(NotTwoLineCrossing, match=r"^two-line conversion requires the standard model$"):
             read(inst)
 
 
 def test_read_off_allocates_little_beyond_what_it_keeps():
-    # the order and the permutation keep about 76 bytes a frame. One sort
-    # by y leaves only a machine-word array of the line-one order, and the
-    # ranks of line two come from one sort of plain ints with no key list,
-    # so the peak stays close to that (92 bytes a frame traced)
+    # the permutation keeps about 40 bytes a frame. One sort by y leaves
+    # only a machine-word array of the line-one order, and the ranks of
+    # line two come from one sort of plain ints with no key list, which
+    # adds about as much again at the peak (88 bytes a frame traced)
     n = 50_000
     inst = parse_instance(emit_instance(generate("two-line", 1, n)))
-    (order1, p), peak = traced_peak(two_line_permutation, inst)
+    p, peak = traced_peak(lframes_to_permutation, inst)
     assert peak / n < 95
-    assert p.pi == lframes_to_permutation(inst).pi
-    assert order1 == two_line_vertex_order(inst)
+    assert p.n == n
 
 
 def test_scan_history_is_held_in_machine_words():

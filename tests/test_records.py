@@ -25,7 +25,7 @@ _frame = LFrame("a", Point(0, 0), 3, -2)
 _inst = GeomInstance(frames=(_frame,), diagonal=0)
 _chords = ChordDiagram(2, (1, 2, 1, 2))
 _arc = Arc(0, 1, 2, "mixed", (2, 3), "b_left")
-_piece = ArcPiece(Point(0, 1), Point(2, -1), "above", 0)
+_piece = ArcPiece(Point(0, 1), Point(2, -1), "above")
 
 # (record, its fields in constructor order, a change that _replace must
 # refuse with (exception, message) or None for a class that validates nothing)
@@ -42,7 +42,7 @@ RECORDS = [
     (LocalSearchConfig(3), ("k",), ({"k": 0}, ValueError, r"^k must be >= 1$")),
     (_arc, ("b", "r", "witness", "cls", "witnesses", "mixed_orientation"), None),
     (ExchangeGraph(frozenset({0}), frozenset({1}), (_arc,)), ("B", "R", "arcs"), None),
-    (_piece, ("p0", "p1", "side", "arc_index"), None),
+    (_piece, ("p0", "p1", "side"), None),
     (ReductionCertificate("circle-diagonal", _chords, _inst, 0),
      ("kind", "source", "instance", "offset"), None),
     (EquivalenceReport("sat", 2, 3, 1, True),

@@ -173,6 +173,14 @@ def test_clause_validation():
         ClauseSpec((1,), True, (0,))
 
 
+@pytest.mark.parametrize("positive", ["no", 0, 1, None])
+def test_clause_refuses_a_non_bool_positive(positive):
+    # a truthy string would reduce as a positive clause, 0 as a negative one
+    with pytest.raises(ValueError, match=rf"^positive must be a bool, got {re.escape(repr(positive))}$"):
+        ClauseSpec((1,), positive, (1,))
+    assert ClauseSpec((1,), False, (1,)).positive is False
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: ClauseSpec((1.9,), True, (3,)), "literal must be an integer, got 1.9"),
     (lambda: ClauseSpec((1,), True, (3.5,)), "leg position must be an integer, got 3.5"),
