@@ -116,7 +116,8 @@ def render_svg(
         # nothing to draw, show the coordinate axes
         body.append(cv.ref_line(cv.xlo, 0, cv.xhi, 0))
         body.append(cv.ref_line(0, cv.ylo, 0, cv.yhi))
-    body.extend(_ref_lines(inst, cv))
+    # a vline 0 or hline 0 is an axis already: each line is drawn once
+    body.extend(line for line in _ref_lines(inst, cv) if line not in body)
 
     for i, f in enumerate(inst.frames):
         pts = " ".join(cv.sxy(p.x, p.y) for p in (f.vhand(), f.corner, f.hand()))

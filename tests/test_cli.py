@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, exit codes, byte stability."""
 
 import codecs
+import gc
 import io
 import locale
 import subprocess
@@ -740,6 +741,34 @@ def test_subprocess_runs_match(tmp_path):
     sb = run_proc(["render", "--in", str(path), "--algo", "two-sided"])
     assert sa.returncode == sb.returncode == 0
     assert sa.stdout == sb.stdout
+
+
+def test_main_leaves_the_collector_as_it_is(capsys):
+    before = gc.get_freeze_count()
+    run_cli(["generate", "--family", "anchored-one-sided", "--seed", "1", "--n", "8"], capsys)
+    run_cli(["verify", "--kind", "sat", "--seed", "1"], capsys)
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["generate", "--family", "anchored-one-sided", "--seed", "2", "--n", "8"], 0),
+    (["solve", "--in", "no-such-file.txt"], 2),
+])
+def test_exit_function_freezes_the_heap_and_runs_exit_handlers(args, expected, capsys):
+    # the handler reports on stderr after the CLI's own lines, so stdout
+    # stays the CLI's; a process ended by os._exit would not print it
+    script = (
+        "import atexit, gc, sys\n"
+        "import lframes.cli as cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.exit(cli.run())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    code, out, _ = run_cli(args, capsys)
+    assert proc.returncode == code == expected
+    assert proc.stdout == out
+    word, count = proc.stderr.splitlines()[-1].split()
+    assert word == "frozen" and int(count) > 0
 
 
 def test_graph_solvers_start_without_numpy():

@@ -19,6 +19,13 @@ def test_empty_instance_draws_axes_only():
     assert "<path" not in s
 
 
+def test_empty_instance_draws_a_line_on_an_axis_once():
+    # vline 0 and hline 0 lie on the axes: each line is drawn once
+    for inst in (GeomInstance(vline=0), GeomInstance(hline=0), GeomInstance(vline=0, hline=0)):
+        assert render_svg(inst).count("<line") == 2, inst
+    assert render_svg(GeomInstance(vline=1, hline=-2)).count("<line") == 4
+
+
 def test_one_polyline_per_frame():
     s = render_svg(HUB6)
     assert s.count("<polyline") == 6
