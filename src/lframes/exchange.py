@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, NotDisjoint
-from .geometry import GeomInstance, Point, _Record, _set
+from .geometry import GeomInstance, Point, _Record, _vertices
 from .graph_core import IntersectionGraph, build_intersection_graph
 
 
@@ -29,25 +29,11 @@ class Arc(_Record):
 
     __slots__ = ("b", "r", "witness", "cls", "witnesses", "mixed_orientation")
 
-    def __init__(self, b: int, r: int, witness: int, cls: str,
-                 witnesses: tuple[int, ...] = (), mixed_orientation: Optional[str] = None):
-        _set(self, "b", b)
-        _set(self, "r", r)
-        _set(self, "witness", witness)
-        _set(self, "cls", cls)
-        _set(self, "witnesses", witnesses)
-        _set(self, "mixed_orientation", mixed_orientation)
-
 
 class ExchangeGraph(_Record):
     """The arcs between the disjoint dominating sets B and R."""
 
     __slots__ = ("B", "R", "arcs")
-
-    def __init__(self, B: frozenset, R: frozenset, arcs: tuple[Arc, ...]):
-        _set(self, "B", B)
-        _set(self, "R", R)
-        _set(self, "arcs", arcs)
 
 
 class ArcPiece(_Record):
@@ -55,21 +41,6 @@ class ArcPiece(_Record):
     ``side`` is "above" or "below"."""
 
     __slots__ = ("p0", "p1", "side")
-
-    def __init__(self, p0: Point, p1: Point, side: str):
-        _set(self, "p0", p0)
-        _set(self, "p1", p1)
-        _set(self, "side", side)
-
-
-def _vertices(inst: GeomInstance, members: Iterable[int]) -> frozenset:
-    """``members`` as a frozenset. Raises ValueError naming the first one
-    that is not a vertex index of ``inst``, an int in range(inst.n)."""
-    members, n = tuple(members), inst.n
-    for v in members:
-        if type(v) is not int or not 0 <= v < n:
-            raise ValueError(f"member {v!r} is not a vertex of the instance")
-    return frozenset(members)
 
 
 def _covered(g: IntersectionGraph, B: frozenset, R: frozenset):
@@ -100,7 +71,7 @@ def build_exchange_graph(
     """
     if inst.rects:
         raise ValueError("exchange graphs are defined on frame instances")
-    bset, rset = _vertices(inst, B), _vertices(inst, R)
+    bset, rset = _vertices(B, inst.n, "instance"), _vertices(R, inst.n, "instance")
     if bset & rset:
         raise NotDisjoint(f"common vertices: {sorted(bset & rset)}")
     if g is None:
@@ -125,7 +96,7 @@ def build_exchange_graph(
         witness = min(pool, key=lambda w: (xs[w], w))
         if cls == "mixed":
             orientation = "b_left" if xs[b] < xs[witness] else "r_left"
-        arcs.append(Arc(b, r, witness, cls, tuple(sorted(ws)), orientation))
+        arcs.append(Arc(b, r, witness, cls, tuple(ws), orientation))
     return ExchangeGraph(bset, rset, tuple(arcs))
 
 

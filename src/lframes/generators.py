@@ -2,7 +2,9 @@
 
 Every generator takes an explicit integer seed (64-bit values welcome) and
 drives a private ``random.Random`` instance, so outputs are reproducible
-across platforms and interpreter versions. Nothing here reads global RNG
+across platforms and interpreter versions. The families of n objects all
+start in ``_rng(seed, n)``, which refuses n < 1 and seeds that instance;
+``gen_bipartite`` checks its two sizes itself. Nothing here reads global RNG
 state. ``reduction_source`` is the one seeded path from a reduction kind
 to its source and ``reduction_certificate`` pushes that source through the
 reduction; the five reduction families emit its instance. Only those
@@ -23,6 +25,13 @@ if TYPE_CHECKING:  # the reduction families import reductions when they run
 _ARM_MAX = 12
 
 
+def _rng(seed: int, n: int) -> random.Random:
+    """The seeded private generator of a family of n >= 1 objects."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return random.Random(seed)
+
+
 def _frame_ids(n: int) -> list[str]:
     return [f"f{i}" for i in range(1, n + 1)]
 
@@ -33,9 +42,7 @@ def _anchor_xs(rng: random.Random, count: int, d: int) -> list[int]:
 
 def gen_anchored_one_sided(seed: int, n: int) -> GeomInstance:
     """Frames with corners on the diagonal x + y = d, all arms above it."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
+    rng = _rng(seed, n)
     d = max(2 * n, 12)
     xs = _anchor_xs(rng, n, d)
     hs, vs = [], []
@@ -66,9 +73,7 @@ def gen_anchored_two_sided(seed: int, n: int) -> GeomInstance:
     Anchor abscissas are distinct within each side; occasionally one below
     frame reuses an above anchor so touching cross-side pairs occur.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
+    rng = _rng(seed, n)
     d = max(2 * n, 12)
     anchors = _two_sided_anchors(rng, n, d)
     xs = [x for _, x in anchors]
@@ -88,9 +93,7 @@ def gen_anchored_rects(seed: int, n: int) -> GeomInstance:
     one in its upper-right corner. Same sharing rule as the two-sided frame
     family.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
+    rng = _rng(seed, n)
     d = max(2 * n, 12)
     rects = []
     for i, (up, x) in enumerate(_two_sided_anchors(rng, n, d)):
@@ -106,11 +109,9 @@ def gen_anchored_rects(seed: int, n: int) -> GeomInstance:
 
 def gen_chord_diagram(seed: int, n: int) -> ChordDiagram:
     """Uniformly shuffled order of 2n chord endpoints."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    rng = _rng(seed, n)
     from .reductions import ChordDiagram
 
-    rng = random.Random(seed)
     order = list(range(1, n + 1)) * 2
     rng.shuffle(order)
     return ChordDiagram(n, tuple(order))
@@ -118,9 +119,7 @@ def gen_chord_diagram(seed: int, n: int) -> ChordDiagram:
 
 def gen_graph(seed: int, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Random simple graph on vertices 1..n, each edge kept with probability 1/2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
+    rng = _rng(seed, n)
     edges = tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5)
     return n, edges
 
@@ -142,9 +141,7 @@ def gen_two_line(seed: int, n: int) -> GeomInstance:
     Corners sit strictly inside the upper-left quadrant with distinct x and
     distinct y so both crossing orders are total.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
+    rng = _rng(seed, n)
     span = n + 5
     cxs = rng.sample(range(-span, 0), n)
     cys = rng.sample(range(1, span + 1), n)

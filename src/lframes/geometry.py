@@ -6,16 +6,20 @@ floating point anywhere; distance comparisons use squared distances.
 
 The package's record classes (the frozen value objects here and in the
 solver modules) derive from ``_Record``. Each names its fields once, in
-``__slots__`` and in constructor order, and its own ``__init__`` validates
-the arguments and stores them with ``_set``. A slot whose name starts with
-``_`` is internal: it stays out of equality, hashing, ``repr`` and the
-constructor. From the fields the base derives equality with objects of the
-same class only, a hash, a ``Name(field=value, ...)`` repr, pickling and
-copying (both call the constructor again) and ``_replace(**changes)``,
-which also builds through the constructor, so validation runs again.
-Assigning or deleting an attribute raises AttributeError, and records have
-no ordering. No method is generated at import time and defining a record
-imports nothing, so the records add almost nothing to a CLI call's start-up.
+``__slots__`` and in constructor order. A record that checks nothing
+inherits ``_Record.__init__``, which stores the fields given in order or
+by name and raises TypeError on too many, an unknown, a missing or a
+doubly given field. A record that checks or normalises its arguments keeps
+its own ``__init__``, which stores them with ``_set``. A slot whose name
+starts with ``_`` is internal: it stays out of equality, hashing, ``repr``
+and the constructor. From the fields the base derives equality with
+objects of the same class only, a hash, a ``Name(field=value, ...)`` repr,
+pickling and copying (both call the constructor again) and
+``_replace(**changes)``, which also builds through the constructor, so
+validation runs again. Assigning or deleting an attribute raises
+AttributeError, and records have no ordering. No method is generated at
+import time and defining a record imports nothing, so the records add
+almost nothing to a CLI call's start-up.
 """
 
 from __future__ import annotations
@@ -52,6 +56,26 @@ class _Record:
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
 
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # else every field, in order
+            name = type(self).__qualname__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+            values = dict(zip(fields, args))
+            for field, value in kwargs.items():
+                if field not in fields:
+                    raise TypeError(f"{name}() has no field {field!r}")
+                if field in values:
+                    raise TypeError(f"{name}() got field {field!r} twice")
+                values[field] = value
+            missing = [f for f in fields if f not in values]
+            if missing:
+                raise TypeError(f"{name}() missing fields: {', '.join(missing)}")
+            args = map(values.__getitem__, fields)
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
 
@@ -79,6 +103,16 @@ class _Record:
     def _replace(self, **changes):
         """A copy with the given fields changed, validated as a new record."""
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+def _vertices(members: Iterable[int], n: int, owner: str) -> frozenset:
+    """``members`` as a frozenset. Raises ValueError naming ``owner`` and the
+    first member that is not an int (a bool is not) in range(n)."""
+    members = tuple(members)
+    for v in members:
+        if type(v) is not int or not 0 <= v < n:
+            raise ValueError(f"member {v!r} is not a vertex of the {owner}")
+    return frozenset(members)
 
 
 class Point(NamedTuple):

@@ -45,7 +45,7 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import TooLarge
-from .geometry import DominatingSet, GeomInstance
+from .geometry import DominatingSet, GeomInstance, _vertices
 
 
 class IntersectionGraph:
@@ -86,9 +86,6 @@ class IntersectionGraph:
         if not isinstance(other, IntersectionGraph):
             return NotImplemented
         return (self.n, self.adjacency) == (other.n, other.adjacency)
-
-    def __hash__(self):
-        return hash((self.n, self.adjacency))
 
     def __repr__(self):
         return f"IntersectionGraph(n={self.n}, m={sum(map(len, self.adjacency)) // 2})"
@@ -239,11 +236,9 @@ def build_intersection_graph(inst: GeomInstance) -> IntersectionGraph:
 def is_dominating(g: IntersectionGraph, members: Iterable[int]) -> bool:
     """True iff the closed neighborhoods of ``members`` cover every vertex.
     Raises ValueError on a member that is not an int in range(g.n)."""
-    adj, n = g.adjacency, g.n
-    covered = bytearray(n)
-    for v in members:
-        if type(v) is not int or not 0 <= v < n:
-            raise ValueError(f"member {v!r} is not a vertex of the graph")
+    adj = g.adjacency
+    covered = bytearray(g.n)
+    for v in _vertices(members, g.n, "graph"):
         covered[v] = 1
         for u in adj[v]:
             covered[u] = 1

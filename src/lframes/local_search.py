@@ -225,4 +225,4 @@ def approx_two_sided(inst: GeomInstance, k: int) -> DominatingSet:
         if part.frames:
             ds = local_search_mds(build_intersection_graph(part), LocalSearchConfig(k=k))
             members += (index_of[part.ids[v]] for v in ds.members)
-    return DominatingSet(tuple(sorted(members)))
+    return DominatingSet(tuple(members))

@@ -12,7 +12,7 @@ claimed relation.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Any, Iterable
+from typing import Iterable
 
 from .errors import InvalidDrawing, SourceTooLarge
 from .geometry import GeomInstance, LFrame, Point, _integer, _Record, _set, rotate_cw
@@ -32,24 +32,11 @@ class ReductionCertificate(_Record):
 
     __slots__ = ("kind", "source", "instance", "offset")
 
-    def __init__(self, kind: str, source: Any, instance: GeomInstance, offset: int):
-        _set(self, "kind", kind)
-        _set(self, "source", source)
-        _set(self, "instance", instance)
-        _set(self, "offset", offset)
-
 
 class EquivalenceReport(_Record):
     """Both recomputed optima plus the verdict on the claimed offset."""
 
     __slots__ = ("kind", "source_value", "reduced_value", "offset", "ok")
-
-    def __init__(self, kind: str, source_value: int, reduced_value: int, offset: int, ok: bool):
-        _set(self, "kind", kind)
-        _set(self, "source_value", source_value)
-        _set(self, "reduced_value", reduced_value)
-        _set(self, "offset", offset)
-        _set(self, "ok", ok)
 
 
 # -- chord diagrams ----------------------------------------------------------
@@ -581,7 +568,6 @@ def _edge_dominating_size(edges: tuple[tuple[int, int], ...]) -> int:
                 any(d[0] == i or d[1] == j for d in sub) for i, j in edges
             ):
                 return r
-    return len(edges)
 
 
 # -- verification ------------------------------------------------------------
@@ -631,7 +617,7 @@ def check_reach(kind: str, source) -> None:
         if len(es) > 16:
             raise SourceTooLarge(f"{len(es)} edges is beyond exhaustive reach")
     else:
-        raise ValueError(f"unknown certificate kind {kind!r}")
+        raise ValueError(f"unknown reduction kind {kind!r}")
 
 
 def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:

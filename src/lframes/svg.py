@@ -68,11 +68,14 @@ def _bounds(inst: GeomInstance, arcs: Optional[tuple[ArcPiece, ...]]) -> tuple[f
         ys.extend((r.lo.y, r.hi.y))
     if arcs is not None:
         for piece in arcs:
-            half = (piece.p1.x - piece.p0.x) / 2.0
-            mx = (piece.p0.x + piece.p1.x) / 2.0
-            my = (piece.p0.y + piece.p1.y) / 2.0
-            xs.extend((piece.p0.x, piece.p1.x, mx - half, mx + half))
-            ys.extend((piece.p0.y, piece.p1.y, my - half, my + half))
+            # the half circle bulges from the chord's midpoint by its radius,
+            # up and right above the diagonal, down and left below it
+            (x0, y0), (x1, y1) = piece.p0, piece.p1
+            r = math.hypot(x1 - x0, y1 - y0) / 2.0
+            if piece.side == "below":
+                r = -r
+            xs.extend((x0, x1, (x0 + x1) / 2.0 + r))
+            ys.extend((y0, y1, (y0 + y1) / 2.0 + r))
     if not xs:
         return -5.0, -5.0, 5.0, 5.0
     return min(xs), min(ys), max(xs), max(ys)

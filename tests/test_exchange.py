@@ -188,6 +188,15 @@ def test_members_that_are_not_vertices_rejected(graph_builds, b, bad):
     assert len(graph_builds) == 1
 
 
+def test_drawing_needs_a_diagonal():
+    # the arcs can be built without one, but they are drawn on it
+    inst = GeomInstance(frames=(LFrame("b", Point(5, 15), 2, 1), LFrame("r", Point(6, 14), 1, 2)))
+    h = build_exchange_graph(inst, [0], [1])
+    assert len(h.arcs) == 1
+    with pytest.raises(ValueError, match="^instance has no diagonal$"):
+        draw_arcs(h, inst)
+
+
 def test_shared_corner_x_rejected():
     shared = inst_of(
         LFrame("b", Point(5, 15), 2, 1),

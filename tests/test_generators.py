@@ -20,6 +20,15 @@ from lframes.geometry import is_anchored
 from lframes.permutation import two_line_vertex_order
 
 
+@pytest.mark.parametrize("gen", [
+    gen_anchored_one_sided, gen_anchored_two_sided, gen_anchored_rects,
+    gen_chord_diagram, gen_graph, gen_two_line,
+])
+def test_generators_refuse_an_empty_family(gen):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        gen(1, 0)
+
+
 def test_known_families():
     assert sorted(FAMILIES) == [
         "anchored-one-sided",

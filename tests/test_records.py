@@ -132,3 +132,30 @@ def test_chord_ends_stay_out_of_the_record():
     with pytest.raises(TypeError):
         _chords._replace(_ends={})
     assert copy.deepcopy(_chords).positions(2) == (2, 4)
+
+
+STORE_ONLY = [
+    pytest.param(r, fields, id=type(r).__name__) for r, fields, refused in RECORDS if refused is None
+]
+
+
+@pytest.mark.parametrize("obj, fields", STORE_ONLY)
+def test_store_only_records_refuse_a_bad_field_list(obj, fields):
+    # these records check nothing and take _Record's constructor
+    cls, values = type(obj), [getattr(obj, f) for f in fields]
+    assert "__init__" not in vars(cls)
+    name = cls.__qualname__
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes {len(fields)} fields, got {len(fields) + 1}$"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) has no field 'other'$"):
+        cls(*values, other=1)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing fields: {fields[-1]}$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing fields: {', '.join(fields[1:])}$"):
+        cls(values[0])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got field '{fields[0]}' twice$"):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got field '{fields[0]}' twice$"):
+        cls(values[0], *values[2:], **{fields[0]: values[0]})
+    # a field list split between the two ways builds the same record
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == obj

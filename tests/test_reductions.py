@@ -533,7 +533,26 @@ def test_reach_check_counts_the_frames_the_reduction_builds():
                 check_reach("vc", source)
 
 
+def test_reach_check_limits_sat_and_eds_sources():
+    # one-literal clauses: 3 frames per variable plus 1 per clause
+    def drawing(n_vars, extra):
+        legs = range(1, n_vars + extra + 1)
+        return Monotone3SATDrawing(
+            n_vars, tuple(ClauseSpec((max(1, p - extra),), True, (p,)) for p in legs)
+        )
+
+    check_reach("sat", drawing(16, 0))
+    for d, message in ((drawing(17, 0), "17 variables / 68 frames"),
+                       (drawing(16, 1), "16 variables / 65 frames")):
+        with pytest.raises(SourceTooLarge, match=f"^{message} is beyond exhaustive reach$"):
+            check_reach("sat", d)
+    edges = tuple((i, j) for i in range(1, 5) for j in range(1, 6))
+    check_reach("eds", (4, 5, edges[:16]))
+    with pytest.raises(SourceTooLarge, match="^17 edges is beyond exhaustive reach$"):
+        check_reach("eds", (4, 5, edges[:17]))
+
+
 def test_unknown_certificate_kind():
     _, cert = eds_to_epg(1, 1, [(1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown reduction kind 'swap'$"):
         verify_equivalence(cert._replace(kind="swap"))

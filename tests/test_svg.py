@@ -1,10 +1,14 @@
 """SVG rendering: element counts, determinism, well-formedness."""
 
+import math
 from xml.dom import minidom
 
 from conftest import HUB6_FRAMES
-from lframes.exchange import build_exchange_graph, draw_arcs
+from lframes import cli
+from lframes.exchange import ArcPiece, build_exchange_graph, draw_arcs
+from lframes.generators import gen_anchored_one_sided
 from lframes.geometry import GeomInstance, LFrame, Point, Rect
+from lframes.instance_io import emit_instance
 from lframes.svg import render_svg
 
 
@@ -103,3 +107,49 @@ def test_output_is_well_formed_xml():
     assert root.getAttribute("version") == "1.1"
     assert root.getAttribute("xmlns") == "http://www.w3.org/2000/svg"
     assert root.getAttribute("viewBox")
+
+
+def _arc_extremes(d: str) -> list[tuple[float, float]]:
+    """The endpoints of a half-circle path ``M x0 y0 A r r 0 0 sweep x1 y1``
+    and each point of it where the circle is leftmost, rightmost, highest
+    or lowest."""
+    _, x0, y0, _, r, _, _, _, sweep, x1, y1 = d.split()
+    x0, y0, r, x1, y1 = map(float, (x0, y0, r, x1, y1))
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+    start = math.atan2(y0 - cy, x0 - cx)
+    # sweep flag 1 runs the angle up from the start, 0 runs it down
+    sign = 1 if sweep == "1" else -1
+    points = [(x0, y0), (x1, y1)]
+    for k in range(4):
+        a = k * math.pi / 2
+        if sign * (a - start) % (2 * math.pi) <= math.pi:
+            points.append((cx + r * math.cos(a), cy + r * math.sin(a)))
+    return points
+
+
+def _arcs_inside_canvas(svg: str) -> int:
+    """How many arc paths the SVG holds; asserts each lies in the viewBox."""
+    doc = minidom.parseString(svg)
+    _, _, width, height = map(float, doc.documentElement.getAttribute("viewBox").split())
+    paths = doc.getElementsByTagName("path")
+    for p in paths:
+        for x, y in _arc_extremes(p.getAttribute("d")):
+            # the path's coordinates are printed to 0.01
+            assert -0.01 <= x <= width + 0.01 and -0.01 <= y <= height + 0.01, (p.getAttribute("d"), x, y)
+    return len(paths)
+
+
+def test_arcs_stay_inside_the_canvas(tmp_path):
+    # the half circle bulges by its radius, not only to its chord's ends
+    inst = GeomInstance(
+        frames=(LFrame("a", Point(0, 10), -1, -1), LFrame("b", Point(10, 0), -1, -1)),
+        diagonal=10,
+    )
+    piece = ArcPiece(Point(0, 10), Point(10, 0), "above")
+    assert _arcs_inside_canvas(render_svg(inst, arcs=(piece,))) == 1
+    assert _arcs_inside_canvas(render_svg(inst, arcs=(piece._replace(side="below"),))) == 1
+    path = tmp_path / "s77.txt"
+    path.write_text(emit_instance(gen_anchored_one_sided(77, 24)))
+    out = tmp_path / "s77.svg"
+    assert cli.main(["render", "--in", str(path), "--exchange", "--out", str(out)]) == 0
+    assert _arcs_inside_canvas(out.read_text()) > 0
