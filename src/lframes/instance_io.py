@@ -21,15 +21,22 @@ Frame records are read in one pass into the integer columns of
 ``FrameColumns`` and written back from them, so neither direction builds
 an ``LFrame`` object. Records are checked in file order, so the error
 reported is the one on the earliest bad line. One parser serves both
-readers: it takes its lines from pieces of about ``_BLOCK`` characters,
-cut from the str or read from the file, each ending just after a line
-break, and never makes one list of every line. The records after the
-header run through a loop of their own, which cuts a comment off only a
-line holding ``#``, unpacks five fields and checks the spans inline. Its
-integers go into machine-word columns (``array('q')``), which
-``FrameColumns`` keeps without a copy; the first value beyond 64 bits
-turns the four columns into lists of Python ints from that record on,
-and ``FrameColumns`` then stores each as its values allow.
+readers: it takes pieces of about ``_BLOCK`` characters, cut from the str
+or read from the file, each ending just after a line break, and never
+makes one list of every line. The header is read a line at a time. After
+it, a piece of frame records that is canonical, as ``emit_instance``
+writes it, is taken whole: it holds no ``#``, and it is the lines of its
+fields, five to a line, one space between them and ``\n`` after the
+fifth. One split gives its fields, and its four integer columns are
+converted by ``map(int, ...)``. If a field is not an integer, a span is
+zero or a value needs more than 64 bits, the piece is read as any other.
+Every other piece runs through a loop of its own, one line at a time,
+which cuts a comment off only a line holding ``#``, unpacks five fields
+and checks the spans inline, so its errors name their line. The integers
+go into machine-word columns (``array('q')``), which ``FrameColumns``
+keeps without a copy; the first value beyond 64 bits turns the four
+columns into lists of Python ints from that record on, and
+``FrameColumns`` then stores each as its values allow.
 
 Reports are one ``key value`` line per field, keys sorted
 (``format_fields``).
@@ -86,7 +93,7 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
     return out
 
 
-_BLOCK = 1 << 16  # characters split into lines at a time
+_BLOCK = 1 << 13  # characters read and parsed at a time
 
 
 def _blocks(source):
@@ -107,13 +114,18 @@ def _blocks(source):
         yield block + source.readline()
 
 
-def _lines(source):
-    """The lines of ``source``, a str or an open text file, as
-    ``splitlines`` gives them for the whole text, split a block at a time.
-    Each block ends just after a line break, and a ``\r\n``, the only
-    break of two characters, is never split between two blocks.
-    """
-    return chain.from_iterable(map(str.splitlines, _blocks(source)))
+def _canonical(block: str):
+    """The ids and the four integer columns of ``block`` if it is a
+    canonical piece of frame records that holds no error (see the module
+    docstring); else None, and the line loop reads the block."""
+    tok = () if "#" in block else block.split()
+    if not tok or "\n".join(map(" ".join, zip(*[iter(tok)] * 5))) + "\n" != block:
+        return None
+    try:
+        cols = [array("q", list(map(int, tok[k::5]))) for k in range(1, 5)]
+    except (ValueError, OverflowError):
+        return None
+    return (tok[0::5], *cols) if all(cols[2]) and all(cols[3]) else None
 
 
 def parse_instance(text: str) -> GeomInstance:
@@ -143,7 +155,27 @@ def _parse(source) -> GeomInstance:
     seen: set[str] = set()
     version_seen = False
 
-    lines = enumerate(_lines(source), start=1)
+    ids: list[str] = []
+    # machine-word columns until a value needs more than 64 bits, then
+    # Python-int lists from that record on
+    xs, ys, hspans, vspans = array("q"), array("q"), array("q"), array("q")
+    frames = False  # no block is taken whole before the header ends
+
+    def numbered():
+        """Each line of ``source`` with its number, as ``splitlines`` gives
+        them for the whole text, but for the canonical blocks of frame
+        records, which go straight into the columns."""
+        lineno = 0
+        for block in _blocks(source):
+            if frames and (whole := _canonical(block)):
+                for col, values in zip((ids, xs, ys, hspans, vspans), whole):
+                    col.extend(values)
+                lineno += len(whole[0])
+                continue
+            for lineno, line in enumerate(block.splitlines(), lineno + 1):
+                yield lineno, line
+
+    lines = numbered()
     records = lines  # what the header leaves: nothing, unless a record ends it
     for lineno, raw in lines:
         tokens = raw.split("#", 1)[0].split()
@@ -183,10 +215,6 @@ def _parse(source) -> GeomInstance:
 
     if not version_seen:
         raise ParseError(1, "empty file, expected a version line")
-    ids: list[str] = []
-    # machine-word columns until a value needs more than 64 bits, then
-    # Python-int lists from that record on
-    xs, ys, hspans, vspans = array("q"), array("q"), array("q"), array("q")
     rects: list[Rect] = []
     frames = kind == "frames"
     for lineno, line in records:

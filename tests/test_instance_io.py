@@ -214,17 +214,19 @@ def _read_ways(text, tmp_path, monkeypatch):
 
 
 def test_lines_are_those_of_splitlines(monkeypatch):
-    # blocks of any size end just after a line break, so none is split,
-    # whether they are cut from a str or read from a file in either newline
-    # mode the CLI reads in
+    # pieces of any size end just after a line break, so none is split and
+    # their lines are those of the whole text, whether they are cut from a
+    # str or read from a file in either newline mode the CLI reads in
     text = _mixed_break_text(random.Random(8), 400) + "f9 0 0 3 3"  # no final break
     for block in (1, 2, 3, 5, 8, 13, 40, 10**6):
         monkeypatch.setattr(instance_io, "_BLOCK", block)
         for t in (text, text[:-10], ""):
-            assert list(instance_io._lines(t)) == t.splitlines(), block
-            for newline in (None, "\n"):
-                lines = instance_io._lines(_text_file(t, newline))
-                assert list(lines) == t.splitlines(), (block, newline)
+            assert "".join(instance_io._blocks(t)) == t
+            for source in (t, _text_file(t, None), _text_file(t, "\n")):
+                pieces = list(instance_io._blocks(source))
+                assert all(p.endswith("\n") for p in pieces[:-1]), (block, source)
+                lines = [line for p in pieces for line in p.splitlines()]
+                assert lines == t.splitlines(), (block, source)
 
 
 def test_files_and_stdin_read_as_the_text_parses(tmp_path, monkeypatch):
@@ -236,6 +238,29 @@ def test_files_and_stdin_read_as_the_text_parses(tmp_path, monkeypatch):
         monkeypatch.setattr(instance_io, "_BLOCK", block)
         for way, read in _read_ways(text, tmp_path, monkeypatch).items():
             assert read() == inst, (block, way)
+
+
+def test_respaced_records_parse_as_the_canonical_text(monkeypatch):
+    # tabs, doubled and trailing spaces and comment lines in every other
+    # run of 1000 records send those blocks through the line loop; the
+    # canonical blocks between them are taken whole
+    text = emit_instance(generate("two-line", 1, 10_000))
+    rng = random.Random(12)
+    lines = []
+    for k, line in enumerate(text.splitlines()):
+        if k // 1000 % 2 == 0:
+            if k % 300 == 0:
+                lines.append("# a comment")
+            line = rng.choice((" ", "\t", "  ")).join(line.split()) + rng.choice(("", " ", "\t"))
+        lines.append(line)
+    respaced = "\n".join(lines) + "\n"
+    assert "\t" in respaced and "  " in respaced and " \n" in respaced
+    inst = parse_instance(text)
+    for block in (1, 64, 1000, instance_io._BLOCK):
+        monkeypatch.setattr(instance_io, "_BLOCK", block)
+        got = parse_instance(respaced)
+        assert got == inst == parse_instance(text), block
+        assert type(got.frames.x) is array
 
 
 def test_parse_error_line_numbers_follow_splitlines(tmp_path, monkeypatch):

@@ -116,7 +116,7 @@ def outcome(read):
 # values on both sides of the signed 64-bit range and of 2**64
 WIDE = (2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**64, -(2**64), 3**50)
 values = st.one_of(st.integers(-4, 6), st.sampled_from(WIDE)).map(str)
-ids = st.one_of(st.sampled_from(HEADER_KEYWORDS + ("version",)),
+ids = st.one_of(st.sampled_from(HEADER_KEYWORDS + ("version", "f#2")),
                 st.integers(0, 40).map("f{}".format))
 gaps = st.sampled_from((" ", "  ", "\t", " \t "))
 comments = st.sampled_from(("", "", " # note", "#", " #f1 0 0 3 3"))
@@ -182,6 +182,8 @@ def _read_at(block, read):
 @example("version 1\nf1 0 0 3 3\nf2 0 0 0 3\nf3 0 0 3\n")
 @example("version 1\nkind rects\nf1 0 0 3 3\nf2 0 0 0 3\nf3 0 y 3 3\n")
 @example("version 1\nf1 0 0 3 3 4\nf2 0 0 0 3\n")
+# canonical records but for an id holding '#', which starts a comment
+@example("version 1\nf1 0 0 3 3\nf#2 0 0 3 3\nf3 0 0 3 3\n")
 def test_parsers_agree_with_the_reference(text):
     expected = reference_parse(text)
     for block in (1, 7, 64, instance_io._BLOCK):
