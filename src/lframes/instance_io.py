@@ -21,22 +21,23 @@ Frame records are read in one pass into the integer columns of
 ``FrameColumns`` and written back from them, so neither direction builds
 an ``LFrame`` object. Records are checked in file order, so the error
 reported is the one on the earliest bad line. One parser serves both
-readers: it takes pieces of about ``_BLOCK`` characters, cut from the str
-or read from the file, each ending just after a line break, and never
-makes one list of every line. The header is read a line at a time. After
-it, a piece of frame records that is canonical, as ``emit_instance``
-writes it, is taken whole: it holds no ``#``, and it is the lines of its
-fields, five to a line, one space between them and ``\n`` after the
-fifth. One split gives its fields, and its four integer columns are
-converted by ``map(int, ...)``. If a field is not an integer, a span is
-zero or a value needs more than 64 bits, the piece is read as any other.
-Every other piece runs through a loop of its own, one line at a time,
-which cuts a comment off only a line holding ``#``, unpacks five fields
-and checks the spans inline, so its errors name their line. The integers
-go into machine-word columns (``array('q')``), which ``FrameColumns``
-keeps without a copy; the first value beyond 64 bits turns the four
-columns into lists of Python ints from that record on, and
-``FrameColumns`` then stores each as its values allow.
+readers: it takes pieces of about ``_BLOCK`` characters, cut from the
+str or read from the file, each ending just after a line break, and
+never makes one list of every line. After the header, a piece of frame
+records that is canonical, as ``emit_instance`` writes it, is taken
+whole: it holds no ``#``, and it is the lines of its fields, five to a
+line, one space between them and ``\n`` after the fifth. One split gives
+its fields, and its four integer columns are converted by
+``map(int, ...)``. If a field is not an integer, a span is zero or a
+value needs more than 64 bits, the piece is read as any other. Every
+other piece (the header, the first piece, comments, other spacing, rect
+records) goes through one loop a line at a time, which splits each line
+into fields once and reads it as the version line, a header declaration
+or a record, so its errors name their line. The integers go into
+machine-word columns (``array('q')``), which ``FrameColumns`` keeps
+without a copy; the first value beyond 64 bits turns the four columns
+into lists of Python ints from that record on, and ``FrameColumns`` then
+stores each as its values allow.
 
 Reports are one ``key value`` line per field, keys sorted
 (``format_fields``).
@@ -45,7 +46,6 @@ Reports are one ``key value`` line per field, keys sorted
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 from typing import TextIO
 
 from .errors import ParseError, ValidationError
@@ -154,101 +154,78 @@ def _parse(source) -> GeomInstance:
     ref_lines: dict[str, int] = {}  # the declared reference lines
     seen: set[str] = set()
     version_seen = False
+    frames = None  # whether the records are frames; None until the header ends
 
     ids: list[str] = []
     # machine-word columns until a value needs more than 64 bits, then
     # Python-int lists from that record on
     xs, ys, hspans, vspans = array("q"), array("q"), array("q"), array("q")
-    frames = False  # no block is taken whole before the header ends
-
-    def numbered():
-        """Each line of ``source`` with its number, as ``splitlines`` gives
-        them for the whole text, but for the canonical blocks of frame
-        records, which go straight into the columns."""
-        lineno = 0
-        for block in _blocks(source):
-            if frames and (whole := _canonical(block)):
-                for col, values in zip((ids, xs, ys, hspans, vspans), whole):
-                    col.extend(values)
-                lineno += len(whole[0])
+    rects: list[Rect] = []
+    lineno = 0
+    for block in _blocks(source):
+        if frames and (whole := _canonical(block)):
+            for col, values in zip((ids, xs, ys, hspans, vspans), whole):
+                col.extend(values)
+            lineno += len(whole[0])
+            continue
+        for lineno, raw in enumerate(block.splitlines(), lineno + 1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            for lineno, line in enumerate(block.splitlines(), lineno + 1):
-                yield lineno, line
+            name, rest = tokens[0], tokens[1:]
 
-    lines = numbered()
-    records = lines  # what the header leaves: nothing, unless a record ends it
-    for lineno, raw in lines:
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        keyword, rest = tokens[0], tokens[1:]
-
-        if not version_seen:
-            if keyword != "version":
-                raise ParseError(lineno, "file must start with a version line")
-            if len(rest) != 1:
-                raise ParseError(lineno, "version takes one field")
-            if _ints(rest, lineno)[0] != FORMAT_VERSION:
-                raise ParseError(lineno, f"unsupported format version {rest[0]}")
-            version_seen = True
-            continue
-
-        # a header keyword followed by four fields is a record with that id
-        if keyword not in _HEADER_KEYWORDS or len(rest) == 4:
-            records = chain(((lineno, raw),), lines)
-            break
-        if keyword in seen:
-            raise ParseError(lineno, f"duplicate {keyword} declaration")
-        if len(rest) != 1:
-            raise ParseError(lineno, f"{keyword} takes one field")
-        seen.add(keyword)
-        if keyword == "model":
-            if rest[0] not in _MODELS:
-                raise ValidationError(f"unknown model {rest[0]!r}")
-            model = rest[0]
-        elif keyword == "kind":
-            if rest[0] not in _KINDS:
-                raise ValidationError(f"unknown record kind {rest[0]!r}")
-            kind = rest[0]
-        else:
-            ref_lines[keyword] = _ints(rest, lineno)[0]
+            if not version_seen:
+                if name != "version":
+                    raise ParseError(lineno, "file must start with a version line")
+                if len(rest) != 1:
+                    raise ParseError(lineno, "version takes one field")
+                if _ints(rest, lineno)[0] != FORMAT_VERSION:
+                    raise ParseError(lineno, f"unsupported format version {rest[0]}")
+                version_seen = True
+            # a header keyword followed by four fields is a record with that id
+            elif frames is None and name in _HEADER_KEYWORDS and len(rest) != 4:
+                if name in seen:
+                    raise ParseError(lineno, f"duplicate {name} declaration")
+                if len(rest) != 1:
+                    raise ParseError(lineno, f"{name} takes one field")
+                seen.add(name)
+                if name == "model":
+                    if rest[0] not in _MODELS:
+                        raise ValidationError(f"unknown model {rest[0]!r}")
+                    model = rest[0]
+                elif name == "kind":
+                    if rest[0] not in _KINDS:
+                        raise ValidationError(f"unknown record kind {rest[0]!r}")
+                    kind = rest[0]
+                else:
+                    ref_lines[name] = _ints(rest, lineno)[0]
+            elif len(rest) != 4:
+                raise ParseError(lineno, "record takes an id and four integers")
+            else:
+                a, b, c, d = _ints(rest, lineno)
+                if frames is None:  # the first record ends the header
+                    frames = kind == "frames"
+                if not frames:
+                    try:
+                        rects.append(Rect(name, Point(a, b), Point(c, d)))
+                    except ValueError as e:
+                        raise ValidationError(str(e)) from None
+                    continue
+                if not (c and d):
+                    raise ValidationError(f"frame {name!r}: spans must be nonzero")
+                ids.append(name)
+                try:
+                    xs.append(a)
+                    ys.append(b)
+                    hspans.append(c)
+                    vspans.append(d)
+                except OverflowError:  # this record and those before it, as lists
+                    k = len(ids) - 1
+                    xs, ys, hspans, vspans = [col[:k].tolist() + [value] for col, value
+                                              in zip((xs, ys, hspans, vspans), (a, b, c, d))]
 
     if not version_seen:
         raise ParseError(1, "empty file, expected a version line")
-    rects: list[Rect] = []
-    frames = kind == "frames"
-    for lineno, line in records:
-        if "#" in line:
-            line = line[:line.index("#")]
-        try:
-            fid, a, b, c, d = line.split()
-        except ValueError:
-            if not line.split():
-                continue
-            raise ParseError(lineno, "record takes an id and four integers") from None
-        try:
-            a, b, c, d = int(a), int(b), int(c), int(d)
-        except ValueError:
-            _ints([a, b, c, d], lineno)  # raises, naming the first bad field
-        if not frames:
-            try:
-                rects.append(Rect(fid, Point(a, b), Point(c, d)))
-            except ValueError as e:
-                raise ValidationError(str(e)) from None
-            continue
-        if not (c and d):
-            raise ValidationError(f"frame {fid!r}: spans must be nonzero")
-        ids.append(fid)
-        try:
-            xs.append(a)
-            ys.append(b)
-            hspans.append(c)
-            vspans.append(d)
-        except OverflowError:  # this record and those before it, as lists
-            k = len(ids) - 1
-            xs, ys, hspans, vspans = [col[:k].tolist() + [value] for col, value
-                                      in zip((xs, ys, hspans, vspans), (a, b, c, d))]
-
     ids = tuple(ids)  # frees the list, so one copy of the ids stays alive
     try:
         return GeomInstance(

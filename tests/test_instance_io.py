@@ -128,7 +128,8 @@ def test_emit_refuses_ids_that_do_not_read_back(bad):
             emit_instance(inst)
 
 
-@pytest.mark.parametrize("good", ["version", "f_1", "\u00e9", "a\u200bb", "'\"", "-1"])
+@pytest.mark.parametrize("good", ["version", "model", "vline", "f_1", "\u00e9", "a\u200bb", "'\"",
+                                  "-1"])
 def test_ids_of_one_field_round_trip(good):
     frames = GeomInstance(frames=(LFrame(good, Point(0, 0), 3, 3), LFrame("g", Point(5, 5), 1, 1)))
     rects = GeomInstance(rects=(Rect(good, Point(0, 0), Point(1, 1)),))
@@ -141,6 +142,9 @@ def test_ids_of_one_field_round_trip(good):
     ("version 1\nkind frames\nkind rects\n", "line 3: duplicate kind declaration"),
     ("version 1\nvline 0\nvline 1 2 3\n", "line 3: duplicate vline declaration"),
     ("version 1\nvline 1 2\n", "line 2: vline takes one field"),
+    # after the first record a header or version line is a bad record
+    ("version 1\nf1 0 0 3 3\nkind rects\n", "line 3: record takes an id and four integers"),
+    ("version 1\nf1 0 0 3 3\nversion 1\n", "line 3: record takes an id and four integers"),
 ])
 def test_header_errors_keep_their_messages(text, message):
     with pytest.raises(ParseError, match=message):

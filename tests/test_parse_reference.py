@@ -182,6 +182,7 @@ def _read_at(block, read):
 @example("version 1\nf1 0 0 3 3\nf2 0 0 0 3\nf3 0 0 3\n")
 @example("version 1\nkind rects\nf1 0 0 3 3\nf2 0 0 0 3\nf3 0 y 3 3\n")
 @example("version 1\nf1 0 0 3 3 4\nf2 0 0 0 3\n")
+@example("version 1\nkind rects\nr1 0 0 1 1\nvline 5\n")
 # canonical records but for an id holding '#', which starts a comment
 @example("version 1\nf1 0 0 3 3\nf#2 0 0 3 3\nf3 0 0 3 3\n")
 def test_parsers_agree_with_the_reference(text):
