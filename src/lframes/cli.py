@@ -36,7 +36,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import LFramesError
-from .generators import FAMILIES, gen_anchored_one_sided, generate, reduction_source
+from .generators import FAMILIES, gen_anchored_one_sided, generate
 from .geometry import _MODELS, GeomInstance
 from .instance_io import emit_instance, format_fields, instance_summary, read_instance
 
@@ -262,7 +262,7 @@ def _cmd_verify(args) -> int:
             "ok": "true" if ok else "false",
         }
     else:
-        from .reductions import build_certificate, check_reach, verify_equivalence
+        from .reductions import build_certificate, check_reach, reduction_source, verify_equivalence
 
         source = reduction_source(args.kind, args.seed, args.n)
         check_reach(args.kind, source)

@@ -5,10 +5,11 @@ drives a private ``random.Random`` instance, so outputs are reproducible
 across platforms and interpreter versions. The families of n objects all
 start in ``_rng(seed, n)``, which refuses n < 1 and seeds that instance;
 ``gen_bipartite`` checks its two sizes itself. Nothing here reads global RNG
-state. ``reduction_source`` is the one seeded path from a reduction kind
-to its source and ``reduction_certificate`` pushes that source through the
-reduction; the five reduction families emit its instance. Only those
-paths import ``reductions``, so the geometric families never load it.
+state. ``reduction_certificate`` pushes the seeded source of a reduction
+kind (``reductions.reduction_source``) through the reduction; the five
+reduction families emit its instance. Only those paths and
+``gen_chord_diagram`` import ``reductions``, inside the function, so the
+geometric families never load it and ``reductions`` can import this module.
 """
 
 from __future__ import annotations
@@ -152,33 +153,9 @@ def gen_two_line(seed: int, n: int) -> GeomInstance:
     return GeomInstance(frames=FrameColumns(_frame_ids(n), cxs, cys, hs, vs), vline=0, hline=0)
 
 
-def reduction_source(kind: str, seed: int, n: int):
-    """The seeded source instance of a reduction ``kind``.
-
-    circle-diagonal and circle-vertical take a random diagram of n chords;
-    sat takes a committed drawing, the seed cycling the corpus and n unused;
-    vc takes a random graph on n vertices; eds a random bipartite graph
-    with n // 2 vertices on one side and the rest on the other.
-    """
-    if kind in ("circle-diagonal", "circle-vertical"):
-        return gen_chord_diagram(seed, n)
-    if kind == "sat":
-        from .reductions import sat_corpus
-
-        corpus = sat_corpus()
-        return corpus[seed % len(corpus)]
-    if kind == "vc":
-        return gen_graph(seed, n)
-    if kind == "eds":
-        n_a = max(1, n // 2)
-        n_b = max(1, n - n_a)
-        return n_a, n_b, gen_bipartite(seed, n_a, n_b)
-    raise ValueError(f"unknown reduction kind {kind!r}")
-
-
 def reduction_certificate(kind: str, seed: int, n: int) -> ReductionCertificate:
     """The seeded source of ``kind`` pushed through its reduction."""
-    from .reductions import build_certificate
+    from .reductions import build_certificate, reduction_source
 
     return build_certificate(kind, reduction_source(kind, seed, n))
 

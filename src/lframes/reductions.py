@@ -6,7 +6,10 @@ a vertical line), planar monotone rectilinear 3SAT drawings, vertex cover,
 and edge dominating set on bipartite graphs. Each construction ships a
 certificate tying the source instance to the produced frame family, and
 verify_equivalence recomputes both optima by brute force to check the
-claimed relation.
+claimed relation. The table ``_KINDS`` is the one home of each reduction
+kind: its seeded source, its certificate, its reach limits and its source
+optimum, read by reduction_source, build_certificate, check_reach and
+verify_equivalence.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import InvalidDrawing, SourceTooLarge
+from .generators import gen_bipartite, gen_chord_diagram, gen_graph
 from .geometry import GeomInstance, LFrame, Point, _integer, _Record, _set, rotate_cw
 from .graph_core import IntersectionGraph, build_intersection_graph, exact_mds_size
 
@@ -573,18 +577,60 @@ def _edge_dominating_size(edges: tuple[tuple[int, int], ...]) -> int:
 # -- verification ------------------------------------------------------------
 
 
+def _sat_source(seed: int, n: int) -> Monotone3SATDrawing:
+    corpus = sat_corpus()
+    return corpus[seed % len(corpus)]
+
+
+def _eds_source(seed: int, n: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    n_a = max(1, n // 2)
+    n_b = max(1, n - n_a)
+    return n_a, n_b, gen_bipartite(seed, n_a, n_b)
+
+
+def _circle(variant: str) -> tuple:
+    return (gen_chord_diagram, lambda cd: circle_certificate(cd, variant),
+            lambda cd: (cd.n, "chords", 12, None), lambda cd: exact_mds_size(circle_graph(cd)))
+
+
+# kind -> (seeded source from (seed, n), certificate of a source, source size as
+# (count, what is counted, its limit, frames it reduces to or None), source optimum)
+_KINDS = {
+    "circle-diagonal": _circle("diagonal"),
+    "circle-vertical": _circle("vertical"),
+    "sat": (_sat_source, lambda d: monotone3sat_to_lframes(d)[1],
+            lambda d: (d.n_vars, "variables", 16, 3 * d.n_vars + len(d.clauses)),
+            lambda d: int(satisfiable(d))),
+    "vc": (gen_graph, lambda s: vc_to_epg(*s)[1],
+           lambda s: (s[0], "vertices", 16, 3 * s[0] + len(s[1])),
+           lambda s: _vertex_cover_size(*s)),
+    "eds": (_eds_source, lambda s: eds_to_epg(*s)[1],
+            lambda s: (len(s[2]), "edges", 16, None), lambda s: _edge_dominating_size(s[2])),
+}
+
+
+def _kind(kind: str) -> tuple:
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown reduction kind {kind!r}") from None
+
+
+def reduction_source(kind: str, seed: int, n: int):
+    """The seeded source instance of a reduction ``kind``.
+
+    circle-diagonal and circle-vertical take a random diagram of n chords;
+    sat takes a committed drawing, the seed cycling the corpus and n unused;
+    vc takes a random graph on n vertices; eds a random bipartite graph
+    with n // 2 vertices on one side and the rest on the other.
+    """
+    return _kind(kind)[0](seed, n)
+
+
 def build_certificate(kind: str, source) -> ReductionCertificate:
     """Push ``source`` through the reduction of ``kind``; the source has
     the shape that ``ReductionCertificate.source`` documents."""
-    if kind in ("circle-diagonal", "circle-vertical"):
-        return circle_certificate(source, kind.split("-")[1])
-    if kind == "sat":
-        return monotone3sat_to_lframes(source)[1]
-    if kind == "vc":
-        return vc_to_epg(*source)[1]
-    if kind == "eds":
-        return eds_to_epg(*source)[1]
-    raise ValueError(f"unknown reduction kind {kind!r}")
+    return _kind(kind)[1](source)
 
 
 def check_reach(kind: str, source) -> None:
@@ -596,28 +642,10 @@ def check_reach(kind: str, source) -> None:
     read off the source (3 per variable plus 1 per clause, 3 per vertex
     plus 1 per edge), so the check runs before the reduction is built.
     """
-    if kind in ("circle-diagonal", "circle-vertical"):
-        if source.n > 12:
-            raise SourceTooLarge(f"{source.n} chords is beyond exhaustive reach")
-    elif kind == "sat":
-        frames = 3 * source.n_vars + len(source.clauses)
-        if source.n_vars > 16 or frames > 64:
-            raise SourceTooLarge(
-                f"{source.n_vars} variables / {frames} frames is beyond exhaustive reach"
-            )
-    elif kind == "vc":
-        n, es = source
-        frames = 3 * n + len(es)
-        if n > 16 or frames > 64:
-            raise SourceTooLarge(
-                f"{n} vertices / {frames} frames is beyond exhaustive reach"
-            )
-    elif kind == "eds":
-        _, _, es = source
-        if len(es) > 16:
-            raise SourceTooLarge(f"{len(es)} edges is beyond exhaustive reach")
-    else:
-        raise ValueError(f"unknown reduction kind {kind!r}")
+    count, what, limit, frames = _kind(kind)[2](source)
+    if count > limit or frames is not None and frames > 64:
+        size = f"{count} {what}" if frames is None else f"{count} {what} / {frames} frames"
+        raise SourceTooLarge(f"{size} is beyond exhaustive reach")
 
 
 def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:
@@ -626,14 +654,7 @@ def verify_equivalence(cert: ReductionCertificate) -> EquivalenceReport:
     Raises SourceTooLarge when either side is beyond exhaustive reach.
     """
     check_reach(cert.kind, cert.source)
-    if cert.kind == "sat":
-        src = 1 if satisfiable(cert.source) else 0
-    elif cert.kind == "vc":
-        src = _vertex_cover_size(*cert.source)
-    elif cert.kind == "eds":
-        src = _edge_dominating_size(cert.source[-1])
-    else:
-        src = exact_mds_size(circle_graph(cert.source))
+    src = _kind(cert.kind)[3](cert.source)
     red = exact_mds_size(build_intersection_graph(cert.instance), cap=max(32, cert.instance.n))
     if cert.kind == "sat":
         ok = red >= cert.offset and (red == cert.offset) == (src == 1)

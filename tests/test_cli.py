@@ -306,6 +306,14 @@ def test_verify_kinds_pass(capsys):
     assert "crossings 0" in out
 
 
+def test_verify_kinds_are_the_reduction_table_then_exchange():
+    # the CLI keeps its own literal, so start-up never loads reductions;
+    # the order shows in --help and in argparse's errors
+    import lframes.reductions as reductions
+
+    assert cli._VERIFY_KINDS == (*reductions._KINDS, "exchange")
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(exchange, "check_local_exchange", lambda h, g: False)
     code, out, _ = run_cli(["verify", "--kind", "exchange", "--seed", "8", "--n", "10"], capsys)

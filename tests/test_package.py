@@ -47,3 +47,11 @@ def test_import_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
     # FAMILIES loads its module and what that module imports, nothing more
     assert proc.stdout == "| lframes.errors lframes.generators lframes.geometry\n"
+    # reductions imports the generators of its sources, which import it only
+    # inside functions, so there is no import cycle
+    script = "import sys, lframes\nlframes.verify_equivalence\nprint(*sorted(sys.modules))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [m for m in proc.stdout.split() if m.startswith("lframes.")]
+    assert loaded == ["lframes.errors", "lframes.generators", "lframes.geometry",
+                      "lframes.graph_core", "lframes.reductions"]

@@ -533,23 +533,38 @@ def test_reach_check_counts_the_frames_the_reduction_builds():
                 check_reach("vc", source)
 
 
-def test_reach_check_limits_sat_and_eds_sources():
-    # one-literal clauses: 3 frames per variable plus 1 per clause
-    def drawing(n_vars, extra):
-        legs = range(1, n_vars + extra + 1)
-        return Monotone3SATDrawing(
-            n_vars, tuple(ClauseSpec((max(1, p - extra),), True, (p,)) for p in legs)
-        )
+def _drawing(*clauses):
+    """Positive clauses over variables 1..max, legs numbered in clause order."""
+    legs = itertools.count(1)
+    return Monotone3SATDrawing(
+        max(map(max, clauses)),
+        tuple(ClauseSpec(c, True, tuple(next(legs) for _ in c)) for c in clauses),
+    )
 
-    check_reach("sat", drawing(16, 0))
-    for d, message in ((drawing(17, 0), "17 variables / 68 frames"),
-                       (drawing(16, 1), "16 variables / 65 frames")):
-        with pytest.raises(SourceTooLarge, match=f"^{message} is beyond exhaustive reach$"):
-            check_reach("sat", d)
-    edges = tuple((i, j) for i in range(1, 5) for j in range(1, 6))
-    check_reach("eds", (4, 5, edges[:16]))
-    with pytest.raises(SourceTooLarge, match="^17 edges is beyond exhaustive reach$"):
-        check_reach("eds", (4, 5, edges[:17]))
+
+_CHORDS_12 = ChordDiagram(12, tuple(range(1, 13)) * 2)
+_CHORDS_13 = ChordDiagram(13, tuple(range(1, 14)) * 2)
+_SAT_16 = _drawing(*((v,) for v in range(1, 17)))  # 16 variables, 64 frames
+_EDGES = tuple(itertools.combinations(range(1, 17), 2))
+_BIPARTITE = tuple((i, j) for i in range(1, 5) for j in range(1, 6))
+
+
+@pytest.mark.parametrize("kind, at_limit, past, message", [
+    ("circle-diagonal", _CHORDS_12, _CHORDS_13, "13 chords"),
+    ("circle-vertical", _CHORDS_12, _CHORDS_13, "13 chords"),
+    ("sat", _SAT_16, _drawing(*(tuple(range(v, min(v + 3, 18))) for v in range(1, 18, 3))),
+     "17 variables / 57 frames"),
+    ("sat", _SAT_16, _drawing((1,), *((v,) for v in range(1, 17))), "16 variables / 65 frames"),
+    ("vc", (16, _EDGES[:16]), (17, ()), "17 vertices / 51 frames"),
+    ("vc", (16, _EDGES[:16]), (16, _EDGES[:17]), "16 vertices / 65 frames"),
+    ("eds", (4, 5, _BIPARTITE[:16]), (4, 5, _BIPARTITE[:17]), "17 edges"),
+], ids=["circle-diagonal", "circle-vertical", "sat-variables", "sat-frames",
+        "vc-vertices", "vc-frames", "eds"])
+def test_reach_limit_of_every_kind(kind, at_limit, past, message):
+    # each kind passes at its limit and refuses one past it
+    check_reach(kind, at_limit)
+    with pytest.raises(SourceTooLarge, match=f"^{message} is beyond exhaustive reach$"):
+        check_reach(kind, past)
 
 
 def test_unknown_certificate_kind():
