@@ -6,20 +6,23 @@ floating point anywhere; distance comparisons use squared distances.
 
 The package's record classes (the frozen value objects here and in the
 solver modules) derive from ``_Record``. Each names its fields once, in
-``__slots__`` and in constructor order. A record that checks nothing
-inherits ``_Record.__init__``, which stores the fields given in order or
-by name and raises TypeError on too many, an unknown, a missing or a
-doubly given field. A record that checks or normalises its arguments keeps
-its own ``__init__``, which stores them with ``_set``. A slot whose name
-starts with ``_`` is internal: it stays out of equality, hashing, ``repr``
-and the constructor. From the fields the base derives equality with
-objects of the same class only, a hash, a ``Name(field=value, ...)`` repr,
-pickling and copying (both call the constructor again) and
-``_replace(**changes)``, which also builds through the constructor, so
-validation runs again. Assigning or deleting an attribute raises
-AttributeError, and records have no ordering. No method is generated at
-import time and defining a record imports nothing, so the records add
-almost nothing to a CLI call's start-up.
+``__slots__`` and in constructor order. ``_Record.__init__`` stores the
+fields given in order or by name and raises TypeError on too many, an
+unknown, a missing or a doubly given field. A record that checks nothing
+inherits it. A record that checks or normalises its arguments keeps its
+own ``__init__``, which checks them and then passes the values to store,
+in order, to ``_Record.__init__``. ``LFrame`` alone stores its fields with
+``_set``: frames are built by the hundred thousand, and the base's extra
+call would make each take 1.8 times as long. A slot whose name starts with
+``_`` is internal: it stays out of equality, hashing, ``repr`` and the
+constructor, and its record sets it with ``_set``. From the fields the
+base derives equality with objects of the same class only, a hash, a
+``Name(field=value, ...)`` repr, pickling and copying (both call the
+constructor again) and ``_replace(**changes)``, which also builds through
+the constructor, so validation runs again. Assigning or deleting an
+attribute raises AttributeError, and records have no ordering. No method
+is generated at import time and defining a record imports nothing, so the
+records add almost nothing to a CLI call's start-up.
 """
 
 from __future__ import annotations
@@ -140,6 +143,7 @@ class LFrame(_Record):
         if type(corner) is not Point:
             corner = Point(*corner)
         check_spans(id, hspan, vspan)
+        # frames are built by the 10^5: _Record.__init__ would take 1.8x as long
         _set(self, "id", id)
         _set(self, "corner", corner)
         _set(self, "hspan", hspan)
@@ -262,9 +266,7 @@ class Rect(_Record):
         lo, hi = Point(*map(_integer, lo)), Point(*map(_integer, hi))
         if not (lo.x < hi.x and lo.y < hi.y):
             raise ValueError(f"rect {id!r}: degenerate")
-        _set(self, "id", id)
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
+        _Record.__init__(self, id, lo, hi)
 
 
 class DominatingSet(_Record):
@@ -273,7 +275,7 @@ class DominatingSet(_Record):
     __slots__ = ("members",)
 
     def __init__(self, members: tuple[int, ...]):
-        _set(self, "members", tuple(sorted(members)))
+        _Record.__init__(self, tuple(sorted(members)))
 
     @property
     def size(self) -> int:
@@ -316,11 +318,9 @@ class GeomInstance(_Record):
             raise ValueError(f"unknown model {model!r}")
         if model == "edge" and rects:
             raise ValueError("edge model is defined for frames only")
-        _set(self, "frames", frames)
-        _set(self, "rects", rects)
-        _set(self, "model", model)
-        for name, line in zip(_LINES, (diagonal, vline, hline)):
-            _set(self, name, None if line is None else _integer(line, name))
+        lines = (None if line is None else _integer(line, name)
+                 for name, line in zip(_LINES, (diagonal, vline, hline)))
+        _Record.__init__(self, frames, rects, model, *lines)
         ids = self.ids
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")

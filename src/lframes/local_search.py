@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import NotAnchored
-from .geometry import GeomInstance, _integer, _Record, _set, is_anchored, rect_to_lframe
+from .geometry import GeomInstance, _integer, _Record, is_anchored, rect_to_lframe
 from .graph_core import DominatingSet, IntersectionGraph, build_intersection_graph, greedy_mds
 
 K_WARN_LIMIT = 3
@@ -49,7 +49,7 @@ class LocalSearchConfig(_Record):
         k = _integer(k, "k")
         if k < 1:
             raise ValueError("k must be >= 1")
-        _set(self, "k", k)
+        _Record.__init__(self, k)
 
 
 class _SwapSearch:

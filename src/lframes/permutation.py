@@ -63,7 +63,7 @@ from itertools import compress, count, islice, repeat
 from operator import add, index, mul
 
 from .errors import DegenerateOrder, NotTwoLineCrossing
-from .geometry import DominatingSet, GeomInstance, _column, _Record, _set
+from .geometry import DominatingSet, GeomInstance, _column, _Record
 
 
 class Permutation(_Record):
@@ -79,19 +79,11 @@ class Permutation(_Record):
             if not 0 < v <= n or seen[v]:
                 raise ValueError("pi is not a bijection on 1..n")
             seen[v] = 1
-        _set(self, "pi", pi)
+        _Record.__init__(self, pi)
 
     @property
     def n(self) -> int:
         return len(self.pi)
-
-    @classmethod
-    def _of(cls, pi: tuple) -> Permutation:
-        """A permutation of ``pi``, a tuple of ints already known to be a
-        bijection on 1..n, kept as it is without a second check."""
-        p = object.__new__(cls)
-        _set(p, "pi", pi)
-        return p
 
 
 def _line_orders(inst: GeomInstance) -> tuple[array, Sequence[int]]:
@@ -172,7 +164,7 @@ def lframes_to_permutation(inst: GeomInstance) -> Permutation:
     for pos, key in enumerate(keys, 1):
         rank[key % n] = pos
     del keys, line2
-    return Permutation._of(tuple(rank))
+    return Permutation(rank)
 
 
 _SKIP, _TAKE, _BOTH = (0,), (1,), (0, 1)  # the parent codes of one-state steps

@@ -68,8 +68,7 @@ class ChordDiagram(_Record):
         for c in range(1, n + 1):
             if len(ends.get(c, ())) != 2:
                 raise ValueError(f"chord {c} must appear exactly twice")
-        _set(self, "n", n)
-        _set(self, "order", order)
+        _Record.__init__(self, n, order)
         _set(self, "_ends", {c: tuple(ps) for c, ps in ends.items()})
 
     def positions(self, c: int) -> tuple[int, int]:
@@ -166,10 +165,8 @@ class ClauseSpec(_Record):
             raise InvalidDrawing("one leg position per literal")
         if any(p < 1 for p in legs):
             raise InvalidDrawing("leg positions are positive integers")
-        pairs = sorted(zip(lits, legs))
-        _set(self, "literals", tuple(p[0] for p in pairs))
-        _set(self, "positive", positive)
-        _set(self, "legs", tuple(p[1] for p in pairs))
+        lits, legs = zip(*sorted(zip(lits, legs)))
+        _Record.__init__(self, lits, positive, legs)
 
 
 class Monotone3SATDrawing(_Record):
@@ -221,8 +218,7 @@ class Monotone3SATDrawing(_Record):
                             f"a leg of clause {a + 1} crosses the horizontal "
                             f"segment of clause {b + 1}"
                         )
-        _set(self, "n_vars", n_vars)
-        _set(self, "clauses", clauses)
+        _Record.__init__(self, n_vars, clauses)
 
 
 def _clusters(n_vars: int, clauses: Iterable[ClauseSpec]) -> dict[int, list[int]]:
@@ -336,8 +332,7 @@ def sat_corpus() -> tuple[Monotone3SATDrawing, ...]:
     clauses, nesting up to depth two, and both sides of the axis.
     """
 
-    def c(lits, positive, legs):
-        return ClauseSpec(tuple(lits), positive, tuple(legs))
+    c = ClauseSpec
 
     return (
         # 1: x1
@@ -637,10 +632,9 @@ def check_reach(kind: str, source) -> None:
     """Raise SourceTooLarge when the source of a ``kind`` reduction, or the
     frames it reduces to, are beyond exhaustive reach.
 
-    The limits are 12 chords; 16 variables and 64 frames for sat; 16
-    vertices and 64 frames for vc; 16 edges for eds. The frame counts are
-    read off the source (3 per variable plus 1 per clause, 3 per vertex
-    plus 1 per edge), so the check runs before the reduction is built.
+    The count, its limit and the frames (or None) are the kind's size
+    entry in ``_KINDS``; the frames may number at most 64. They are
+    counted off the source, so the check runs before the reduction is built.
     """
     count, what, limit, frames = _kind(kind)[2](source)
     if count > limit or frames is not None and frames > 64:
