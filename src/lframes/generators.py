@@ -5,23 +5,24 @@ drives a private ``random.Random`` instance, so outputs are reproducible
 across platforms and interpreter versions. The families of n objects all
 start in ``_rng(seed, n)``, which refuses n < 1 and seeds that instance;
 ``gen_bipartite`` checks its two sizes itself. Nothing here reads global RNG
-state. ``reduction_certificate`` pushes the seeded source of a reduction
-kind (``reductions.reduction_source``) through the reduction; the five
-reduction families emit its instance. Only those paths and
-``gen_chord_diagram`` import ``reductions``, inside the function, so the
-geometric families never load it and ``reductions`` can import this module.
+state. The five reduction families push the seeded source of their kind
+(``reductions.reduction_source``) through ``reductions.build_certificate``
+and emit the certificate's instance. Only they and ``gen_chord_diagram``
+import ``reductions``, inside the function, so the geometric families never
+load it and ``reductions`` can import this module.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
 from .geometry import FrameColumns, GeomInstance, Point, Rect
 
 if TYPE_CHECKING:  # the reduction families import reductions when they run
-    from .reductions import ChordDiagram, ReductionCertificate
+    from .reductions import ChordDiagram
 
 _ARM_MAX = 12
 
@@ -153,26 +154,22 @@ def gen_two_line(seed: int, n: int) -> GeomInstance:
     return GeomInstance(frames=FrameColumns(_frame_ids(n), cxs, cys, hs, vs), vline=0, hline=0)
 
 
-def reduction_certificate(kind: str, seed: int, n: int) -> ReductionCertificate:
-    """The seeded source of ``kind`` pushed through its reduction."""
+def _reduced(kind: str, seed: int, n: int) -> GeomInstance:
+    """The instance of ``kind``'s seeded source pushed through its reduction."""
     from .reductions import build_certificate, reduction_source
 
-    return build_certificate(kind, reduction_source(kind, seed, n))
-
-
-def _reduced(kind: str) -> Callable[[int, int], GeomInstance]:
-    return lambda seed, n: reduction_certificate(kind, seed, n).instance
+    return build_certificate(kind, reduction_source(kind, seed, n)).instance
 
 
 # family name -> generator with the uniform (seed, n) signature
 FAMILIES: dict[str, Callable[[int, int], GeomInstance]] = {
     "anchored-one-sided": gen_anchored_one_sided,
     "anchored-two-sided": gen_anchored_two_sided,
-    "circle-diagonal": _reduced("circle-diagonal"),
-    "circle-vertical": _reduced("circle-vertical"),
-    "sat": _reduced("sat"),
-    "vc-epg": _reduced("vc"),
-    "eds-epg": _reduced("eds"),
+    "circle-diagonal": partial(_reduced, "circle-diagonal"),
+    "circle-vertical": partial(_reduced, "circle-vertical"),
+    "sat": partial(_reduced, "sat"),
+    "vc-epg": partial(_reduced, "vc"),
+    "eds-epg": partial(_reduced, "eds"),
     "two-line": gen_two_line,
 }
 

@@ -6,8 +6,9 @@ floating point anywhere; distance comparisons use squared distances.
 
 The package's record classes (the frozen value objects here and in the
 solver modules) derive from ``_Record``. Each names its fields once, in
-``__slots__`` and in constructor order. ``_Record.__init__`` stores the
-fields given in order or by name and raises TypeError on too many, an
+``__slots__`` and in constructor order; a subclass of a record keeps its
+parent's fields and adds its own after them. ``_Record.__init__`` stores
+the fields given in order or by name and raises TypeError on too many, an
 unknown, a missing or a doubly given field. A record that checks nothing
 inherits it. A record that checks or normalises its arguments keeps its
 own ``__init__``, which checks them and then passes the values to store,
@@ -55,9 +56,10 @@ class _Record:
     """Base of the record classes; see the module docstring."""
 
     __slots__ = ()
+    _fields: tuple = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        cls._fields += tuple(f for f in cls.__dict__.get("__slots__", ()) if f[0] != "_")
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

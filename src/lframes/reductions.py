@@ -431,10 +431,21 @@ def _norm_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, in
     return uniq
 
 
-def _check_vc_neighborhoods(
-    n: int, edges: tuple[tuple[int, int], ...], inst: GeomInstance
-) -> None:
-    """Assert that every frame touches exactly the frames the gadget intends.
+def _check_contacts(inst: GeomInstance, rows: Iterable[tuple[int, tuple[int, ...]]]) -> None:
+    """Assert that in each pair ``(v, want)`` of ``rows`` frame v touches
+    exactly the frames of the sorted index tuple ``want``. The first miss,
+    in the order given, raises AssertionError naming frames by id; raised,
+    not asserted, so ``python -O`` keeps it."""
+    adjacency, ids = build_intersection_graph(inst).adjacency, inst.ids
+    for v, want in rows:
+        got = adjacency[v]
+        if got != want:
+            raise AssertionError(f"{ids[v]}: expected {sorted(ids[u] for u in want)}, "
+                                 f"got {sorted(ids[u] for u in got)}")
+
+
+def _check_vc_neighborhoods(n: int, edges: tuple[tuple[int, int], ...], inst: GeomInstance) -> None:
+    """Check the contacts of ``vc_to_epg``'s frames (``_check_contacts``).
 
     Frames come in construction order: v_1..v_n, one path per edge, then
     p_1..p_n and q_1..q_n. The vertex gadgets are checked first, v_i, p_i
@@ -449,22 +460,12 @@ def _check_vc_neighborhoods(
         incident[i].append(e)
         incident[j].append(e)
         by_high[j].append(e)
-    g = build_intersection_graph(inst)
-
-    def check(v: int, *want: int) -> None:
-        got = g.adjacency[v]
-        if got != want:
-            raise AssertionError(
-                f"{inst.frames[v].id}: expected {sorted(inst.frames[u].id for u in want)}, "
-                f"got {sorted(inst.frames[u].id for u in got)}"
-            )
-
+    rows = []
     for i in range(1, n + 1):
-        check(i - 1, *incident[i], p + i)
-        check(p + i, i - 1, q + i)
-        check(q + i, p + i)
+        rows += (i - 1, (*incident[i], p + i)), (p + i, (i - 1, q + i)), (q + i, (p + i,))
     for e, (i, j) in enumerate(edges, start=n):
-        check(e, i - 1, j - 1, *(x for x in by_high[j] if x != e))
+        rows.append((e, (i - 1, j - 1, *(x for x in by_high[j] if x != e))))
+    _check_contacts(inst, rows)
 
 
 def vc_to_epg(
@@ -510,21 +511,17 @@ def _vertex_cover_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
 # -- edge dominating set -----------------------------------------------------
 
 
-def _check_eds_neighborhoods(
-    edges: tuple[tuple[int, int], ...], inst: GeomInstance
-) -> None:
-    """Assert that each edge path touches exactly the paths of the edges
-    sharing an endpoint with it; frames come in the order of ``edges``."""
+def _check_eds_neighborhoods(edges: tuple[tuple[int, int], ...], inst: GeomInstance) -> None:
+    """Check that each edge path touches exactly the paths of the edges
+    sharing an endpoint with it (``_check_contacts``); frames come in the
+    order of ``edges``, and are checked in it."""
     by_a: dict[int, list[int]] = {}
     by_b: dict[int, list[int]] = {}
     for e, (i, j) in enumerate(edges):
         by_a.setdefault(i, []).append(e)
         by_b.setdefault(j, []).append(e)
-    g = build_intersection_graph(inst)
-    for e, (i, j) in enumerate(edges):
-        want = tuple(sorted(x for x in by_a[i] + by_b[j] if x != e))
-        if g.adjacency[e] != want:
-            raise AssertionError(f"edge ({i},{j}) has wrong contacts")
+    _check_contacts(inst, [(e, tuple(sorted(x for x in by_a[i] + by_b[j] if x != e)))
+                           for e, (i, j) in enumerate(edges)])
 
 
 def eds_to_epg(

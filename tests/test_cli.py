@@ -793,17 +793,16 @@ def test_graph_solvers_start_without_numpy():
     script = (
         "import sys\n"
         "import lframes.cli\n"
-        "from lframes.generators import gen_anchored_one_sided, gen_anchored_two_sided,"
-        " reduction_certificate\n"
+        "from lframes.generators import gen_anchored_one_sided, gen_anchored_two_sided\n"
         "from lframes.graph_core import build_intersection_graph, exact_mds, greedy_mds\n"
         "from lframes.local_search import LocalSearchConfig, approx_two_sided, local_search_mds\n"
-        "from lframes.reductions import verify_equivalence\n"
+        "from lframes.reductions import build_certificate, reduction_source, verify_equivalence\n"
         "g = build_intersection_graph(gen_anchored_one_sided(1, 20))\n"
         "greedy_mds(g)\n"
         "exact_mds(g)\n"
         "local_search_mds(g, LocalSearchConfig(k=2))\n"
         "approx_two_sided(gen_anchored_two_sided(1, 20), 2)\n"
-        "assert verify_equivalence(reduction_certificate('vc', 1, 6)).ok\n"
+        "assert verify_equivalence(build_certificate('vc', reduction_source('vc', 1, 6))).ok\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -14,10 +14,10 @@ from lframes.generators import (
     gen_graph,
     gen_two_line,
     generate,
-    reduction_certificate,
 )
 from lframes.geometry import is_anchored
 from lframes.permutation import two_line_vertex_order
+from lframes.reductions import build_certificate, reduction_source
 
 
 @pytest.mark.parametrize("gen", [
@@ -136,9 +136,10 @@ def test_reduction_families_emit_certificate_instances():
     for family, kind in (("circle-diagonal", "circle-diagonal"),
                          ("circle-vertical", "circle-vertical"),
                          ("sat", "sat"), ("vc-epg", "vc"), ("eds-epg", "eds")):
-        assert generate(family, 3, 5) == reduction_certificate(kind, 3, 5).instance
+        cert = build_certificate(kind, reduction_source(kind, 3, 5))
+        assert generate(family, 3, 5) == cert.instance
     with pytest.raises(ValueError):
-        reduction_certificate("exchange", 3, 5)
+        build_certificate("exchange", reduction_source("exchange", 3, 5))
 
 
 def test_sat_family_cycles_through_corpus():

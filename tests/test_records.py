@@ -27,6 +27,17 @@ _chords = ChordDiagram(2, (1, 2, 1, 2))
 _arc = Arc(0, 1, 2, "mixed", (2, 3), "b_left")
 _piece = ArcPiece(Point(0, 1), Point(2, -1), "above")
 
+
+# slot-less subclasses keep their parent's fields: one of a record with its
+# own constructor, one of a record built by _Record.__init__
+class SubFrame(LFrame):
+    __slots__ = ()
+
+
+class SubPiece(ArcPiece):
+    __slots__ = ()
+
+
 # (record, its fields in constructor order, a change that _replace must
 # refuse with (exception, message) or None for a class that validates nothing)
 RECORDS = [
@@ -43,6 +54,9 @@ RECORDS = [
     (_arc, ("b", "r", "witness", "cls", "witnesses", "mixed_orientation"), None),
     (ExchangeGraph(frozenset({0}), frozenset({1}), (_arc,)), ("B", "R", "arcs"), None),
     (_piece, ("p0", "p1", "side"), None),
+    (SubFrame("a", Point(0, 0), 3, -2), ("id", "corner", "hspan", "vspan"),
+     ({"hspan": 0}, ValueError, r"^frame 'a': spans must be nonzero$")),
+    (SubPiece(Point(0, 1), Point(2, -1), "above"), ("p0", "p1", "side"), None),
     (ReductionCertificate("circle-diagonal", _chords, _inst, 0),
      ("kind", "source", "instance", "offset"), None),
     (EquivalenceReport("sat", 2, 3, 1, True),
@@ -165,3 +179,13 @@ def test_store_only_records_refuse_a_bad_field_list(obj, fields):
         cls(values[0], *values[2:], **{fields[0]: values[0]})
     # a field list split between the two ways builds the same record
     assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == obj
+
+
+@pytest.mark.parametrize("sub, base", [(SubFrame, _frame), (SubPiece, _piece)])
+def test_subclasses_keep_the_inherited_fields(sub, base):
+    obj = sub(*base._values())
+    assert sub._fields == type(base)._fields and obj != base
+    other = obj._replace(**{sub._fields[-1]: 7})
+    assert type(other) is sub and other != obj
+    twin = pickle.loads(pickle.dumps(obj))
+    assert type(twin) is sub and twin == obj

@@ -307,7 +307,7 @@ def test_gadget_checks_reject_wrong_contacts():
     edges = ((1, 1), (2, 2))
     frames = (LFrame("e1_1", Point(-1, -1), 1, 1), LFrame("e2_2", Point(-1, -2), 1, 2))
     _check_eds_neighborhoods(edges, eds_to_epg(2, 2, edges)[0])
-    with pytest.raises(AssertionError, match=r"edge \(1,1\)"):
+    with pytest.raises(AssertionError, match=r"^e1_1: expected \[\], got \['e2_2'\]$"):
         _check_eds_neighborhoods(edges, GeomInstance(frames=frames, model="edge"))
 
 
@@ -346,6 +346,24 @@ def test_vc_check_names_the_first_wrong_frame():
         )
         with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
             _check_vc_neighborhoods(n, edges, inst._replace(frames=frames))
+
+
+def test_eds_check_names_the_first_wrong_frame():
+    # edge paths are checked in edge order; a path moved out of contact is
+    # reported through the first path in that order that misses it
+    edges = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2))
+    inst, _ = eds_to_epg(3, 3, edges)
+    cases = (
+        ("e1_2", "e1_1: expected ['e1_2', 'e2_1'], got ['e2_1']"),
+        ("e3_2", "e1_2: expected ['e1_1', 'e3_2'], got ['e1_1']"),
+        ("e2_3", "e2_1: expected ['e1_1', 'e2_3'], got ['e1_1']"),
+    )
+    for moved, message in cases:
+        frames = tuple(
+            LFrame(f.id, Point(-90, 90), 1, 1) if f.id == moved else f for f in inst.frames
+        )
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            _check_eds_neighborhoods(edges, inst._replace(frames=frames))
 
 
 def test_vc_path():
