@@ -18,7 +18,7 @@ _EXPORTS = {
     ),
     "geometry": (
         "DominatingSet", "FrameColumns", "GeomInstance", "LFrame", "Point", "Rect",
-        "is_anchored", "lframe_intersect", "rect_intersect", "rect_to_lframe", "rotate_cw",
+        "lframe_intersect", "rect_intersect", "rect_to_lframe", "rotate_cw",
     ),
     "epg": ("epg_intersect",),
     "graph_core": (

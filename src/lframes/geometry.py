@@ -59,7 +59,10 @@ class _Record:
     _fields: tuple = ()
 
     def __init_subclass__(cls):
-        cls._fields += tuple(f for f in cls.__dict__.get("__slots__", ()) if f[0] != "_")
+        slots = cls.__dict__.get("__slots__", ())
+        if isinstance(slots, str):  # one slot, as Python reads it
+            slots = (slots,)
+        cls._fields += tuple(f for f in slots if f[0] != "_")
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -162,14 +165,6 @@ class LFrame(_Record):
         y2 = self.corner.y + self.vspan
         lo, hi = (self.corner.y, y2) if self.corner.y <= y2 else (y2, self.corner.y)
         return self.corner.x, lo, hi
-
-    def hand(self) -> Point:
-        """Free endpoint of the horizontal arm."""
-        return Point(self.corner.x + self.hspan, self.corner.y)
-
-    def vhand(self) -> Point:
-        """Free endpoint of the vertical arm."""
-        return Point(self.corner.x, self.corner.y + self.vspan)
 
 
 def _column(values) -> Sequence[int]:
@@ -394,25 +389,6 @@ def rect_to_lframe(r: Rect, d: int) -> LFrame:
     if d == hi_sum:
         return LFrame(r.id, r.hi, -w, -h)
     raise NotAnchored(f"rect {r.id!r} is not anchored at x+y={d}")
-
-
-def is_anchored(f: LFrame, d: int, side: str) -> bool:
-    """True iff f's corner lies on the diagonal x + y = d and f opens into
-    ``side``.
-
-    side="above" means both arms point into the open halfplane x+y > d
-    (positive spans); side="below" means both point into x+y < d. This is
-    the configuration produced by rect_to_lframe and assumed by the
-    exchange-graph drawing, where arc endpoints are frame corners on the
-    line.
-    """
-    if side not in ("above", "below"):
-        raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-    if f.corner.x + f.corner.y != d:
-        return False
-    if side == "above":
-        return f.hspan > 0 and f.vspan > 0
-    return f.hspan < 0 and f.vspan < 0
 
 
 def rotate_cw(f: LFrame) -> LFrame:

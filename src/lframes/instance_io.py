@@ -49,7 +49,7 @@ from array import array
 from typing import TextIO
 
 from .errors import ParseError, ValidationError
-from .geometry import _LINES, _MODELS, FrameColumns, GeomInstance, Point, Rect
+from .geometry import _LINES, _MODELS, FrameColumns, GeomInstance, Point, Rect, check_spans
 
 FORMAT_VERSION = 1
 
@@ -205,14 +205,13 @@ def _parse(source) -> GeomInstance:
                 a, b, c, d = _ints(rest, lineno)
                 if frames is None:  # the first record ends the header
                     frames = kind == "frames"
-                if not frames:
-                    try:
+                try:
+                    if not frames:
                         rects.append(Rect(name, Point(a, b), Point(c, d)))
-                    except ValueError as e:
-                        raise ValidationError(str(e)) from None
-                    continue
-                if not (c and d):
-                    raise ValidationError(f"frame {name!r}: spans must be nonzero")
+                        continue
+                    check_spans(name, c, d)
+                except ValueError as e:
+                    raise ValidationError(str(e)) from None
                 ids.append(name)
                 try:
                     xs.append(a)

@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import NotAnchored
-from .geometry import GeomInstance, _integer, _Record, is_anchored, rect_to_lframe
+from .geometry import FrameColumns, GeomInstance, _integer, _Record, rect_to_lframe
 from .graph_core import DominatingSet, IntersectionGraph, build_intersection_graph, greedy_mds
 
 K_WARN_LIMIT = 3
@@ -192,24 +192,33 @@ def local_search_mds(g: IntersectionGraph, cfg: LocalSearchConfig = LocalSearchC
 def split_two_sided(inst: GeomInstance) -> tuple[GeomInstance, GeomInstance]:
     """Partition an anchored instance into its above-side and below-side parts.
 
+    A frame is anchored when its corner lies on the diagonal x + y = d and
+    both spans have one sign: positive opens it above the line, negative
+    below. This is the configuration rect_to_lframe produces and the
+    exchange drawing assumes, with arc endpoints at corners on the line.
     Rectangles are replaced by their anchored L-frames (rect_to_lframe),
-    which leaves the intersection graph unchanged. Raises NotAnchored if
-    some frame is anchored on neither side, or some rectangle not at all.
+    which leaves the intersection graph unchanged. The split reads the
+    frame columns and builds each side as columns, so no ``LFrame`` is
+    built for a frame instance. Raises NotAnchored if the instance has no
+    diagonal, some rectangle is not anchored, or some frame is anchored on
+    neither side, naming the first in record order.
     """
-    if inst.diagonal is None:
+    d = inst.diagonal
+    if d is None:
         raise NotAnchored("instance has no diagonal")
+    cols = inst.frames or FrameColumns.of(rect_to_lframe(r, d) for r in inst.rects)
     above, below = [], []
-    for f in inst.frames or [rect_to_lframe(r, inst.diagonal) for r in inst.rects]:
-        if is_anchored(f, inst.diagonal, "above"):
-            above.append(f)
-        elif is_anchored(f, inst.diagonal, "below"):
-            below.append(f)
-        else:
-            raise NotAnchored(f"frame {f.id!r} is not anchored at the diagonal")
-    mk = lambda fs: GeomInstance(
-        frames=tuple(fs), model=inst.model, diagonal=inst.diagonal
-    )
-    return mk(above), mk(below)
+    for i, (x, y, h, v) in enumerate(zip(cols.x, cols.y, cols.hspan, cols.vspan)):
+        if x + y != d or (h > 0) != (v > 0):
+            raise NotAnchored(f"frame {cols.ids[i]!r} is not anchored at the diagonal")
+        (above if h > 0 else below).append(i)
+    columns = (cols.ids, cols.x, cols.y, cols.hspan, cols.vspan)
+
+    def side(picked: list[int]) -> GeomInstance:
+        frames = FrameColumns(*([col[i] for i in picked] for col in columns))
+        return GeomInstance(frames=frames, model=inst.model, diagonal=d)
+
+    return side(above), side(below)
 
 
 def approx_two_sided(inst: GeomInstance, k: int) -> DominatingSet:

@@ -3,12 +3,15 @@
 Output is a pure function of the arguments: same input, same bytes. Frames
 are drawn as three-point polylines, rectangles as rects, reference lines
 dashed, solution objects highlighted, and exchange arcs as half-circle
-paths. Arcs are the only ``path`` elements emitted.
+paths. Arcs are the only ``path`` elements emitted. Frames are read from
+the instance's columns (corner x and y, hspan, vspan), so drawing builds
+no ``LFrame``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .geometry import GeomInstance
@@ -57,12 +60,10 @@ class _Canvas:
 
 
 def _bounds(inst: GeomInstance, arcs: Optional[tuple[ArcPiece, ...]]) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for f in inst.frames:
-        for p in (f.corner, f.hand(), f.vhand()):
-            xs.append(p.x)
-            ys.append(p.y)
+    # a frame spans from its corner to its arm tips (x + hspan, y) and (x, y + vspan)
+    fr = inst.frames
+    xs: list[float] = [*fr.x, *map(operator.add, fr.x, fr.hspan)]
+    ys: list[float] = [*fr.y, *map(operator.add, fr.y, fr.vspan)]
     for r in inst.rects:
         xs.extend((r.lo.x, r.hi.x))
         ys.extend((r.lo.y, r.hi.y))
@@ -122,12 +123,14 @@ def render_svg(
     # a vline 0 or hline 0 is an axis already: each line is drawn once
     body.extend(line for line in _ref_lines(inst, cv) if line not in body)
 
-    for i, f in enumerate(inst.frames):
-        pts = " ".join(cv.sxy(p.x, p.y) for p in (f.vhand(), f.corner, f.hand()))
+    fr = inst.frames
+    for i, (x, y, h, v) in enumerate(zip(fr.x, fr.y, fr.hspan, fr.vspan)):
+        # vertical arm tip, corner, horizontal arm tip
+        pts = f"{cv.sxy(x, y + v)} {cv.sxy(x, y)} {cv.sxy(x + h, y)}"
         style = _SHAPE_SOL if i in chosen else _SHAPE
         body.append(f'<polyline points="{pts}" {style}/>')
         if i in chosen:
-            sx, sy = cv.pt(f.corner.x, f.corner.y)
+            sx, sy = cv.pt(x, y)
             body.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="#c62828"/>')
     for i, r in enumerate(inst.rects):
         sx, sy = cv.pt(r.lo.x, r.hi.y)

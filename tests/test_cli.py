@@ -590,6 +590,32 @@ def test_two_line_commands_build_no_lframe(tmp_path):
     assert parse_report(proc.stdout)["n"] == "200"
 
 
+def test_anchored_commands_build_no_lframe(tmp_path):
+    # every solver, the renderer and the exchange check read the frame columns only
+    calls = [["verify", "--kind", "exchange", "--seed", "2", "--n", "24"]]
+    for family in ("anchored-one-sided", "anchored-two-sided"):
+        path = str(tmp_path / f"{family}.txt")
+        calls.append(["generate", "--family", family, "--seed", "2", "--n", "24", "--out", path])
+        calls += [["solve", "--in", path, "--algo", algo]
+                  for algo in ("exact", "greedy", "local-search", "two-sided")]
+        svg = str(tmp_path / f"{family}.svg")
+        calls += [["render", "--in", path, "--out", svg],
+                  ["render", "--in", path, "--algo", "two-sided", "--out", svg],
+                  ["render", "--in", path, "--exchange", "--out", svg]]
+    script = (
+        "import lframes.geometry as geometry\n"
+        "def refuse(self, *args, **kwargs):\n"
+        "    raise AssertionError('an LFrame was built')\n"
+        "geometry.LFrame.__init__ = refuse\n"
+        "from lframes.cli import main\n"
+        f"for args in {calls!r}:\n"
+        "    assert main(args) == 0, args\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("algorithm ") == 8
+
+
 def test_verify_exchange_takes_cap(capsys):
     args = ["verify", "--kind", "exchange", "--n", "40", "--seed", "1"]
     code, out, _ = run_cli(args + ["--cap", "40"], capsys)

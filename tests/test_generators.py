@@ -15,7 +15,7 @@ from lframes.generators import (
     gen_two_line,
     generate,
 )
-from lframes.geometry import is_anchored
+from lframes.local_search import split_two_sided
 from lframes.permutation import two_line_vertex_order
 from lframes.reductions import build_certificate, reduction_source
 
@@ -64,16 +64,15 @@ def test_one_sided_all_above():
     for seed in range(10):
         inst = gen_anchored_one_sided(seed, 9)
         assert inst.n == 9
-        assert all(is_anchored(f, inst.diagonal, "above") for f in inst.frames)
+        above, below = split_two_sided(inst)  # refuses a frame anchored on neither side
+        assert above.n == 9 and below.n == 0
 
 
 def test_two_sided_every_frame_anchored():
     for seed in range(10):
         inst = gen_anchored_two_sided(seed, 10)
-        for f in inst.frames:
-            assert is_anchored(f, inst.diagonal, "above") or is_anchored(
-                f, inst.diagonal, "below"
-            )
+        above, below = split_two_sided(inst)  # refuses a frame anchored on neither side
+        assert above.n + below.n == inst.n
 
 
 def test_rect_family_is_anchored():

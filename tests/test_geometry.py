@@ -15,7 +15,6 @@ from lframes.geometry import (
     LFrame,
     Point,
     Rect,
-    is_anchored,
     lframe_intersect,
     rect_intersect,
     rect_to_lframe,
@@ -141,37 +140,6 @@ def test_conversion_preserves_pairwise_intersection():
                 )
 
 
-def test_is_anchored_above():
-    f = frame("f", 3, 7, 2, 5)
-    assert is_anchored(f, 10, "above")
-    assert not is_anchored(f, 10, "below")
-
-
-def test_is_anchored_below():
-    f = frame("f", 3, 7, -2, -5)
-    assert is_anchored(f, 10, "below")
-    assert not is_anchored(f, 10, "above")
-
-
-def test_is_anchored_corner_off_line():
-    f = frame("f", 3, 6, 2, 5)
-    assert not is_anchored(f, 10, "above")
-    assert not is_anchored(f, 10, "below")
-
-
-def test_is_anchored_mixed_spans():
-    # corner on the line but arms straddle it
-    f = frame("f", 3, 7, 2, -5)
-    assert not is_anchored(f, 10, "above")
-    assert not is_anchored(f, 10, "below")
-
-
-def test_is_anchored_bad_side():
-    f = frame("f", 3, 7, 2, 5)
-    with pytest.raises(ValueError):
-        is_anchored(f, 10, "left")
-
-
 def test_rotate_cw_four_times_is_identity():
     f = frame("f", 3, -2, 5, -7)
     g = f
@@ -232,7 +200,6 @@ def test_int_diagonal_reads_back_and_drives_the_anchored_paths():
     assert (inst.diagonal, inst.vline, inst.hline) == (5, -7, 9)
     assert emit_instance(inst).splitlines()[3:6] == ["diagonal 5", "vline -7", "hline 9"]
     assert parse_instance(emit_instance(inst)) == inst
-    assert all(is_anchored(f, inst.diagonal, "above") for f in inst.frames)
     above, below = split_two_sided(inst)
     assert above.frames == frames and above.diagonal == 5 and not below.frames
     pieces = draw_arcs(build_exchange_graph(inst, [1], [2]), inst)

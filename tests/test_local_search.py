@@ -19,7 +19,7 @@ from conftest import (
 )
 from lframes.errors import NotAnchored
 from lframes.generators import gen_anchored_one_sided, gen_anchored_two_sided
-from lframes.geometry import GeomInstance, LFrame, Point, is_anchored
+from lframes.geometry import GeomInstance, LFrame, Point, Rect
 from lframes.graph_core import (
     IntersectionGraph,
     build_intersection_graph,
@@ -238,27 +238,38 @@ def test_ptas_generated_instance_golden():
 
 
 def test_split_two_sided():
-    inst = GeomInstance(
-        frames=(
-            anchored_above("a", 2, 10, 3, 3),
-            anchored_below("b", 4, 10, 3, 3),
-            anchored_above("c", 6, 10, 2, 2),
-        ),
-        diagonal=10,
+    frames = (
+        anchored_above("a", 2, 10, 3, 3),
+        anchored_below("b", 4, 10, 3, 3),
+        anchored_above("c", 6, 10, 2, 2),
+        LFrame("d", Point(3, 7), 2, 5),  # both spans positive: above
+        LFrame("e", Point(3, 7), -2, -5),  # both negative: below
     )
+    inst = GeomInstance(frames=frames, model="edge", diagonal=10, vline=3)
     above, below = split_two_sided(inst)
-    assert [f.id for f in above.frames] == ["a", "c"]
-    assert [f.id for f in below.frames] == ["b"]
+    assert above == GeomInstance(frames=frames[0:4:2] + frames[3:4], model="edge", diagonal=10)
+    assert below == GeomInstance(frames=frames[1:2] + frames[4:], model="edge", diagonal=10)
+    # rectangles are split as their anchored frames
+    rects = (Rect("r", Point(2, 8), Point(4, 11)), Rect("s", Point(3, 2), Point(5, 5)))
+    above, below = split_two_sided(GeomInstance(rects=rects, diagonal=10))
+    assert above.frames == (LFrame("r", Point(2, 8), 2, 3),)
+    assert below.frames == (LFrame("s", Point(5, 5), -2, -3),)
 
 
 def test_split_rejects_unanchored():
-    inst = GeomInstance(
-        frames=(LFrame("a", Point(0, 0), 3, 3),), diagonal=10
-    )
-    with pytest.raises(NotAnchored):
-        split_two_sided(inst)
-    with pytest.raises(NotAnchored):
+    with pytest.raises(NotAnchored, match="^instance has no diagonal$"):
         split_two_sided(GeomInstance(frames=(LFrame("a", Point(0, 0), 3, 3),)))
+    good = anchored_above("g", 0, 10, 1, 1)
+    off_line = LFrame("o", Point(3, 6), 2, 5)
+    mixed = LFrame("m", Point(3, 7), 2, -5)  # corner on the line, arms straddle it
+    for bad in (off_line, mixed, mixed._replace(hspan=-2, vspan=5)):
+        # the first frame anchored on neither side is named, in record order
+        inst = GeomInstance(frames=(good, bad, LFrame("z", Point(0, 0), 3, 3)), diagonal=10)
+        with pytest.raises(NotAnchored, match=f"^frame '{bad.id}' is not anchored at the diagonal$"):
+            split_two_sided(inst)
+    rects = (Rect("r", Point(2, 8), Point(4, 11)), Rect("q", Point(0, 0), Point(3, 3)))
+    with pytest.raises(NotAnchored, match="^rect 'q' is not anchored at x\\+y=10$"):
+        split_two_sided(GeomInstance(rects=rects, diagonal=10))
 
 
 def test_two_sided_above_only_equals_one_sided():
@@ -300,7 +311,7 @@ def test_cross_side_adjacency_needs_shared_anchor():
     for seed in range(30):
         inst = gen_anchored_two_sided(seed, 10)
         g = build_intersection_graph(inst)
-        side = [is_anchored(f, inst.diagonal, "above") for f in inst.frames]
+        side = [h > 0 for h in inst.frames.hspan]  # anchored: above iff hspan > 0
         for i in range(inst.n):
             for j in range(i + 1, inst.n):
                 if side[i] == side[j]:

@@ -38,6 +38,11 @@ class SubPiece(ArcPiece):
     __slots__ = ()
 
 
+# a single slot may be given as a string, which Python reads as one name
+class LabelledPiece(ArcPiece):
+    __slots__ = "label"
+
+
 # (record, its fields in constructor order, a change that _replace must
 # refuse with (exception, message) or None for a class that validates nothing)
 RECORDS = [
@@ -57,6 +62,7 @@ RECORDS = [
     (SubFrame("a", Point(0, 0), 3, -2), ("id", "corner", "hspan", "vspan"),
      ({"hspan": 0}, ValueError, r"^frame 'a': spans must be nonzero$")),
     (SubPiece(Point(0, 1), Point(2, -1), "above"), ("p0", "p1", "side"), None),
+    (LabelledPiece(Point(0, 1), Point(2, -1), "above", "x"), ("p0", "p1", "side", "label"), None),
     (ReductionCertificate("circle-diagonal", _chords, _inst, 0),
      ("kind", "source", "instance", "offset"), None),
     (EquivalenceReport("sat", 2, 3, 1, True),
@@ -189,3 +195,8 @@ def test_subclasses_keep_the_inherited_fields(sub, base):
     assert type(other) is sub and other != obj
     twin = pickle.loads(pickle.dumps(obj))
     assert type(twin) is sub and twin == obj
+
+
+def test_a_string_slot_is_one_field():
+    assert LabelledPiece._fields == ("p0", "p1", "side", "label")
+    assert LabelledPiece(Point(0, 1), Point(2, -1), "above", label="xy").label == "xy"

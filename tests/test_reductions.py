@@ -108,8 +108,9 @@ def test_interleaved_pair_to_diagonal():
     assert c1 == LFrame("c1", Point(2, 1), 2, 2)
     assert c2 == LFrame("c2", Point(1, 2), 2, 2)
     # arm tips land on the four endpoint anchors (4,1),(3,2),(2,3),(1,4)
-    assert c1.hand() == Point(4, 1) and c1.vhand() == Point(2, 3)
-    assert c2.hand() == Point(3, 2) and c2.vhand() == Point(1, 4)
+    tips = [(Point(c.corner.x + c.hspan, c.corner.y), Point(c.corner.x, c.corner.y + c.vspan))
+            for c in (c1, c2)]
+    assert tips == [(Point(4, 1), Point(2, 3)), (Point(3, 2), Point(1, 4))]
     assert lframe_intersect(c1, c2)
 
 
